@@ -47,25 +47,24 @@ pub struct MonitoringSystem {
 
 /// The long-lived serving state behind standing queries: one sharded copy
 /// of the counts living on the shared pool (mutated in place as updates
-/// arrive), a plain mirror for statistics sampling, and the registered
+/// arrive, and sampled for planner statistics), and the registered
 /// queries with their cached answers.
 #[derive(Debug, Clone)]
 struct StandingState {
     sharded: ShardedDatabase,
-    mirror: Database,
     pool: Arc<ThreadPool>,
     stats: DatabaseStats,
     queries: Vec<StandingQuery>,
 }
 
 impl StandingState {
-    /// Re-samples statistics when they no longer match the live epochs.
-    /// The mirror mutates in lockstep with the sharded copy, so sampling
-    /// it observes exactly the live data (and the matching epochs).
-    fn ensure_stats_fresh(&mut self) {
+    /// Re-samples statistics from the live sharded lists when they no
+    /// longer match the live epochs.
+    fn ensure_stats_fresh(&mut self) -> Result<(), TopKError> {
         if self.stats.staleness(&self.sharded.epochs()).is_some() {
-            self.stats = DatabaseStats::collect(&self.mirror);
+            self.stats = DatabaseStats::collect_on(&mut self.sharded.sources(&self.pool))?;
         }
+        Ok(())
     }
 }
 
@@ -234,12 +233,11 @@ impl MonitoringSystem {
         shards_per_list: usize,
         pool: Arc<ThreadPool>,
     ) -> Result<(), AppError> {
-        let mirror = self.database()?;
-        let sharded = ShardedDatabase::new(&mirror, shards_per_list);
-        let stats = DatabaseStats::collect(&mirror);
+        let db = self.database()?;
+        let sharded = ShardedDatabase::new(&db, shards_per_list);
+        let stats = DatabaseStats::collect(&db);
         self.standing = Some(StandingState {
             sharded,
-            mirror,
             pool,
             stats,
             queries: Vec::new(),
@@ -260,7 +258,7 @@ impl MonitoringSystem {
     /// a cache hit.
     pub fn register_standing_query(&mut self, k: usize) -> Result<usize, AppError> {
         let state = self.standing.as_mut().ok_or(AppError::StandingDisabled)?;
-        state.ensure_stats_fresh();
+        state.ensure_stats_fresh()?;
         let mut query = StandingQuery::new(TopKQuery::new(k, Sum));
         let mut sources = state.sharded.sources(&state.pool);
         query.refresh(&mut sources, &state.stats)?;
@@ -286,6 +284,7 @@ impl MonitoringSystem {
             location < self.locations.len(),
             "location index {location} has not been registered"
         );
+        let known_urls = self.urls.len();
         let id = self.urls.intern(url);
         let count = self.counts[location].entry(id.0).or_insert(0);
         *count += hits;
@@ -295,16 +294,14 @@ impl MonitoringSystem {
             return IngestReport::default();
         };
         let item = ItemId(id.0);
-        let event = if state.mirror.local_scores(item).is_none() {
-            let scores: Vec<f64> = (0..state.mirror.num_lists())
+        // Every interned URL is deployed, so only a freshly interned one is
+        // missing from the sharded lists.
+        let event = if id.0 as usize == known_urls {
+            let scores: Vec<f64> = (0..self.locations.len())
                 .map(|l| if l == location { new_total } else { 0.0 })
                 .collect();
             state
                 .sharded
-                .insert_item(item, &scores)
-                .expect("counts are finite and the URL id is new");
-            state
-                .mirror
                 .insert_item(item, &scores)
                 .expect("counts are finite and the URL id is new");
             UpdateEvent::Insert {
@@ -317,17 +314,11 @@ impl MonitoringSystem {
                 .sharded
                 .update_score(location, item, new_total)
                 .expect("counts are finite and the URL is present");
-            let mirrored = state
-                .mirror
-                .update_score(location, item, new_total)
-                .expect("counts are finite and the URL is present");
-            debug_assert_eq!(update, mirrored);
             UpdateEvent::Score {
                 list: location,
                 update,
             }
         };
-        debug_assert_eq!(state.mirror.epochs(), state.sharded.epochs());
 
         let mut report = IngestReport::default();
         for query in &mut state.queries {
@@ -353,7 +344,7 @@ impl MonitoringSystem {
                 .ok_or(AppError::UnknownHandle(handle))?
                 .needs_refresh(&epochs);
             if needs_refresh {
-                state.ensure_stats_fresh();
+                state.ensure_stats_fresh()?;
             }
             let mut sources = state.sharded.sources(&state.pool);
             let query = &mut state.queries[handle];

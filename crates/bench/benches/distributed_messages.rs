@@ -8,11 +8,9 @@
 
 use topk_bench::config::BENCH_SEED;
 use topk_bench::BenchScale;
-use topk_core::TopKQuery;
+use topk_core::{AlgorithmKind, TopKQuery};
 use topk_datagen::{DatabaseKind, DatabaseSpec};
-use topk_distributed::{
-    Cluster, DistributedBpa, DistributedBpa2, DistributedNaive, DistributedProtocol, DistributedTa,
-};
+use topk_distributed::{Cluster, ClusterSources};
 
 fn main() {
     let scale = BenchScale::from_env();
@@ -33,26 +31,29 @@ fn main() {
         "protocol", "accesses", "messages", "payload (units)", "rounds", "peak round msgs"
     );
 
-    // The naive baseline runs through the same ClusterSources adapter as
-    // the threshold family, so distributed sweeps have the baseline the
-    // local sweeps have.
-    let protocols: Vec<Box<dyn DistributedProtocol>> = vec![
-        Box::new(DistributedNaive),
-        Box::new(DistributedTa),
-        Box::new(DistributedBpa),
-        Box::new(DistributedBpa2),
-    ];
-    for protocol in protocols {
-        let mut cluster = Cluster::new(&database);
-        let result = protocol.execute(&mut cluster, &query).expect("valid query");
+    // The naive baseline runs over the same ClusterSources backend as the
+    // threshold family, so distributed sweeps have the baseline the local
+    // sweeps have.
+    let cluster = Cluster::new(&database);
+    for kind in [
+        AlgorithmKind::Naive,
+        AlgorithmKind::Ta,
+        AlgorithmKind::Bpa,
+        AlgorithmKind::Bpa2,
+    ] {
+        let algorithm = kind.create();
+        let result = algorithm
+            .run_on(&mut ClusterSources::new(&cluster), &query)
+            .expect("valid query");
+        let network = cluster.network();
         println!(
             "{:>20}{:>14}{:>14}{:>18}{:>12}{:>16}",
-            protocol.name(),
-            result.accesses,
-            result.network.messages,
-            result.network.payload_units,
-            result.rounds,
-            result.network.peak_round().map_or(0, |r| r.messages),
+            format!("distributed-{}", algorithm.name()),
+            cluster.accesses_served(),
+            network.messages,
+            network.payload_units,
+            result.stats().rounds,
+            network.peak_round().map_or(0, |r| r.messages),
         );
     }
     println!();

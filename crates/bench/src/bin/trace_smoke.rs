@@ -66,8 +66,6 @@ fn run_traced(
     pool: &ThreadPool,
     scratch: &ScratchDir,
 ) -> Result<(Trace, MetricsRegistry, Vec<u64>), String> {
-    let full =
-        Database::from_unsorted_lists(lists(0..NUM_LISTS)).map_err(|e| format!("database: {e}"))?;
     let paged_half = Database::from_unsorted_lists(lists(0..NUM_LISTS / 2))
         .map_err(|e| format!("database: {e}"))?;
     let sharded_half = Database::from_unsorted_lists(lists(NUM_LISTS / 2..NUM_LISTS))
@@ -77,7 +75,15 @@ fn run_traced(
         .map_err(|e| format!("paging the database: {e}"))?;
     let sharded = ShardedDatabase::new(&sharded_half, SHARDS_PER_LIST);
 
-    let stats = DatabaseStats::collect(&full);
+    // Planner statistics come from a second source set over the same
+    // backends, on its own pool so the traced pool counts the query alone.
+    let stats_pool = ThreadPool::new(1);
+    let mut stats_sources = paged
+        .sources(CacheCapacity::Pages(4))
+        .map_err(|e| format!("opening paged sources: {e}"))?
+        .merge(sharded.sources(&stats_pool));
+    let stats =
+        DatabaseStats::collect_on(&mut stats_sources).map_err(|e| format!("statistics: {e}"))?;
     let query = TopKQuery::new(K, Sum);
 
     let paged_sources: Sources<'_> = paged

@@ -46,10 +46,10 @@ pub use naive::NaiveScan;
 pub use ta::Ta;
 pub use tput::Tput;
 
-use topk_lists::source::{SourceError, SourceSet, Sources};
+use topk_lists::source::{SourceSet, Sources};
 use topk_lists::{Database, TrackerKind};
 
-use crate::error::TopKError;
+use crate::error::{catch_source_error, TopKError};
 use crate::query::TopKQuery;
 use crate::result::TopKResult;
 use crate::stats::RunStats;
@@ -85,9 +85,9 @@ pub trait TopKAlgorithm {
     /// method, so validation cannot be skipped by an algorithm
     /// implementation.
     ///
-    /// This is also the single choke point of the fail-stop contract:
-    /// fallible backends (disk, network) signal an access failure by
-    /// unwinding with a [`SourceError`] payload
+    /// This is also where queries meet the fail-stop contract: fallible
+    /// backends (disk, network) signal an access failure by unwinding with
+    /// a [`SourceError`](topk_lists::source::SourceError) payload
     /// ([`SourceError::raise`](topk_lists::source::SourceError::raise)),
     /// and `run_on` converts exactly that payload into
     /// [`TopKError::Source`]. Algorithm bodies therefore never handle IO
@@ -114,23 +114,11 @@ pub trait TopKAlgorithm {
         // around the whole execution.
         // lint:allow(no-wall-clock) -- RunStats::elapsed plumbing: the one sanctioned wall-time read
         let started = std::time::Instant::now();
-        // AssertUnwindSafe: on a caught SourceError we return Err without
-        // touching `sources` again, and the fail-stop contract requires a
-        // `reset` before reuse — so no broken invariant can be observed.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.execute(sources, query)
-        }));
-        let out = match outcome {
-            Ok(result) => result.map(|mut r| {
-                // lint:allow(no-wall-clock) -- RunStats::elapsed plumbing: stamps the measurement taken above
-                r.set_elapsed(started.elapsed());
-                r
-            }),
-            Err(payload) => match payload.downcast::<SourceError>() {
-                Ok(err) => Err(TopKError::Source(*err)),
-                Err(payload) => std::panic::resume_unwind(payload),
-            },
-        };
+        let out = catch_source_error(|| self.execute(sources, query)).map(|mut r| {
+            // lint:allow(no-wall-clock) -- RunStats::elapsed plumbing: stamps the measurement taken above
+            r.set_elapsed(started.elapsed());
+            r
+        });
         if topk_trace::active() {
             topk_trace::record(topk_trace::TraceEvent::QueryEnd {
                 status: if out.is_ok() { "ok" } else { "error" },
@@ -264,6 +252,7 @@ pub fn run_all_in_memory(
 mod tests {
     use super::*;
     use crate::examples_paper::figure1_database;
+    use topk_lists::source::SourceError;
 
     #[test]
     fn kinds_create_their_algorithms() {

@@ -100,6 +100,24 @@ impl From<SourceError> for TopKError {
     }
 }
 
+/// The single catch point of the fail-stop contract: runs `body`, turning
+/// an unwind with a [`SourceError`] payload ([`SourceError::raise`]) into
+/// [`TopKError::Source`] and re-raising any other unwind (genuine bugs).
+///
+/// `AssertUnwindSafe` is sound because the contract requires a `reset` of
+/// the failed sources before reuse, so no broken invariant is observed.
+pub(crate) fn catch_source_error<T>(
+    body: impl FnOnce() -> Result<T, TopKError>,
+) -> Result<T, TopKError> {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)) {
+        Ok(result) => result,
+        Err(payload) => match payload.downcast::<SourceError>() {
+            Ok(err) => Err(TopKError::Source(*err)),
+            Err(payload) => std::panic::resume_unwind(payload),
+        },
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -469,7 +469,8 @@ mod tests {
         // A zero item-sample budget: no overall-score information, so the
         // estimator must fall back to the deepest scan, not panic.
         let db = uniformish(3, 50);
-        let stats = DatabaseStats::collect_with(&db, 8, 0, 1);
+        let mut sources = topk_lists::Sources::in_memory(&db);
+        let stats = DatabaseStats::collect_with(&mut sources, 8, 0, 1).unwrap();
         let plan = Planner::paper_default(50).plan(&stats, &TopKQuery::top(5));
         assert_eq!(plan.estimated_ta_depth, 50);
     }

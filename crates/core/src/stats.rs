@@ -1,14 +1,17 @@
 //! Statistics: per-run measurements (access counts, stopping depth,
 //! wall-clock time) and per-database summaries collected by a cheap
-//! sampling pass ([`DatabaseStats`], the input of the
+//! sampling pass over any backend ([`DatabaseStats`], the input of the
 //! [`planner`](crate::planner)).
 
 use std::collections::HashMap;
 use std::time::Duration;
 
-use topk_lists::{AccessCounters, Database, ItemId, Score};
+use topk_lists::database::sample_items;
+use topk_lists::source::{ListSource, SourceEntry, SourceSet, Sources};
+use topk_lists::{AccessCounters, Database, ItemId, Position, Score};
 
 use crate::cost::CostModel;
+use crate::error::{catch_source_error, TopKError};
 use crate::scoring::ScoringFunction;
 
 /// Everything measured about one algorithm run, covering the three metrics
@@ -89,8 +92,9 @@ const DEFAULT_HEAD_LEN: usize = 64;
 const DEFAULT_STATS_SEED: u64 = 0x5EED_57A7;
 
 /// Summary statistics of a database, collected by a cheap sampling pass
-/// ([`Database::score_profile`] and [`Database::sample_items`]) without
-/// touching the instrumented access path.
+/// through the same [`SourceSet`] access model queries use, so any backend
+/// (in-memory, sharded, paged, cluster) can be planned over without an
+/// in-memory copy.
 ///
 /// These are the per-database inputs of the cost-based
 /// [`planner`](crate::planner): dimensions (`m`, `n`), a geometric grid of
@@ -129,11 +133,22 @@ pub struct DatabaseStats {
 }
 
 impl DatabaseStats {
-    /// Collects statistics with the default sampling budgets (≈ 48 grid
-    /// positions, 512 sampled items, 64-position head window).
+    /// Collects statistics from an in-memory database with the default
+    /// sampling budgets (≈ 48 grid positions, 512 sampled items, 64-position
+    /// head window).
     pub fn collect(database: &Database) -> Self {
+        Self::collect_on(&mut Sources::in_memory(database)).expect("in-memory sources never fail")
+    }
+
+    /// Collects statistics through any backend with the default sampling
+    /// budgets; see [`DatabaseStats::collect_with`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TopKError::Source`] when a backend access fails.
+    pub fn collect_on(sources: &mut dyn SourceSet) -> Result<Self, TopKError> {
         Self::collect_with(
-            database,
+            sources,
             DEFAULT_PROFILE_LEN,
             DEFAULT_ITEM_SAMPLES,
             DEFAULT_STATS_SEED,
@@ -146,44 +161,46 @@ impl DatabaseStats {
     /// `profile_len + 1` positions — the last grid entry is always `n`),
     /// `item_samples` bounds the number of sampled items, and `seed`
     /// drives the deterministic item sample.
+    ///
+    /// The pass reads the lists with ordinary counted accesses — grid
+    /// positions and list 0's sampled items by untracked sorted access,
+    /// the samples' other local scores by random access ([`sample_items`]),
+    /// each list's head by one [`ListSource::sorted_block`] — then
+    /// [`reset`](SourceSet::reset)s the set.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TopKError::Source`] when a backend access fails; as after
+    /// a failed query, reset the set before reusing it.
     pub fn collect_with(
-        database: &Database,
+        sources: &mut dyn SourceSet,
         profile_len: usize,
         item_samples: usize,
         seed: u64,
-    ) -> Self {
-        let m = database.num_lists();
-        let n = database.num_items();
-
-        let positions = geometric_grid(n, profile_len.max(2));
-        let profiles = database.score_profile(&positions);
-
-        let head_skew = profiles_to_skew(database, n);
-        let head_overlap = head_overlap(database, m, n);
-        let sample_locals = database
-            .sample_items(item_samples, seed)
-            .into_iter()
-            .map(|(_, locals)| locals)
-            .collect();
-
-        DatabaseStats {
-            num_lists: m,
-            num_items: n,
-            positions,
-            profiles,
-            head_skew,
-            head_overlap,
-            sample_locals,
-            epochs: database.epochs(),
-        }
-    }
-
-    /// Re-tags the statistics with explicit epochs — for callers that
-    /// sample a materialized snapshot of a mutable backend (e.g. a
-    /// sharded database) whose epoch counters live outside the snapshot.
-    pub fn with_epochs(mut self, epochs: Vec<u64>) -> Self {
-        self.epochs = epochs;
-        self
+    ) -> Result<Self, TopKError> {
+        catch_source_error(|| {
+            let m = sources.num_lists();
+            let n = sources.num_items();
+            let positions = geometric_grid(n, profile_len.max(2));
+            let stats = DatabaseStats {
+                num_lists: m,
+                num_items: n,
+                profiles: score_profile(sources, &positions),
+                positions,
+                head_skew: score_profile(sources, &[1, n.div_ceil(2), n])
+                    .iter()
+                    .map(|probe| head_skew(probe))
+                    .collect(),
+                head_overlap: head_overlap(sources, m, n),
+                sample_locals: sample_items(sources, item_samples, seed)
+                    .into_iter()
+                    .map(|(_, locals)| locals)
+                    .collect(),
+                epochs: sources.epochs(),
+            };
+            sources.reset();
+            Ok(stats)
+        })
     }
 
     /// Whether these statistics are stale against the observed per-list
@@ -278,31 +295,46 @@ fn geometric_grid(n: usize, len: usize) -> Vec<usize> {
     positions
 }
 
-/// Per-list head skew: fraction of the full score range spent by the list
-/// midpoint. Flat lists (zero range) report 0.
-fn profiles_to_skew(database: &Database, n: usize) -> Vec<f64> {
-    let probes = database.score_profile(&[1, n.div_ceil(2), n]);
-    probes
-        .iter()
-        .map(|probe| {
-            let (top, mid, last) = (probe[0].value(), probe[1].value(), probe[2].value());
-            let range = top - last;
-            if range <= 0.0 {
-                0.0
-            } else {
-                ((top - mid) / range).clamp(0.0, 1.0)
-            }
+/// Untracked sorted access to a 1-based position known to be in bounds.
+fn read_sorted(source: &mut dyn ListSource, position: usize) -> SourceEntry {
+    let entry = source.sorted_access(Position::from_index(position - 1), false);
+    entry.expect("sampled positions lie within 1..=n")
+}
+
+/// The local score of every list at each of the given 1-based positions,
+/// one vector per list, in list order.
+fn score_profile(sources: &mut dyn SourceSet, positions: &[usize]) -> Vec<Vec<Score>> {
+    (0..sources.num_lists())
+        .map(|i| {
+            let source = sources.source(i);
+            positions
+                .iter()
+                .map(|&p| read_sorted(source, p).score)
+                .collect()
         })
         .collect()
 }
 
+/// Head skew of one list from its `(top, mid, last)` probe: the fraction
+/// of the full score range spent by the list midpoint. Flat lists (zero
+/// range) report 0.
+fn head_skew(probe: &[Score]) -> f64 {
+    let (top, mid, last) = (probe[0].value(), probe[1].value(), probe[2].value());
+    let range = top - last;
+    if range <= 0.0 {
+        0.0
+    } else {
+        ((top - mid) / range).clamp(0.0, 1.0)
+    }
+}
+
 /// Fraction of the first `min(DEFAULT_HEAD_LEN, n)` positions whose items
 /// sit in the head of every list.
-fn head_overlap(database: &Database, m: usize, n: usize) -> f64 {
+fn head_overlap(sources: &mut dyn SourceSet, m: usize, n: usize) -> f64 {
     let h = DEFAULT_HEAD_LEN.min(n);
     let mut seen: HashMap<ItemId, usize> = HashMap::with_capacity(h * m);
-    for list in database.lists() {
-        for entry in list.iter().take(h) {
+    for i in 0..m {
+        for entry in sources.source(i).sorted_block(Position::FIRST, h, false) {
             *seen.entry(entry.item).or_insert(0) += 1;
         }
     }
@@ -457,20 +489,27 @@ mod tests {
                 (0..500).map(|i| (i, (i * 7 % 500) as f64)).collect(),
             ];
             let db = Database::from_unsorted_lists(lists).unwrap();
-            let stats = DatabaseStats::collect_with(&db, 8, 32, 1);
+            let collect = |seed| {
+                DatabaseStats::collect_with(&mut Sources::in_memory(&db), 8, 32, seed).unwrap()
+            };
+            let stats = collect(1);
             assert!(
                 stats.positions.len() <= 9,
                 "grid capped near the requested length"
             );
             assert_eq!(stats.sample_locals.len(), 32);
-            let again = DatabaseStats::collect_with(&db, 8, 32, 1);
-            assert_eq!(stats, again, "collection is deterministic");
+            assert_eq!(stats, collect(1), "collection is deterministic");
+            let other = collect(2).sample_locals;
+            assert_ne!(
+                stats.sample_locals, other,
+                "seeds pick different strata members"
+            );
         }
 
         #[test]
         fn zero_sample_budget_degrades_instead_of_panicking() {
             let db = figure1_database();
-            let stats = DatabaseStats::collect_with(&db, 8, 0, 1);
+            let stats = DatabaseStats::collect_with(&mut Sources::in_memory(&db), 8, 0, 1).unwrap();
             assert!(stats.sample_locals.is_empty());
             assert_eq!(stats.estimated_kth_score(&Sum, 3), f64::NEG_INFINITY);
         }
@@ -493,10 +532,6 @@ mod tests {
             assert_eq!(stats.staleness(&[0, 0, 0]), None);
             // A length mismatch always flags.
             assert!(stats.staleness(&[0, 1]).is_some());
-            // Explicit re-tagging for materialized snapshots.
-            let tagged = stats.clone().with_epochs(vec![7, 8, 9]);
-            assert_eq!(tagged.staleness(&[7, 8, 9]), None);
-            assert_eq!(tagged.staleness(&[7, 8, 10]), Some((2, 9, 10)));
         }
 
         #[test]
@@ -507,6 +542,20 @@ mod tests {
             assert_eq!(stats.positions, vec![1]);
             assert_eq!(stats.estimated_kth_score(&Sum, 1), 1.0);
             assert_eq!(stats.threshold_at(&Sum, 0), 1.0);
+        }
+
+        #[test]
+        fn profiles_are_list_scores_at_the_grid_and_the_set_is_reset() {
+            let db = figure1_database();
+            let mut sources = Sources::in_memory(&db);
+            let stats = DatabaseStats::collect_on(&mut sources).unwrap();
+            for (i, profile) in stats.profiles.iter().enumerate() {
+                let list = db.list(i).unwrap();
+                for (&p, &score) in stats.positions.iter().zip(profile) {
+                    assert_eq!(list.score_at(Position::new(p).unwrap()), Some(score));
+                }
+            }
+            assert_eq!(sources.total_counters(), AccessCounters::default());
         }
     }
 }

@@ -4,15 +4,13 @@
 //! (`topk_core::Ta`, `Bpa`, `Bpa2`, …) run unmodified against a
 //! [`Cluster`] of list owners.
 //!
-//! Before this adapter existed, `protocol.rs` re-implemented TA, BPA and
-//! BPA2 a second time against `Cluster`; now a distributed protocol is
-//! *one line* — the algorithm plus `ClusterSources::new(&cluster)` — and
-//! local/distributed drift bugs are impossible by construction. The
-//! mapping is exact: each trait call sends exactly the message the
-//! hand-written protocols used to send, with the same `track` /
-//! `with_position` flags, so message counts and payload sizes are
-//! unchanged (the cross-backend equivalence suite pins the pre-refactor
-//! figures).
+//! A distributed protocol is *one line* — a core algorithm plus
+//! `ClusterSources::new(&cluster)` — so local/distributed drift bugs are
+//! impossible by construction. The mapping is exact: each trait call
+//! sends exactly the message the original hand-written protocols sent,
+//! with the same `track` / `with_position` flags, so message counts and
+//! payload sizes are unchanged (the cross-backend equivalence suite pins
+//! those figures).
 //!
 //! | [`ListSource`] call | [`Request`] |
 //! |---|---|
@@ -321,8 +319,12 @@ pub struct ClusterSources<'a> {
 }
 
 impl<'a> ClusterSources<'a> {
-    /// One plain [`ClusterSource`] per owner.
+    /// One plain [`ClusterSource`] per owner. The cluster is
+    /// [`reset`](Cluster::reset) first — owner trackers, served-access
+    /// counts and network tallies — so, like a runtime session, every set
+    /// starts a fresh query and one cluster serves any number of them.
     pub fn new(cluster: &'a Cluster) -> Self {
+        cluster.reset();
         ClusterSources {
             cluster,
             sources: (0..cluster.num_owners())
@@ -336,13 +338,13 @@ impl<'a> ClusterSources<'a> {
     /// `SortedBlock` messages of `block_len` entries — one round trip per
     /// block instead of one per position.
     pub fn batched(cluster: &'a Cluster, block_len: usize) -> Self {
+        let plain = Self::new(cluster);
         ClusterSources {
             cluster,
-            sources: (0..cluster.num_owners())
-                .map(|i| {
-                    let inner = Box::new(ClusterSource::new(cluster, i)) as Box<dyn ListSource>;
-                    Box::new(BatchingSource::new(inner, block_len)) as Box<dyn ListSource>
-                })
+            sources: plain
+                .sources
+                .into_iter()
+                .map(|inner| Box::new(BatchingSource::new(inner, block_len)) as Box<dyn ListSource>)
                 .collect(),
         }
     }

@@ -2,8 +2,9 @@
 //! the failure contract, not through panics.
 //!
 //! PR 4 established the failure model: a source that dies raises
-//! `SourceError` and `run_on` converts the panic into `Err` at the
-//! algorithm boundary — `run_on` is the only place a panic is caught.
+//! `SourceError` and `run_on` (or statistics collection) converts the
+//! panic into `Err` through one shared helper in `topk-core` — the only
+//! place a source panic is caught.
 //! A stray `.unwrap()` in the paged store or the distributed source
 //! turns an injected I/O fault into an unclassified abort that the
 //! fault-injection tests cannot distinguish from a bug. In the patrolled

@@ -1,18 +1,13 @@
-//! Instrumented access to sorted lists.
+//! The paper's access modes and their counters.
 //!
 //! The paper's cost model (Section 2) charges each algorithm per *sorted
 //! access* (read the next entry of a list in score order) and per *random
 //! access* (look up a given item in a list); BPA2 adds *direct access*
-//! (read the entry at a given position, Section 5.1). All three modes are
-//! exposed here through [`ListAccessor`], which increments per-list
-//! [`AccessCounters`] on every call. Algorithms in `topk-core` only touch
-//! list data through accessors, so the reported counts are exactly the
-//! accesses performed.
-
-use std::cell::Cell;
-
-use crate::item::{ItemId, Position, Score};
-use crate::sorted_list::{ListEntry, PositionedScore, SortedList};
+//! (read the entry at a given position, Section 5.1). Every
+//! [`ListSource`](crate::source::ListSource) backend increments per-list
+//! [`AccessCounters`] on each of those calls. Algorithms in `topk-core`
+//! only touch list data through sources, so the reported counts are
+//! exactly the accesses performed.
 
 /// The three access modes of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -73,108 +68,13 @@ impl AccessCounters {
     }
 }
 
-/// An instrumented handle to one sorted list.
-///
-/// Reads go through one of the three access methods, each of which
-/// increments the corresponding counter. Counters use [`Cell`] so that an
-/// accessor can be shared immutably by the algorithm driving the scan.
-#[derive(Debug)]
-pub struct ListAccessor<'a> {
-    list: &'a SortedList,
-    sorted: Cell<u64>,
-    random: Cell<u64>,
-    direct: Cell<u64>,
-}
-
-impl<'a> ListAccessor<'a> {
-    /// Wraps a sorted list in a fresh accessor with zeroed counters.
-    pub fn new(list: &'a SortedList) -> Self {
-        ListAccessor {
-            list,
-            sorted: Cell::new(0),
-            random: Cell::new(0),
-            direct: Cell::new(0),
-        }
-    }
-
-    /// Number of entries in the underlying list.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.list.len()
-    }
-
-    /// Whether the underlying list is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.list.is_empty()
-    }
-
-    /// *Sorted access*: read the entry at `position`, counting one sorted
-    /// access. Callers drive positions `1, 2, 3, …` to emulate the paper's
-    /// "do sorted access in parallel to each of the m sorted lists".
-    ///
-    /// Returns `None` past the end of the list (the access is still
-    /// counted, mirroring a read attempt on an exhausted list).
-    pub fn sorted_access(&self, position: Position) -> Option<ListEntry> {
-        self.sorted.set(self.sorted.get() + 1);
-        self.list.entry_at(position)
-    }
-
-    /// *Random access*: look up `item`, counting one random access.
-    ///
-    /// By the database invariant every item appears in every list, so for
-    /// items discovered through sorted/direct access in a sibling list this
-    /// returns `Some`.
-    pub fn random_access(&self, item: ItemId) -> Option<PositionedScore> {
-        self.random.set(self.random.get() + 1);
-        self.list.lookup(item)
-    }
-
-    /// *Direct access*: read the entry at `position`, counting one direct
-    /// access (BPA2, Section 5.1).
-    pub fn direct_access(&self, position: Position) -> Option<ListEntry> {
-        self.direct.set(self.direct.get() + 1);
-        self.list.entry_at(position)
-    }
-
-    /// *Sorted access* to a whole block: the entries at positions
-    /// `start ..= start + len - 1`, clipped to the end of the list, read
-    /// as one contiguous slice and counted as one sorted access per
-    /// returned entry in a single counter update. Exactly the accesses the
-    /// per-position path would count for the same in-bounds range.
-    pub fn sorted_block(&self, start: Position, len: usize) -> &[(ItemId, Score)] {
-        let block = self.list.slice_at(start, len);
-        self.sorted.set(self.sorted.get() + block.len() as u64);
-        block
-    }
-
-    /// Snapshot of this accessor's counters.
-    pub fn counters(&self) -> AccessCounters {
-        AccessCounters {
-            sorted: self.sorted.get(),
-            random: self.random.get(),
-            direct: self.direct.get(),
-        }
-    }
-
-    /// The underlying list, for reads that must not be counted (e.g. the
-    /// ground-truth naive baseline or test assertions).
-    pub fn raw(&self) -> &SortedList {
-        self.list
-    }
-
-    /// Zeroes the counters, so the accessor can serve a fresh query.
-    pub fn reset_counters(&self) {
-        self.sorted.set(0);
-        self.random.set(0);
-        self.direct.set(0);
-    }
-}
-
+/// The counting contract, checked on the in-memory backend.
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::database::Database;
+    use crate::item::{ItemId, Position};
+    use crate::source::{InMemorySource, ListSource};
 
     fn db() -> Database {
         Database::from_unsorted_lists(vec![
@@ -187,7 +87,7 @@ mod tests {
     #[test]
     fn counters_start_at_zero() {
         let db = db();
-        let l0 = ListAccessor::new(db.list(0).unwrap());
+        let l0 = InMemorySource::new(db.list(0).unwrap());
         assert_eq!(l0.counters(), AccessCounters::default());
         assert_eq!(l0.len(), 3);
     }
@@ -195,42 +95,34 @@ mod tests {
     #[test]
     fn sorted_access_counts_and_reads() {
         let db = db();
-        let l0 = ListAccessor::new(db.list(0).unwrap());
-        let e = l0.sorted_access(Position::FIRST).unwrap();
+        let mut l0 = InMemorySource::new(db.list(0).unwrap());
+        let e = l0.sorted_access(Position::FIRST, false).unwrap();
         assert_eq!(e.item, ItemId(1));
         assert_eq!(l0.counters().sorted, 1);
         // Past-the-end sorted access is counted but returns None.
-        assert!(l0.sorted_access(Position::new(9).unwrap()).is_none());
+        assert!(l0.sorted_access(Position::new(9).unwrap(), false).is_none());
         assert_eq!(l0.counters().sorted, 2);
     }
 
     #[test]
     fn random_access_counts_and_returns_position() {
         let db = db();
-        let l1 = ListAccessor::new(db.list(1).unwrap());
-        let ps = l1.random_access(ItemId(3)).unwrap();
-        assert_eq!(ps.position.get(), 3);
+        let mut l1 = InMemorySource::new(db.list(1).unwrap());
+        let ps = l1.random_access(ItemId(3), true, false).unwrap();
+        assert_eq!(ps.position.unwrap().get(), 3);
         assert_eq!(ps.score.value(), 14.0);
         assert_eq!(l1.counters().random, 1);
-        assert!(l1.random_access(ItemId(42)).is_none());
+        assert!(l1.random_access(ItemId(42), true, false).is_none());
         assert_eq!(l1.counters().random, 2);
     }
 
     #[test]
     fn direct_access_counts_separately() {
         let db = db();
-        let l0 = ListAccessor::new(db.list(0).unwrap());
-        l0.direct_access(Position::FIRST).unwrap();
+        let mut l0 = InMemorySource::new(db.list(0).unwrap());
+        l0.direct_access_next().unwrap();
         let c = l0.counters();
-        assert_eq!(
-            c,
-            AccessCounters {
-                sorted: 0,
-                random: 0,
-                direct: 1
-            }
-        );
-        assert_eq!(c.total(), 1);
+        assert_eq!((c.sorted, c.random, c.direct, c.total()), (0, 0, 1, 1));
         assert_eq!(c.of(AccessMode::Direct), 1);
         assert_eq!(c.of(AccessMode::Sorted), 0);
         assert_eq!(c.of(AccessMode::Random), 0);
@@ -239,11 +131,11 @@ mod tests {
     #[test]
     fn counters_reset_for_a_fresh_query() {
         let db = db();
-        let l0 = ListAccessor::new(db.list(0).unwrap());
-        l0.sorted_access(Position::FIRST);
-        l0.random_access(ItemId(1));
+        let mut l0 = InMemorySource::new(db.list(0).unwrap());
+        l0.sorted_access(Position::FIRST, false);
+        l0.random_access(ItemId(1), false, false);
         assert_eq!(l0.counters().total(), 2);
-        l0.reset_counters();
+        l0.reset();
         assert_eq!(l0.counters(), AccessCounters::default());
     }
 
@@ -271,11 +163,15 @@ mod tests {
 
     #[test]
     fn raw_bypasses_counting() {
+        // Catalog reads (length, tail score, epoch, best position) are
+        // not list accesses.
         let db = db();
-        let l0 = ListAccessor::new(db.list(0).unwrap());
-        let _ = l0.raw().entry_at(Position::FIRST);
-        assert_eq!(l0.counters().total(), 0);
+        let l0 = InMemorySource::new(db.list(0).unwrap());
+        assert_eq!(l0.tail_score().value(), 11.0);
+        assert_eq!(l0.epoch(), 0);
+        assert_eq!(l0.best_position(), None);
         assert!(!l0.is_empty());
         assert_eq!(l0.len(), 3);
+        assert_eq!(l0.counters().total(), 0);
     }
 }

@@ -3,10 +3,11 @@
 use crate::error::ListError;
 use crate::item::{ItemId, Position, Score};
 use crate::sorted_list::{ScoreUpdate, SortedList};
+use crate::source::SourceSet;
 
 /// SplitMix64 step: the deterministic pseudo-random stream behind
-/// [`Database::sample_items`]. Kept local so the crate stays free of
-/// dependencies (the `vendor/rand` stand-in lives above this crate).
+/// [`sample_items`]. Kept local so the crate stays free of dependencies
+/// (the `vendor/rand` stand-in lives above this crate).
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
@@ -184,12 +185,6 @@ impl Database {
         Ok(())
     }
 
-    /// Slice view of the lists.
-    #[inline]
-    pub fn as_slice(&self) -> &[SortedList] {
-        &self.lists
-    }
-
     /// Iterates over all item ids (taken from the first list, which by the
     /// database invariant contains every item).
     pub fn items(&self) -> impl Iterator<Item = ItemId> + '_ {
@@ -208,69 +203,63 @@ impl Database {
         }
         Some(scores)
     }
+}
 
-    /// The cheap sampling pass behind statistics collection: the local score
-    /// of every list at each of the given **1-based** positions (positions
-    /// are clamped into `1..=n`).
-    ///
-    /// Returns one vector per list, in list order, each with one score per
-    /// requested position. Like [`Database::local_scores`] this bypasses
-    /// access accounting — it is intended for planning-time statistics, not
-    /// for query execution.
-    pub fn score_profile(&self, positions: &[usize]) -> Vec<Vec<Score>> {
-        self.lists
-            .iter()
-            .map(|list| {
-                positions
-                    .iter()
-                    .map(|&p| {
-                        let position = Position::from_index(p.clamp(1, self.n) - 1);
-                        list.score_at(position)
-                            .expect("position clamped into 1..=n")
-                    })
-                    .collect()
+/// Deterministically samples up to `max_samples` distinct data items of
+/// the database behind `sources` and returns each with its full
+/// local-score vector (one score per list, in list order).
+///
+/// When `max_samples >= n` every item is sampled (in list-0 order), so
+/// estimates drawn from the sample are exact on small databases.
+/// Otherwise the sample is stratified over the positions of list 0 — one
+/// pseudo-random pick per equal-width stratum, seeded by `seed` — which
+/// keeps it uniform over items, reproducible, and `m` counted accesses
+/// per sampled item: one untracked sorted access to list 0 and one random
+/// access to each other list. A failing backend raises its
+/// [`SourceError`](crate::source::SourceError) like any other access.
+pub fn sample_items(
+    sources: &mut dyn SourceSet,
+    max_samples: usize,
+    seed: u64,
+) -> Vec<(ItemId, Vec<Score>)> {
+    let (m, n) = (sources.num_lists(), sources.num_items());
+    let picks: Vec<usize> = if max_samples >= n {
+        (0..n).collect()
+    } else {
+        let mut state = seed ^ 0xA076_1D64_78BD_642F;
+        (0..max_samples)
+            .map(|stratum| {
+                // Stratum s covers indices [s·n/max, (s+1)·n/max); strata
+                // are non-empty because max_samples < n.
+                let lo = stratum * n / max_samples;
+                let hi = ((stratum + 1) * n / max_samples).max(lo + 1);
+                lo + (splitmix64(&mut state) % (hi - lo) as u64) as usize
             })
             .collect()
-    }
-
-    /// Deterministically samples up to `max_samples` distinct data items and
-    /// returns each with its full local-score vector (one score per list).
-    ///
-    /// When `max_samples >= n` every item is returned (in list-0 order), so
-    /// downstream estimates are exact on small databases. Otherwise the
-    /// sample is stratified over the positions of the first list — one
-    /// pseudo-random pick per equal-width stratum, seeded by `seed` — which
-    /// keeps the sample uniform over items, reproducible, and O(m) per
-    /// sampled item. Access accounting is bypassed.
-    pub fn sample_items(&self, max_samples: usize, seed: u64) -> Vec<(ItemId, Vec<Score>)> {
-        let head = &self.lists[0];
-        let locals_of = |item: ItemId| {
-            self.local_scores(item)
-                .expect("database invariant: every item appears in every list")
-        };
-        if max_samples >= self.n {
-            return head.items().map(|item| (item, locals_of(item))).collect();
-        }
-        let mut state = seed ^ 0xA076_1D64_78BD_642F;
-        let mut samples = Vec::with_capacity(max_samples);
-        for stratum in 0..max_samples {
-            // Stratum s covers indices [s·n/max, (s+1)·n/max); strata are
-            // non-empty because max_samples < n.
-            let lo = stratum * self.n / max_samples;
-            let hi = ((stratum + 1) * self.n / max_samples).max(lo + 1);
-            let index = lo + (splitmix64(&mut state) % (hi - lo) as u64) as usize;
-            let entry = head
-                .entry_at(Position::from_index(index))
-                .expect("stratum index < n");
-            samples.push((entry.item, locals_of(entry.item)));
-        }
-        samples
-    }
+    };
+    picks
+        .into_iter()
+        .map(|index| {
+            let head = sources
+                .source(0)
+                .sorted_access(Position::from_index(index), false);
+            let head = head.expect("sampled positions lie within 1..=n");
+            let others = (1..m).map(|i| {
+                let local = sources.source(i).random_access(head.item, false, false);
+                local.expect("every item appears in every list").score
+            });
+            (
+                head.item,
+                std::iter::once(head.score).chain(others).collect(),
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::source::Sources;
 
     fn db() -> Database {
         Database::from_unsorted_lists(vec![
@@ -286,7 +275,6 @@ mod tests {
         assert_eq!(db.num_lists(), 2);
         assert_eq!(db.num_items(), 3);
         assert_eq!(db.lists().count(), 2);
-        assert_eq!(db.as_slice().len(), 2);
         assert_eq!(db.items().count(), 3);
     }
 
@@ -338,64 +326,6 @@ mod tests {
     fn single_list_database_is_valid() {
         let db = Database::from_unsorted_lists(vec![vec![(1, 1.0), (2, 0.5)]]).unwrap();
         assert_eq!(db.num_lists(), 1);
-    }
-
-    #[test]
-    fn score_profile_reads_descending_scores_per_list() {
-        let db = db();
-        let profile = db.score_profile(&[1, 2, 3]);
-        assert_eq!(profile.len(), 2);
-        // List 0 sorted: 30, 26, 11; list 1 sorted: 28, 21, 14.
-        assert_eq!(
-            profile[0].iter().map(|s| s.value()).collect::<Vec<_>>(),
-            vec![30.0, 26.0, 11.0]
-        );
-        assert_eq!(
-            profile[1].iter().map(|s| s.value()).collect::<Vec<_>>(),
-            vec![28.0, 21.0, 14.0]
-        );
-    }
-
-    #[test]
-    fn score_profile_clamps_positions_into_bounds() {
-        let db = db();
-        let profile = db.score_profile(&[0, 100]);
-        // 0 clamps to position 1, 100 clamps to position n = 3.
-        assert_eq!(profile[0][0].value(), 30.0);
-        assert_eq!(profile[0][1].value(), 11.0);
-    }
-
-    #[test]
-    fn sample_items_returns_all_items_on_small_databases() {
-        let db = db();
-        let samples = db.sample_items(10, 42);
-        assert_eq!(samples.len(), 3);
-        for (item, locals) in &samples {
-            assert_eq!(locals.len(), 2);
-            assert_eq!(db.local_scores(*item).unwrap(), *locals);
-        }
-    }
-
-    #[test]
-    fn sample_items_is_deterministic_and_distinct() {
-        let lists: Vec<Vec<(u64, f64)>> = vec![
-            (0..100).map(|i| (i, i as f64)).collect(),
-            (0..100).map(|i| (i, (i * 7 % 100) as f64)).collect(),
-        ];
-        let db = Database::from_unsorted_lists(lists).unwrap();
-        let a = db.sample_items(16, 7);
-        let b = db.sample_items(16, 7);
-        assert_eq!(a.len(), 16);
-        assert_eq!(a, b);
-        let mut items: Vec<u64> = a.iter().map(|(item, _)| item.0).collect();
-        items.sort_unstable();
-        items.dedup();
-        assert_eq!(items.len(), 16, "stratified samples are distinct");
-        let other_seed = db.sample_items(16, 8);
-        assert_ne!(
-            a, other_seed,
-            "different seeds pick different strata members"
-        );
     }
 
     #[test]
@@ -476,9 +406,54 @@ mod tests {
     }
 
     #[test]
+    fn sample_items_returns_all_items_on_small_databases() {
+        let db = db();
+        let mut sources = Sources::in_memory(&db);
+        let samples = sample_items(&mut sources, 10, 42);
+        assert_eq!(samples.len(), 3);
+        for (item, locals) in &samples {
+            assert_eq!(locals.len(), 2);
+            assert_eq!(db.local_scores(*item).unwrap(), *locals);
+        }
+        // One sorted access to list 0 and one random access per other list.
+        let counters = sources.total_counters();
+        assert_eq!(
+            (counters.sorted, counters.random, counters.direct),
+            (3, 3, 0)
+        );
+    }
+
+    #[test]
+    fn sample_items_is_deterministic_and_distinct() {
+        let lists: Vec<Vec<(u64, f64)>> = vec![
+            (0..100).map(|i| (i, i as f64)).collect(),
+            (0..100).map(|i| (i, (i * 7 % 100) as f64)).collect(),
+        ];
+        let db = Database::from_unsorted_lists(lists).unwrap();
+        let sample = |budget, seed| sample_items(&mut Sources::in_memory(&db), budget, seed);
+        let a = sample(16, 7);
+        assert_eq!(a.len(), 16);
+        assert_eq!(a, sample(16, 7));
+        let mut items: Vec<u64> = a.iter().map(|(item, _)| item.0).collect();
+        items.sort_unstable();
+        items.dedup();
+        assert_eq!(items.len(), 16, "stratified samples are distinct");
+        for (item, locals) in &a {
+            assert_eq!(db.local_scores(*item).unwrap(), *locals);
+        }
+        assert_ne!(
+            a,
+            sample(16, 8),
+            "different seeds pick different strata members"
+        );
+    }
+
+    #[test]
     fn sample_items_with_zero_budget_is_empty() {
         let lists: Vec<Vec<(u64, f64)>> = vec![(0..10).map(|i| (i, i as f64)).collect()];
         let db = Database::from_unsorted_lists(lists).unwrap();
-        assert!(db.sample_items(0, 1).is_empty());
+        let mut sources = Sources::in_memory(&db);
+        assert!(sample_items(&mut sources, 0, 1).is_empty());
+        assert_eq!(sources.total_counters().total(), 0);
     }
 }

@@ -8,10 +8,12 @@
 //!   access* (look up a given item) is O(1).
 //! * [`Database`] — a set of `m` sorted lists over the same `n` data items
 //!   (the paper's "database").
-//! * [`ListAccessor`] — the instrumented handle through which the
-//!   in-memory backend performs *sorted*, *random* and *direct* accesses.
-//!   Every access is counted, so the middleware-cost metrics of the paper's
-//!   evaluation are measured rather than estimated.
+//! * [`source`] — the one access model every backend implements:
+//!   [`ListSource`] serves *sorted*, *random* and *direct* accesses and
+//!   [`SourceSet`] groups the `m` lists of a query. Every access is
+//!   counted ([`AccessCounters`]), so the middleware-cost metrics of the
+//!   paper's evaluation are measured rather than estimated.
+//!   [`Sources::in_memory`] is the in-process backend.
 //! * [`tracker`] — the *best position* bookkeeping of Section 5.2 of the
 //!   paper: a [`tracker::PositionTracker`] trait with the bit-array
 //!   (§5.2.1), B+tree (§5.2.2) and naive-set strategies.
@@ -53,7 +55,7 @@ pub mod source;
 pub mod traced;
 pub mod tracker;
 
-pub use access::{AccessCounters, AccessMode, ListAccessor};
+pub use access::{AccessCounters, AccessMode};
 pub use bptree::BPlusTree;
 pub use database::Database;
 pub use error::ListError;
@@ -70,7 +72,7 @@ pub use tracker::{
 
 /// Commonly used types, re-exported for convenient glob import.
 pub mod prelude {
-    pub use crate::access::{AccessCounters, AccessMode, ListAccessor};
+    pub use crate::access::{AccessCounters, AccessMode};
     pub use crate::database::Database;
     pub use crate::error::ListError;
     pub use crate::item::{ItemId, Position, Score};

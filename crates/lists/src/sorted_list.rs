@@ -301,7 +301,7 @@ impl SortedList {
     ///
     /// This is the raw read used by both sorted and direct access; the
     /// *accounting* of those access modes lives in
-    /// [`crate::access::ListAccessor`].
+    /// [`crate::source::InMemorySource`].
     #[inline]
     pub fn entry_at(&self, position: Position) -> Option<ListEntry> {
         self.entries
@@ -369,7 +369,7 @@ impl SortedList {
     /// The contiguous run of entries starting at `position`, at most `len`
     /// long, clipped to the end of the list (possibly empty). This is the
     /// raw read behind coalesced sorted access
-    /// ([`crate::access::ListAccessor::sorted_block`]); like
+    /// ([`crate::source::InMemorySource`]'s `sorted_block`); like
     /// [`SortedList::entry_at`] it carries no access accounting.
     #[inline]
     pub fn slice_at(&self, position: Position, len: usize) -> &[(ItemId, Score)] {

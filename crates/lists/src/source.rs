@@ -17,8 +17,7 @@
 //!   demarcation ([`SourceSet::begin_round`]) so backends can account or
 //!   coalesce per originator round.
 //! * [`InMemorySource`] / [`Sources::in_memory`] — the in-process backend
-//!   wrapping the instrumented [`ListAccessor`]; algorithm runs over it
-//!   are access-for-access identical to the pre-trait implementations.
+//!   over borrowed [`SortedList`]s, counting every access it serves.
 //! * [`BatchingSource`] — a decorator that serves sorted accesses from a
 //!   prefetched block ([`ListSource::sorted_block`]), the groundwork for
 //!   sharded and asynchronous backends where accesses are coalesced into
@@ -50,7 +49,7 @@
 //! assert_eq!(sources.source_ref(1).best_position(), Some(Position::FIRST));
 //! ```
 
-use crate::access::{AccessCounters, ListAccessor};
+use crate::access::AccessCounters;
 use crate::database::Database;
 use crate::item::{ItemId, Position, Score};
 use crate::sorted_list::SortedList;
@@ -422,12 +421,13 @@ pub trait SourceSet {
     }
 }
 
-/// The in-memory backend: one [`ListAccessor`] (so every access is counted
-/// exactly as before this abstraction existed) plus a source-side
+/// The in-memory backend: one borrowed [`SortedList`], per-mode
+/// [`AccessCounters`] incremented on every access, and a source-side
 /// [`PositionTracker`] for the tracked access modes.
 #[derive(Debug)]
 pub struct InMemorySource<'a> {
-    accessor: ListAccessor<'a>,
+    list: &'a SortedList,
+    counters: AccessCounters,
     tracker: Box<dyn PositionTracker>,
     kind: TrackerKind,
 }
@@ -440,10 +440,10 @@ impl<'a> InMemorySource<'a> {
 
     /// Wraps a list with an explicit best-position tracking strategy.
     pub fn with_tracker(list: &'a SortedList, kind: TrackerKind) -> Self {
-        let n = list.len();
         InMemorySource {
-            accessor: ListAccessor::new(list),
-            tracker: kind.create(n),
+            list,
+            counters: AccessCounters::default(),
+            tracker: kind.create(list.len()),
             kind,
         }
     }
@@ -455,7 +455,7 @@ impl<'a> InMemorySource<'a> {
         self.tracker.mark_seen(position);
         let after = self.tracker.best_position();
         if after != before {
-            after.and_then(|bp| self.accessor.raw().score_at(bp))
+            after.and_then(|bp| self.list.score_at(bp))
         } else {
             None
         }
@@ -464,11 +464,12 @@ impl<'a> InMemorySource<'a> {
 
 impl ListSource for InMemorySource<'_> {
     fn len(&self) -> usize {
-        self.accessor.len()
+        self.list.len()
     }
 
     fn sorted_access(&mut self, position: Position, track: bool) -> Option<SourceEntry> {
-        let entry = self.accessor.sorted_access(position)?;
+        self.counters.sorted += 1; // counted even past the end
+        let entry = self.list.entry_at(position)?;
         let best = if track {
             self.mark_and_report(entry.position)
         } else {
@@ -488,7 +489,8 @@ impl ListSource for InMemorySource<'_> {
         with_position: bool,
         track: bool,
     ) -> Option<SourceScore> {
-        let ps = self.accessor.random_access(item)?;
+        self.counters.random += 1; // counted even when the item is absent
+        let ps = self.list.lookup(item)?;
         let best = if track {
             self.mark_and_report(ps.position)
         } else {
@@ -502,14 +504,9 @@ impl ListSource for InMemorySource<'_> {
     }
 
     fn direct_access_next(&mut self) -> Option<SourceEntry> {
-        let next = self.tracker.first_unseen();
-        if next.get() > self.accessor.len() {
-            return None; // every position seen; no read attempt is made
-        }
-        let entry = self
-            .accessor
-            .direct_access(next)
-            .expect("first unseen position is within list bounds");
+        // Past the end every position has been seen: no read, no count.
+        let entry = self.list.entry_at(self.tracker.first_unseen())?;
+        self.counters.direct += 1;
         let best = self.mark_and_report(entry.position);
         Some(SourceEntry {
             position: entry.position,
@@ -524,7 +521,8 @@ impl ListSource for InMemorySource<'_> {
         // slice walk (a single counter update) and one bulk tracker
         // update. Entries, counters and the block-level piggyback are
         // bit-identical to the default path, which the tests pin.
-        let block = self.accessor.sorted_block(start, len);
+        let block = self.list.slice_at(start, len);
+        self.counters.sorted += block.len() as u64;
         let mut entries: Vec<SourceEntry> = block
             .iter()
             .enumerate()
@@ -544,7 +542,7 @@ impl ListSource for InMemorySource<'_> {
             if after != before {
                 // The score at the best position after the block — exactly
                 // what the default path's last piggybacked change reports.
-                let piggyback = after.and_then(|bp| self.accessor.raw().score_at(bp));
+                let piggyback = after.and_then(|bp| self.list.score_at(bp));
                 entries
                     .last_mut()
                     .expect("entries checked non-empty")
@@ -559,20 +557,20 @@ impl ListSource for InMemorySource<'_> {
     }
 
     fn epoch(&self) -> u64 {
-        self.accessor.raw().epoch()
+        self.list.epoch()
     }
 
     fn tail_score(&self) -> Score {
-        self.accessor.raw().last_entry().score
+        self.list.last_entry().score
     }
 
     fn counters(&self) -> AccessCounters {
-        self.accessor.counters()
+        self.counters
     }
 
     fn reset(&mut self) {
-        self.accessor.reset_counters();
-        self.tracker = self.kind.create(self.accessor.len());
+        self.counters = AccessCounters::default();
+        self.tracker = self.kind.create(self.list.len());
     }
 }
 
@@ -621,11 +619,6 @@ impl<'a> BatchingSource<'a> {
             buffer_start: 0,
             buffer_epoch,
         }
-    }
-
-    /// The configured block length.
-    pub fn block_len(&self) -> usize {
-        self.block_len
     }
 
     fn buffered(&self, position: Position) -> Option<SourceEntry> {

@@ -61,6 +61,13 @@
 //! assert!(cache.misses > 0, "the data came off disk");
 //! let model = CostModel::paper_default(db.num_items()).with_page_miss_cost(8.0);
 //! assert!(model.total_cost(&result.stats().accesses, &cache) > model.execution_cost(&result.stats().accesses));
+//!
+//! // Plan without an in-memory copy: the planner's statistics are sampled
+//! // through the paged sources themselves, which are reset afterwards.
+//! let stats = DatabaseStats::collect_on(&mut sources).unwrap();
+//! let (plan, planned) = plan_and_run_on(&mut sources, &stats, &TopKQuery::top(5)).unwrap();
+//! assert!(planned.scores_match(&in_memory, 0.0));
+//! println!("planner chose {:?}", plan.choice());
 //! ```
 
 #![forbid(unsafe_code)]

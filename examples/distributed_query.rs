@@ -13,10 +13,7 @@
 //! ```
 
 use bpa_topk::datagen::{DatabaseGenerator, UniformGenerator};
-use bpa_topk::distributed::{
-    Cluster, ClusterSources, DistributedBpa, DistributedBpa2, DistributedNaive,
-    DistributedProtocol, DistributedTa,
-};
+use bpa_topk::distributed::{Cluster, ClusterSources};
 use bpa_topk::prelude::*;
 
 fn main() {
@@ -39,30 +36,32 @@ fn main() {
         "peak round msgs"
     );
 
-    let protocols: Vec<Box<dyn DistributedProtocol>> = vec![
-        Box::new(DistributedNaive),
-        Box::new(DistributedTa),
-        Box::new(DistributedBpa),
-        Box::new(DistributedBpa2),
-    ];
-    let mut reference: Option<Vec<f64>> = None;
-    for protocol in protocols {
-        let mut cluster = Cluster::new(&database);
-        let result = protocol.execute(&mut cluster, &query).expect("valid query");
-        let rounds = result.network.rounds().max(1) as u64;
+    let cluster = Cluster::new(&database);
+    let mut reference: Option<Vec<Score>> = None;
+    for kind in [
+        AlgorithmKind::Naive,
+        AlgorithmKind::Ta,
+        AlgorithmKind::Bpa,
+        AlgorithmKind::Bpa2,
+    ] {
+        let algorithm = kind.create();
+        let result = algorithm
+            .run_on(&mut ClusterSources::new(&cluster), &query)
+            .expect("valid query");
+        let network = cluster.network();
         println!(
             "{:>20}{:>12}{:>12}{:>18}{:>10}{:>18}{:>18}",
-            protocol.name(),
-            result.accesses,
-            result.network.messages,
-            result.network.payload_units,
-            result.rounds,
-            result.network.messages / rounds,
-            result.network.peak_round().map_or(0, |r| r.messages),
+            format!("distributed-{}", algorithm.name()),
+            cluster.accesses_served(),
+            network.messages,
+            network.payload_units,
+            result.stats().rounds,
+            network.messages / network.rounds().max(1) as u64,
+            network.peak_round().map_or(0, |r| r.messages),
         );
 
         // All protocols return the same top-k score sequence.
-        let scores: Vec<f64> = result.answers.iter().map(|r| r.score.value()).collect();
+        let scores = result.scores();
         match &reference {
             None => reference = Some(scores),
             Some(expected) => assert_eq!(expected, &scores, "protocols must agree"),

@@ -3,9 +3,7 @@
 
 use bpa_topk::apps::{InvertedIndex, MonitoringSystem, Table};
 use bpa_topk::datagen::{DatabaseGenerator, DatabaseKind, DatabaseSpec, UniformGenerator};
-use bpa_topk::distributed::{
-    Cluster, DistributedBpa, DistributedBpa2, DistributedProtocol, DistributedTa,
-};
+use bpa_topk::distributed::{Cluster, ClusterSources};
 use bpa_topk::prelude::*;
 
 #[test]
@@ -80,38 +78,30 @@ fn distributed_protocols_match_centralized_runs_on_generated_data() {
         let db = DatabaseSpec::new(kind, 4, 1_500).generate(99);
         let query = TopKQuery::top(10);
 
-        let centralized_ta = Ta::literal().run(&db, &query).unwrap();
-        let centralized_bpa = Bpa::default().run(&db, &query).unwrap();
-        let centralized_bpa2 = Bpa2::default().run(&db, &query).unwrap();
-
-        let mut cluster = Cluster::new(&db);
-        let d_ta = DistributedTa.execute(&mut cluster, &query).unwrap();
-        let mut cluster = Cluster::new(&db);
-        let d_bpa = DistributedBpa.execute(&mut cluster, &query).unwrap();
-        let mut cluster = Cluster::new(&db);
-        let d_bpa2 = DistributedBpa2.execute(&mut cluster, &query).unwrap();
-
-        assert_eq!(d_ta.accesses, centralized_ta.stats().total_accesses());
-        assert_eq!(d_bpa.accesses, centralized_bpa.stats().total_accesses());
-        assert_eq!(d_bpa2.accesses, centralized_bpa2.stats().total_accesses());
-
-        // Messages are two per access for every protocol.
-        assert_eq!(d_ta.network.messages, 2 * d_ta.accesses);
-        assert_eq!(d_bpa2.network.messages, 2 * d_bpa2.accesses);
+        let cluster = Cluster::new(&db);
+        let run = |kind: AlgorithmKind| {
+            let result = kind
+                .create()
+                .run_on(&mut ClusterSources::new(&cluster), &query)
+                .unwrap();
+            let centralized = kind.create().run(&db, &query).unwrap();
+            let accesses = cluster.accesses_served();
+            assert_eq!(accesses, centralized.stats().total_accesses(), "{kind:?}");
+            // Messages are two per access for every protocol.
+            assert_eq!(cluster.network().messages, 2 * accesses, "{kind:?}");
+            (result, cluster.network())
+        };
+        let (d_ta, ta_net) = run(AlgorithmKind::Ta);
+        let (d_bpa, bpa_net) = run(AlgorithmKind::Bpa);
+        let (d_bpa2, bpa2_net) = run(AlgorithmKind::Bpa2);
 
         // Communication-cost ordering claimed by Section 5: BPA2 < BPA < TA.
-        assert!(d_bpa2.network.payload_units < d_bpa.network.payload_units);
-        assert!(d_bpa.network.messages <= d_ta.network.messages);
+        assert!(bpa2_net.payload_units < bpa_net.payload_units);
+        assert!(bpa_net.messages <= ta_net.messages);
 
         // And all protocols agree on the answers.
-        let scores = |r: &bpa_topk::distributed::DistributedResult| {
-            r.answers
-                .iter()
-                .map(|a| a.score.value())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(scores(&d_ta), scores(&d_bpa));
-        assert_eq!(scores(&d_ta), scores(&d_bpa2));
+        assert_eq!(d_ta.scores(), d_bpa.scores());
+        assert_eq!(d_ta.scores(), d_bpa2.scores());
     }
 }
 

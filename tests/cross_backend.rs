@@ -1,14 +1,14 @@
 //! Cross-backend equivalence: every distributed protocol must behave
-//! exactly like its local (in-memory) counterpart, because both are now
-//! the *same* `topk_core` algorithm running over a different
-//! `SourceSet` backend.
+//! exactly like its local (in-memory) counterpart, because both are the
+//! *same* `topk_core` algorithm running over a different `SourceSet`
+//! backend.
 //!
 //! The message/payload figures asserted here were captured from the
-//! pre-refactor hand-written protocols (the 431-line `protocol.rs` that
-//! re-implemented TA/BPA/BPA2 against `Cluster`), so this suite pins the
-//! API redesign to the old wire behaviour: same answers, same access
-//! counts, same message counts, same payload units — on the paper's
-//! figure databases and on all three `topk-datagen` families.
+//! original hand-written protocols (which re-implemented TA/BPA/BPA2
+//! against `Cluster`), so this suite pins the backend-generic execution
+//! to the old wire behaviour: same answers, same access counts, same
+//! message counts, same payload units — on the paper's figure databases
+//! and on all three `topk-datagen` families.
 
 //! The disk-backed paged backend is pinned the same way (see the
 //! "paged" tests at the bottom): `PagedSource` must be indistinguishable
@@ -18,76 +18,47 @@
 
 use bpa_topk::datagen::{DatabaseKind, DatabaseSpec};
 use bpa_topk::distributed::{
-    AsyncClusterSources, Cluster, ClusterRuntime, ClusterSources, DistributedBpa, DistributedBpa2,
-    DistributedNaive, DistributedProtocol, DistributedResult, DistributedTa, LatencyModel,
+    AsyncClusterSources, Cluster, ClusterRuntime, ClusterSources, LatencyModel,
 };
 use bpa_topk::lists::Database;
 use bpa_topk::prelude::*;
 use topk_core::examples_paper::{figure1_database, figure2_database};
 
 /// (accesses, messages, payload units, rounds) captured from the
-/// pre-refactor protocol implementations.
+/// original protocol implementations.
 type Baseline = (u64, u64, u64, u64);
 
-fn scores(result: &DistributedResult) -> Vec<f64> {
-    result.answers.iter().map(|r| r.score.value()).collect()
-}
+/// The algorithms the paper distributes (Section 5).
+const PROTOCOLS: [AlgorithmKind; 3] = [AlgorithmKind::Ta, AlgorithmKind::Bpa, AlgorithmKind::Bpa2];
 
-fn protocols() -> Vec<Box<dyn DistributedProtocol>> {
-    vec![
-        Box::new(DistributedTa),
-        Box::new(DistributedBpa),
-        Box::new(DistributedBpa2),
-    ]
-}
-
-/// The local algorithm a protocol delegates to, for side-by-side runs.
-fn local_counterpart(name: &str) -> Box<dyn TopKAlgorithm> {
-    match name {
-        "distributed-naive" => Box::new(NaiveScan),
-        "distributed-ta" => Box::new(Ta::literal()),
-        "distributed-bpa" => Box::new(Bpa::default()),
-        "distributed-bpa2" => Box::new(Bpa2::default()),
-        other => panic!("unknown protocol {other}"),
-    }
-}
-
-fn check_equivalence(db: &Database, k: usize, protocol: &dyn DistributedProtocol) {
+fn check_equivalence(db: &Database, k: usize, kind: AlgorithmKind) {
     let query = TopKQuery::top(k);
-    let local = local_counterpart(protocol.name()).run(db, &query).unwrap();
-    let mut cluster = Cluster::new(db);
-    let remote = protocol.execute(&mut cluster, &query).unwrap();
+    let local = kind.create().run(db, &query).unwrap();
+    let cluster = Cluster::new(db);
+    let remote = kind
+        .create()
+        .run_on(&mut ClusterSources::new(&cluster), &query)
+        .unwrap();
 
     // Identical answers, in identical order.
-    let local_scores: Vec<f64> = local.scores().iter().map(|s| s.value()).collect();
-    assert_eq!(scores(&remote), local_scores, "{} k={k}", protocol.name());
-    let local_ids: Vec<u64> = local.item_ids().iter().map(|i| i.0).collect();
-    let remote_ids: Vec<u64> = remote.answers.iter().map(|r| r.item.0).collect();
-    assert_eq!(remote_ids, local_ids, "{} k={k}", protocol.name());
+    assert_eq!(remote.scores(), local.scores(), "{kind:?} k={k}");
+    assert_eq!(remote.item_ids(), local.item_ids(), "{kind:?} k={k}");
 
     // Identical access counts and rounds: the cluster serves exactly the
     // accesses the in-memory backend counts.
-    assert_eq!(
-        remote.accesses,
-        local.stats().total_accesses(),
-        "{} k={k}",
-        protocol.name()
-    );
-    assert_eq!(
-        remote.rounds,
-        local.stats().rounds,
-        "{} k={k}",
-        protocol.name()
-    );
+    let served = (cluster.accesses_served(), remote.stats().rounds);
+    let counted = (local.stats().total_accesses(), local.stats().rounds);
+    assert_eq!(served, counted, "{kind:?} k={k}");
 
     // Per-round network accounting is exhaustive.
-    let per_round_messages: u64 = remote.network.per_round.iter().map(|r| r.messages).sum();
-    assert_eq!(per_round_messages, remote.network.messages);
+    let network = cluster.network();
+    let per_round_messages: u64 = network.per_round.iter().map(|r| r.messages).sum();
+    assert_eq!(per_round_messages, network.messages);
 }
 
 /// Every protocol, over every datagen family, agrees with its local
-/// counterpart and keeps the pre-refactor message economics (two
-/// messages per access).
+/// counterpart and keeps the original message economics (two messages
+/// per access).
 #[test]
 fn protocols_match_local_algorithms_on_all_datagen_families() {
     for kind in [
@@ -96,19 +67,19 @@ fn protocols_match_local_algorithms_on_all_datagen_families() {
         DatabaseKind::Correlated { alpha: 0.05 },
     ] {
         let db = DatabaseSpec::new(kind, 4, 800).generate(42);
-        for protocol in protocols() {
+        for protocol in PROTOCOLS {
             for k in [1, 5, 25] {
-                check_equivalence(&db, k, protocol.as_ref());
+                check_equivalence(&db, k, protocol);
             }
         }
-        // The naive baseline rides along through the same adapter.
-        check_equivalence(&db, 5, &DistributedNaive);
+        // The naive baseline runs over the same backend.
+        check_equivalence(&db, 5, AlgorithmKind::Naive);
     }
 }
 
-/// The exact figures of the pre-refactor `protocol.rs`, on the paper's
-/// figure databases and the three generated families: the redesigned
-/// protocols must reproduce them to the message.
+/// The exact figures of the original protocol implementations, on the
+/// paper's figure databases and the three generated families: the core
+/// algorithms over `ClusterSources` must reproduce them to the message.
 #[test]
 fn network_figures_match_the_pre_refactor_implementations() {
     let cases: Vec<(Database, usize, [Baseline; 3])> = vec![
@@ -151,21 +122,25 @@ fn network_figures_match_the_pre_refactor_implementations() {
         ),
     ];
 
+    // One cluster per database serves all three protocols in turn.
     for (db, k, baselines) in &cases {
-        for (protocol, &(accesses, messages, payload, rounds)) in protocols().iter().zip(baselines)
-        {
-            let mut cluster = Cluster::new(db);
-            let result = protocol.execute(&mut cluster, &TopKQuery::top(*k)).unwrap();
-            let label = format!("{} (n={}, k={k})", protocol.name(), db.num_items());
-            assert_eq!(result.accesses, accesses, "accesses of {label}");
-            assert_eq!(result.network.messages, messages, "messages of {label}");
-            assert_eq!(result.network.payload_units, payload, "payload of {label}");
-            assert_eq!(result.rounds, rounds, "rounds of {label}");
+        let cluster = Cluster::new(db);
+        for (protocol, &(accesses, messages, payload, rounds)) in PROTOCOLS.iter().zip(baselines) {
+            let result = protocol
+                .create()
+                .run_on(&mut ClusterSources::new(&cluster), &TopKQuery::top(*k))
+                .unwrap();
+            let network = cluster.network();
+            let label = format!("{protocol:?} (n={}, k={k})", db.num_items());
+            assert_eq!(cluster.accesses_served(), accesses, "accesses of {label}");
+            assert_eq!(network.messages, messages, "messages of {label}");
+            assert_eq!(network.payload_units, payload, "payload of {label}");
+            assert_eq!(result.stats().rounds, rounds, "rounds of {label}");
         }
     }
 }
 
-/// Any core algorithm — not just the four wrapped by protocols — returns
+/// Any core algorithm — not just the three the paper distributes — returns
 /// identical answers over the cluster backend, with identical per-mode
 /// access counters.
 #[test]
@@ -694,4 +669,57 @@ fn planner_and_query_batches_compose_over_paged_sources() {
         assert_eq!(disk_plan.choice(), memory_plan.choice(), "query {slot}");
         assert_eq!(essence(disk_result), essence(memory_result), "query {slot}");
     }
+}
+
+/// Planner statistics are one sampling pass through the `SourceSet`
+/// access model, so every backend yields exactly the in-memory statistics
+/// — no in-memory copy needed to plan — and is left reset afterwards.
+#[test]
+fn statistics_are_identical_over_every_backend() {
+    use bpa_topk::lists::ShardedDatabase;
+    use topk_core::stats::DatabaseStats;
+
+    let pool = ThreadPool::new(2);
+    for (which, db) in paged_test_databases().iter().enumerate() {
+        let expected = DatabaseStats::collect(db);
+        let check = |label: &str, sources: &mut dyn SourceSet| {
+            let stats = DatabaseStats::collect_on(sources).unwrap();
+            assert_eq!(stats, expected, "db {which} over {label}");
+            assert_eq!(sources.total_counters(), AccessCounters::default());
+            assert_eq!(sources.total_cache_counters(), CacheCounters::default());
+        };
+        check("in-memory", &mut Sources::in_memory(db));
+        for shards in [1, 3, 64] {
+            let sharded = ShardedDatabase::new(db, shards);
+            check(&format!("{shards} shards"), &mut sharded.sources(&pool));
+        }
+        let dir = ScratchDir::new(&format!("cross-backend-stats-{which}"));
+        let paged = PagedDatabase::create(dir.path(), db, PageLayout::with_page_size(64)).unwrap();
+        check(
+            "paged",
+            &mut paged.sources(CacheCapacity::Pages(1)).unwrap(),
+        );
+        let cluster = Cluster::new(db);
+        check("cluster", &mut ClusterSources::new(&cluster));
+        assert_eq!(cluster.network().messages, 0);
+        let runtime = ClusterRuntime::spawn(db);
+        let mut session = runtime.connect();
+        check("runtime session", &mut session);
+        assert_eq!(session.network().messages, 0);
+    }
+}
+
+/// A backend failure during statistics collection is a typed error, not
+/// an unwind: every owner of list 0 is dead, so its source raises.
+#[test]
+fn statistics_over_a_failing_backend_are_a_typed_error() {
+    use topk_core::stats::DatabaseStats;
+
+    let runtime = ClusterRuntime::spawn(&figure1_database());
+    runtime.kill_owner(0, 0);
+    let err = DatabaseStats::collect_on(&mut runtime.connect()).unwrap_err();
+    assert!(
+        matches!(err, TopKError::Source(ref e) if e.list == Some(0)),
+        "{err:?}"
+    );
 }
