@@ -8,8 +8,7 @@
 //!
 //! Every `BENCH_*.json` in `crates/bench/baselines/` must have a
 //! counterpart in the current directory and every metric must match
-//! (exactly by default — the emitted metrics are deterministic; set
-//! `TOPK_BENCH_COMPARE_TOLERANCE` to a relative tolerance to loosen).
+//! exactly (the emitted metrics are deterministic by construction).
 //! Current reports with no baseline also fail: a new gated target must
 //! commit its baseline in the same change. Exits non-zero on any
 //! deviation, listing each one.
@@ -51,10 +50,6 @@ fn main() -> ExitCode {
             std::process::exit(2);
         });
     let baseline_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("baselines");
-    let tolerance: f64 = std::env::var("TOPK_BENCH_COMPARE_TOLERANCE")
-        .ok()
-        .and_then(|raw| raw.parse().ok())
-        .unwrap_or(0.0);
 
     let baselines = match read_reports(&baseline_dir) {
         Ok(reports) => reports,
@@ -72,8 +67,7 @@ fn main() -> ExitCode {
     };
 
     println!(
-        "comparing {} current report(s) in {} against {} baseline(s) in {} \
-         (tolerance {tolerance})",
+        "comparing {} current report(s) in {} against {} baseline(s) in {}",
         currents.len(),
         current_dir.display(),
         baselines.len(),
@@ -91,7 +85,7 @@ fn main() -> ExitCode {
                 failures += 1;
             }
             Some(current) => {
-                let deviations = BenchReport::compare(baseline, current, tolerance);
+                let deviations = BenchReport::compare(baseline, current);
                 for deviation in &deviations {
                     eprintln!("DEVIATION [{}]: {deviation}", baseline.target);
                 }

@@ -13,13 +13,13 @@
 //! Committed smoke-scale baselines live in `crates/bench/baselines/`.
 //! The `bench_compare` binary parses both directories and **fails on any
 //! deviation**: every metric in a baseline must be reproduced exactly
-//! (tolerance 0 by default — the emitted metrics are deterministic by
-//! construction, so any drift is a behavioural change someone must
-//! either fix or justify by re-committing the baseline).
+//! (the emitted metrics are deterministic by construction, so any drift
+//! is a behavioural change someone must either fix or justify by
+//! re-committing the baseline).
 //!
-//! The JSON is hand-rolled (the workspace builds offline, so there is no
-//! serde): the writer emits the one fixed shape below, and the parser
-//! accepts exactly that shape.
+//! Both files are written and read with the workspace's JSON codec,
+//! [`topk_trace::json`]: the writer emits the one fixed layout below,
+//! and [`BenchReport::parse`] accepts exactly that shape.
 //!
 //! ```json
 //! {
@@ -34,6 +34,8 @@
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+
+use topk_trace::json;
 
 /// Environment variable naming the directory `BENCH_<target>.json` files
 /// are written to. Unset ⇒ no emission.
@@ -108,19 +110,19 @@ impl BenchReport {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        let _ = writeln!(out, "  \"target\": {},", quote(&self.target));
-        let _ = writeln!(out, "  \"scale\": {},", quote(&self.scale));
+        let _ = writeln!(out, "  \"target\": {},", json::string(&self.target));
+        let _ = writeln!(out, "  \"scale\": {},", json::string(&self.scale));
         out.push_str("  \"metrics\": {");
         for (i, (name, value)) in self.metrics.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
-            let _ = write!(out, "    {}: {}", quote(name), format_number(*value));
+            let _ = write!(out, "    {}: {}", json::string(name), json::number(*value));
         }
         out.push_str("\n  }");
         if !self.trace.is_empty() {
             out.push_str(",\n  \"trace\": {");
             for (i, (kind, count)) in self.trace.iter().enumerate() {
                 out.push_str(if i == 0 { "\n" } else { ",\n" });
-                let _ = write!(out, "    {}: {count}", quote(kind));
+                let _ = write!(out, "    {}: {count}", json::string(kind));
             }
             out.push_str("\n  }");
         }
@@ -129,12 +131,23 @@ impl BenchReport {
     }
 
     /// Parses a report previously produced by [`BenchReport::to_json`].
-    pub fn parse(json: &str) -> Result<Self, String> {
-        let mut parser = Parser { rest: json };
-        let report = parser.report()?;
-        parser.skip_whitespace();
-        if !parser.rest.is_empty() {
-            return Err(format!("trailing content after report: {:?}", parser.rest));
+    /// The keys must be exactly `target, scale, metrics` in that order,
+    /// plus `trace` last for a traced run; metric and kind names must be
+    /// distinct, and trace counts non-negative integers.
+    pub fn parse(text: &str) -> Result<Self, String> {
+        let root = json::parse(text)?;
+        let traced = root.as_object("report")?.len() == 4;
+        let keys = ["target", "scale", "metrics", "trace"];
+        let fields = root.with_keys(&keys[..if traced { 4 } else { 3 }], "report")?;
+        let mut report =
+            BenchReport::new(fields[0].1.as_str("target")?, fields[1].1.as_str("scale")?);
+        for (name, value) in fields[2].1.as_map("metrics")? {
+            report.metrics.push((name.clone(), value.as_f64(name)?));
+        }
+        if let Some((_, trace)) = fields.get(3) {
+            for (kind, count) in trace.as_map("trace")? {
+                report.trace.push((kind.clone(), count.as_u64(kind)?));
+            }
         }
         Ok(report)
     }
@@ -149,22 +162,15 @@ impl BenchReport {
     /// Returns the path written, or `None` when the variable is unset
     /// (emission is opt-in; by-hand runs skip it).
     pub fn emit(&self) -> std::io::Result<Option<PathBuf>> {
-        let Ok(dir) = std::env::var(JSON_DIR_ENV) else {
-            return Ok(None);
-        };
-        let dir = Path::new(&dir);
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(self.file_name());
-        std::fs::write(&path, self.to_json())?;
-        Ok(Some(path))
+        write_to_json_dir(&self.file_name(), &self.to_json())
     }
 
     /// Compares `current` against a committed `baseline`: every baseline
-    /// metric must be present and within `tolerance` (relative, floored
-    /// at an absolute unit of `tolerance`); metrics only in `current`
-    /// are new and reported too, so baselines cannot silently rot.
-    /// Returns human-readable deviation messages — empty means equal.
-    pub fn compare(baseline: &Self, current: &Self, tolerance: f64) -> Vec<String> {
+    /// metric must be present with exactly the baseline's value; metrics
+    /// only in `current` are new and reported too, so baselines cannot
+    /// silently rot. Returns human-readable deviation messages — empty
+    /// means equal.
+    pub fn compare(baseline: &Self, current: &Self) -> Vec<String> {
         let mut deviations = Vec::new();
         if baseline.target != current.target {
             deviations.push(format!(
@@ -182,14 +188,10 @@ impl BenchReport {
         for (name, expected) in &baseline.metrics {
             match current.get(name) {
                 None => deviations.push(format!("metric {name} missing from the current run")),
-                Some(actual) => {
-                    let budget = tolerance * expected.abs().max(1.0);
-                    if (actual - expected).abs() > budget {
-                        deviations.push(format!(
-                            "metric {name} deviates: baseline {expected} vs current {actual}"
-                        ));
-                    }
-                }
+                Some(actual) if actual != *expected => deviations.push(format!(
+                    "metric {name} deviates: baseline {expected} vs current {actual}"
+                )),
+                Some(_) => {}
             }
         }
         for (name, _) in &current.metrics {
@@ -245,12 +247,12 @@ impl TrendReport {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        let _ = writeln!(out, "  \"target\": {},", quote(&self.target));
-        let _ = writeln!(out, "  \"scale\": {},", quote(&self.scale));
+        let _ = writeln!(out, "  \"target\": {},", json::string(&self.target));
+        let _ = writeln!(out, "  \"scale\": {},", json::string(&self.scale));
         out.push_str("  \"wall_nanos\": {");
         for (i, (name, nanos)) in self.wall_nanos.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
-            let _ = write!(out, "    {}: {nanos}", quote(name));
+            let _ = write!(out, "    {}: {nanos}", json::string(name));
         }
         out.push_str("\n  }\n}\n");
         out
@@ -265,171 +267,21 @@ impl TrendReport {
     /// directory; `None` when the variable is unset (like
     /// [`BenchReport::emit`]).
     pub fn emit(&self) -> std::io::Result<Option<PathBuf>> {
-        let Ok(dir) = std::env::var(JSON_DIR_ENV) else {
-            return Ok(None);
-        };
-        let dir = Path::new(&dir);
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(self.file_name());
-        std::fs::write(&path, self.to_json())?;
-        Ok(Some(path))
+        write_to_json_dir(&self.file_name(), &self.to_json())
     }
 }
 
-/// `f64` formatting that round-trips: integers print without a fraction,
-/// everything else via `{}` (shortest representation that parses back to
-/// the same bits for finite values).
-fn format_number(value: f64) -> String {
-    if value == value.trunc() && value.abs() < 1e15 {
-        format!("{}", value as i64)
-    } else {
-        format!("{value}")
-    }
-}
-
-fn quote(text: &str) -> String {
-    let mut out = String::with_capacity(text.len() + 2);
-    out.push('"');
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            _ => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Minimal recursive-descent parser for the exact shape `to_json` emits
-/// (whitespace-insensitive, order-sensitive fields).
-struct Parser<'a> {
-    rest: &'a str,
-}
-
-impl<'a> Parser<'a> {
-    fn report(&mut self) -> Result<BenchReport, String> {
-        self.expect('{')?;
-        self.key("target")?;
-        let target = self.string()?;
-        self.expect(',')?;
-        self.key("scale")?;
-        let scale = self.string()?;
-        self.expect(',')?;
-        self.key("metrics")?;
-        self.expect('{')?;
-        let mut metrics = Vec::new();
-        self.skip_whitespace();
-        if !self.rest.starts_with('}') {
-            loop {
-                let name = self.string()?;
-                self.expect(':')?;
-                metrics.push((name, self.number()?));
-                self.skip_whitespace();
-                if self.rest.starts_with(',') {
-                    self.expect(',')?;
-                } else {
-                    break;
-                }
-            }
-        }
-        self.expect('}')?;
-        // The trace summary is optional: reports from untraced runs (and
-        // all baselines committed before it existed) omit it.
-        let mut trace = Vec::new();
-        self.skip_whitespace();
-        if self.rest.starts_with(',') {
-            self.expect(',')?;
-            self.key("trace")?;
-            self.expect('{')?;
-            self.skip_whitespace();
-            if !self.rest.starts_with('}') {
-                loop {
-                    let kind = self.string()?;
-                    self.expect(':')?;
-                    let count = self.number()?;
-                    if count < 0.0 || count.fract() != 0.0 {
-                        return Err(format!("trace count for {kind:?} is not a whole number"));
-                    }
-                    trace.push((kind, count as u64));
-                    self.skip_whitespace();
-                    if self.rest.starts_with(',') {
-                        self.expect(',')?;
-                    } else {
-                        break;
-                    }
-                }
-            }
-            self.expect('}')?;
-        }
-        self.expect('}')?;
-        Ok(BenchReport {
-            target,
-            scale,
-            metrics,
-            trace,
-        })
-    }
-
-    fn skip_whitespace(&mut self) {
-        self.rest = self.rest.trim_start();
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), String> {
-        self.skip_whitespace();
-        self.rest = self
-            .rest
-            .strip_prefix(c)
-            .ok_or_else(|| format!("expected {c:?} at {:?}", head(self.rest)))?;
-        Ok(())
-    }
-
-    fn key(&mut self, name: &str) -> Result<(), String> {
-        let found = self.string()?;
-        if found != name {
-            return Err(format!("expected key {name:?}, found {found:?}"));
-        }
-        self.expect(':')
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let mut out = String::new();
-        let mut chars = self.rest.char_indices();
-        while let Some((i, c)) = chars.next() {
-            match c {
-                '"' => {
-                    self.rest = &self.rest[i + 1..];
-                    return Ok(out);
-                }
-                '\\' => match chars.next() {
-                    Some((_, '"')) => out.push('"'),
-                    Some((_, '\\')) => out.push('\\'),
-                    Some((_, 'n')) => out.push('\n'),
-                    other => return Err(format!("bad escape: {other:?}")),
-                },
-                _ => out.push(c),
-            }
-        }
-        Err("unterminated string".to_string())
-    }
-
-    fn number(&mut self) -> Result<f64, String> {
-        self.skip_whitespace();
-        let end = self
-            .rest
-            .find(|c: char| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
-            .unwrap_or(self.rest.len());
-        let (text, rest) = self.rest.split_at(end);
-        self.rest = rest;
-        text.parse::<f64>()
-            .map_err(|err| format!("bad number {text:?}: {err}"))
-    }
-}
-
-fn head(text: &str) -> &str {
-    &text[..text.len().min(24)]
+/// Writes `json` as `<TOPK_BENCH_JSON_DIR>/<file_name>`, creating the
+/// directory if missing; `None` when the variable is unset.
+fn write_to_json_dir(file_name: &str, json: &str) -> std::io::Result<Option<PathBuf>> {
+    let Ok(dir) = std::env::var(JSON_DIR_ENV) else {
+        return Ok(None);
+    };
+    let dir = Path::new(&dir);
+    std::fs::create_dir_all(dir)?;
+    let path = dir.join(file_name);
+    std::fs::write(&path, json)?;
+    Ok(Some(path))
 }
 
 #[cfg(test)]
@@ -468,7 +320,7 @@ mod tests {
 
     #[test]
     fn identical_reports_compare_clean() {
-        assert!(BenchReport::compare(&sample(), &sample(), 0.0).is_empty());
+        assert!(BenchReport::compare(&sample(), &sample()).is_empty());
     }
 
     #[test]
@@ -478,7 +330,7 @@ mod tests {
         current.metrics[0].1 = 1.0; // drifted value
         current.metrics.remove(1); // pool_tasks missing
         current.push("brand_new", 7.0);
-        let deviations = BenchReport::compare(&baseline, &current, 0.0);
+        let deviations = BenchReport::compare(&baseline, &current);
         assert_eq!(deviations.len(), 3, "{deviations:?}");
         assert!(deviations[0].contains("gate_modelled_speedup"));
         assert!(deviations[1].contains("missing"));
@@ -486,21 +338,11 @@ mod tests {
     }
 
     #[test]
-    fn tolerance_is_relative_with_a_unit_floor() {
-        let baseline = sample();
-        let mut current = sample();
-        current.metrics[0].1 = 2.615 + 0.005; // within 1% of max(|2.615|, 1)
-        assert!(BenchReport::compare(&baseline, &current, 0.01).is_empty());
-        current.metrics[0].1 = 2.9;
-        assert!(!BenchReport::compare(&baseline, &current, 0.01).is_empty());
-    }
-
-    #[test]
     fn scale_mismatches_are_called_out() {
         let baseline = sample();
         let mut current = sample();
         current.scale = "paper".to_string();
-        let deviations = BenchReport::compare(&baseline, &current, 0.0);
+        let deviations = BenchReport::compare(&baseline, &current);
         assert!(deviations[0].contains("scale mismatch"));
     }
 
@@ -522,8 +364,8 @@ mod tests {
         assert_eq!(BenchReport::parse(&json).unwrap(), traced);
         // An untraced baseline compares clean against a traced run (and
         // vice versa): the trace section never gates.
-        assert!(BenchReport::compare(&sample(), &traced, 0.0).is_empty());
-        assert!(BenchReport::compare(&traced, &sample(), 0.0).is_empty());
+        assert!(BenchReport::compare(&sample(), &traced).is_empty());
+        assert!(BenchReport::compare(&traced, &sample()).is_empty());
         // Untraced reports keep the pre-trace shape byte-for-byte.
         assert!(!sample().to_json().contains("trace"));
     }
@@ -543,11 +385,36 @@ mod tests {
     }
 
     #[test]
+    fn committed_baselines_reserialize_byte_for_byte() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("baselines");
+        let mut checked = 0;
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if !name.starts_with("BENCH_") || !name.ends_with(".json") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            let report = BenchReport::parse(&text).unwrap();
+            assert_eq!(report.to_json(), text, "{name} does not re-serialize");
+            checked += 1;
+        }
+        assert!(checked >= 6, "only {checked} baselines found");
+    }
+
+    #[test]
     fn parser_rejects_malformed_input() {
         assert!(BenchReport::parse("{}").is_err());
         assert!(BenchReport::parse("").is_err());
         let valid = sample().to_json();
         assert!(BenchReport::parse(&valid[..valid.len() - 3]).is_err());
         assert!(BenchReport::parse(&format!("{valid}x")).is_err());
+        // A repeated metric name would make `compare` gate only one of
+        // its values.
+        let repeated = valid.replace("\"pool_tasks\"", "\"total_accesses\"");
+        assert_ne!(repeated, valid, "replacement applied");
+        assert!(BenchReport::parse(&repeated)
+            .unwrap_err()
+            .contains("repeated key"));
     }
 }

@@ -2,11 +2,14 @@
 //! machine-readable JSON document (schema in `crates/lint/SCHEMA.md`),
 //! and a strict verifier for that document so CI fails on schema drift.
 //!
-//! The JSON writer and parser are hand-rolled (std-only — this workspace
-//! builds offline, see vendor/README.md). The verifier is deliberately
-//! rigid: it checks key *order* as well as presence and types, so any
-//! change to the emitted schema breaks `--verify-json` until SCHEMA.md
-//! and the version number are updated in the same commit.
+//! The document is written and re-parsed with the workspace's one JSON
+//! codec, [`topk_trace::json`]; this module owns only the layout and the
+//! checks. The verifier is deliberately rigid: it checks key *order* as
+//! well as presence and types, so any change to the emitted schema
+//! breaks `--verify-json` until SCHEMA.md and the version number are
+//! updated in the same commit.
+
+use topk_trace::json::{self, Value};
 
 use crate::rules::{rule_names, MALFORMED_ALLOW};
 
@@ -89,7 +92,7 @@ impl Report {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&json_string(r));
+            out.push_str(&json::string(r));
         }
         out.push_str("],\n");
         out.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
@@ -98,10 +101,10 @@ impl Report {
             out.push_str(if i > 0 { ",\n    " } else { "\n    " });
             out.push_str(&format!(
                 "{{\"rule\": {}, \"file\": {}, \"line\": {}, \"message\": {}}}",
-                json_string(&f.rule),
-                json_string(&f.file),
+                json::string(&f.rule),
+                json::string(&f.file),
                 f.line,
-                json_string(&f.message)
+                json::string(&f.message)
             ));
         }
         out.push_str(if self.findings.is_empty() {
@@ -112,13 +115,13 @@ impl Report {
         out.push_str("  \"allows\": [");
         for (i, a) in self.allows.iter().enumerate() {
             out.push_str(if i > 0 { ",\n    " } else { "\n    " });
-            let rules: Vec<String> = a.rules.iter().map(|r| json_string(r)).collect();
+            let rules: Vec<String> = a.rules.iter().map(|r| json::string(r)).collect();
             out.push_str(&format!(
                 "{{\"rules\": [{}], \"file\": {}, \"line\": {}, \"reason\": {}}}",
                 rules.join(", "),
-                json_string(&a.file),
+                json::string(&a.file),
                 a.line,
-                json_string(&a.reason)
+                json::string(&a.reason)
             ));
         }
         out.push_str(if self.allows.is_empty() {
@@ -131,376 +134,101 @@ impl Report {
     }
 }
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 // ---------------------------------------------------------------------
 // Strict verification of an emitted document.
 
-/// Parses `json` and checks it against the committed schema, including
+/// Parses `text` and checks it against the committed schema, including
 /// key order, value types, known rule names and canonical sort order.
 /// Returns a description of the first deviation found.
-pub fn verify_json(json: &str) -> Result<(), String> {
-    let value = Parser::new(json).parse()?;
-    let Json::Obj(top) = value else {
-        return Err("top level is not an object".to_string());
-    };
-    let expect_keys = [
-        "schema_version",
-        "rules",
-        "files_scanned",
-        "findings",
-        "allows",
-    ];
-    let got_keys: Vec<&str> = top.iter().map(|(k, _)| k.as_str()).collect();
-    if got_keys != expect_keys {
-        return Err(format!(
-            "top-level keys are {got_keys:?}, schema requires {expect_keys:?} in that order"
-        ));
-    }
-    let get = |k: &str| {
-        top.iter()
-            .find(|(key, _)| key == k)
-            .map(|(_, v)| v)
-            .unwrap()
-    };
+pub fn verify_json(text: &str) -> Result<(), String> {
+    let root = json::parse(text)?;
+    let top = root.with_keys(
+        &[
+            "schema_version",
+            "rules",
+            "files_scanned",
+            "findings",
+            "allows",
+        ],
+        "top level",
+    )?;
 
-    match get("schema_version") {
-        Json::Num(n) if *n == SCHEMA_VERSION as f64 => {}
-        other => {
-            return Err(format!(
-                "schema_version must be {SCHEMA_VERSION}, got {other:?}"
-            ))
-        }
+    let version = top[0].1.as_u64("schema_version")?;
+    if version != SCHEMA_VERSION {
+        return Err(format!(
+            "schema_version must be {SCHEMA_VERSION}, got {version}"
+        ));
     }
 
     let known = rule_names();
-    let Json::Arr(rules) = get("rules") else {
-        return Err("`rules` is not an array".to_string());
-    };
-    let listed: Vec<&str> = rules
+    let listed = top[1]
+        .1
+        .as_array("rules")?
         .iter()
-        .map(|r| match r {
-            Json::Str(s) => Ok(s.as_str()),
-            other => Err(format!("`rules` entry is not a string: {other:?}")),
-        })
-        .collect::<Result<_, _>>()?;
+        .map(|r| r.as_str("`rules` entry"))
+        .collect::<Result<Vec<_>, _>>()?;
     if listed != known {
         return Err(format!(
             "`rules` is {listed:?}, this binary enforces {known:?}"
         ));
     }
 
-    match get("files_scanned") {
-        Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => {}
-        other => {
-            return Err(format!(
-                "files_scanned must be a non-negative integer, got {other:?}"
-            ))
-        }
-    }
+    top[2].1.as_u64("files_scanned")?;
 
-    let Json::Arr(findings) = get("findings") else {
-        return Err("`findings` is not an array".to_string());
-    };
-    let mut prev_key: Option<(String, u64, String)> = None;
-    for (i, f) in findings.iter().enumerate() {
+    let mut prev_key = None;
+    for (i, f) in top[3].1.as_array("findings")?.iter().enumerate() {
         let key = verify_finding(f, &known).map_err(|e| format!("findings[{i}]: {e}"))?;
-        if let Some(p) = &prev_key {
-            if *p > key {
-                return Err(format!(
-                    "findings[{i}] out of canonical (file, line, rule) order"
-                ));
-            }
+        if prev_key.is_some_and(|p| p > key) {
+            return Err(format!(
+                "findings[{i}] out of canonical (file, line, rule) order"
+            ));
         }
         prev_key = Some(key);
     }
 
-    let Json::Arr(allows) = get("allows") else {
-        return Err("`allows` is not an array".to_string());
-    };
-    for (i, a) in allows.iter().enumerate() {
-        verify_allow(a, &known).map_err(|e| format!("allows[{i}]: {e}"))?;
+    let mut prev_key = None;
+    for (i, a) in top[4].1.as_array("allows")?.iter().enumerate() {
+        let key = verify_allow(a, &known).map_err(|e| format!("allows[{i}]: {e}"))?;
+        if prev_key.is_some_and(|p| p > key) {
+            return Err(format!("allows[{i}] out of canonical (file, line) order"));
+        }
+        prev_key = Some(key);
     }
     Ok(())
 }
 
-fn verify_finding(f: &Json, known: &[&str]) -> Result<(String, u64, String), String> {
-    let Json::Obj(obj) = f else {
-        return Err("not an object".to_string());
-    };
-    let keys: Vec<&str> = obj.iter().map(|(k, _)| k.as_str()).collect();
-    if keys != ["rule", "file", "line", "message"] {
-        return Err(format!(
-            "keys are {keys:?}, schema requires [rule, file, line, message]"
-        ));
-    }
-    let rule = expect_str(&obj[0].1, "rule")?;
-    if !known.contains(&rule.as_str()) && rule != MALFORMED_ALLOW {
+/// Checks one finding; returns its `(file, line, rule)` sort key.
+fn verify_finding<'a>(f: &'a Value, known: &[&str]) -> Result<(&'a str, u64, &'a str), String> {
+    let obj = f.with_keys(&["rule", "file", "line", "message"], "finding")?;
+    let rule = obj[0].1.as_str("rule")?;
+    if !known.contains(&rule) && rule != MALFORMED_ALLOW {
         return Err(format!("unknown rule `{rule}`"));
     }
-    let file = expect_str(&obj[1].1, "file")?;
-    let line = expect_line(&obj[2].1)?;
-    expect_str(&obj[3].1, "message")?;
+    let file = obj[1].1.as_str("file")?;
+    let line = line_number(&obj[2].1)?;
+    obj[3].1.as_str("message")?;
     Ok((file, line, rule))
 }
 
-fn verify_allow(a: &Json, known: &[&str]) -> Result<(), String> {
-    let Json::Obj(obj) = a else {
-        return Err("not an object".to_string());
-    };
-    let keys: Vec<&str> = obj.iter().map(|(k, _)| k.as_str()).collect();
-    if keys != ["rules", "file", "line", "reason"] {
-        return Err(format!(
-            "keys are {keys:?}, schema requires [rules, file, line, reason]"
-        ));
-    }
-    let Json::Arr(rules) = &obj[0].1 else {
-        return Err("`rules` is not an array".to_string());
-    };
-    for r in rules {
-        let name = expect_str(r, "rules entry")?;
-        if !known.contains(&name.as_str()) {
+/// Checks one allow; returns its `(file, line)` sort key.
+fn verify_allow<'a>(a: &'a Value, known: &[&str]) -> Result<(&'a str, u64), String> {
+    let obj = a.with_keys(&["rules", "file", "line", "reason"], "allow")?;
+    for r in obj[0].1.as_array("rules")? {
+        let name = r.as_str("rules entry")?;
+        if !known.contains(&name) {
             return Err(format!("unknown rule `{name}` in allow"));
         }
     }
-    expect_str(&obj[1].1, "file")?;
-    expect_line(&obj[2].1)?;
-    expect_str(&obj[3].1, "reason")?;
-    Ok(())
+    let file = obj[1].1.as_str("file")?;
+    let line = line_number(&obj[2].1)?;
+    obj[3].1.as_str("reason")?;
+    Ok((file, line))
 }
 
-fn expect_str(v: &Json, what: &str) -> Result<String, String> {
-    match v {
-        Json::Str(s) => Ok(s.clone()),
-        other => Err(format!("`{what}` is not a string: {other:?}")),
-    }
-}
-
-fn expect_line(v: &Json) -> Result<u64, String> {
-    match v {
-        Json::Num(n) if *n >= 1.0 && n.fract() == 0.0 => Ok(*n as u64),
-        other => Err(format!("`line` is not a positive integer: {other:?}")),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Minimal JSON parser (objects keep key order for strict verification).
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(src: &'a str) -> Parser<'a> {
-        Parser {
-            bytes: src.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn parse(mut self) -> Result<Json, String> {
-        let v = self.value()?;
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(format!("trailing bytes at offset {}", self.pos));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".to_string())
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        if self.peek()? == b {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at offset {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Json::Str(self.string()?)),
-            b't' => self.literal("true", Json::Bool(true)),
-            b'f' => self.literal("false", Json::Bool(false)),
-            b'n' => self.literal("null", Json::Null),
-            b'-' | b'0'..=b'9' => self.number(),
-            other => Err(format!(
-                "unexpected byte `{}` at offset {}",
-                other as char, self.pos
-            )),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("invalid literal at offset {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("invalid number at offset {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = self
-                .bytes
-                .get(self.pos)
-                .copied()
-                .ok_or_else(|| "unterminated string".to_string())?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = self
-                        .bytes
-                        .get(self.pos)
-                        .copied()
-                        .ok_or_else(|| "unterminated escape".to_string())?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| "truncated \\u escape".to_string())?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("bad escape `\\{}`", other as char)),
-                    }
-                }
-                _ => {
-                    // Re-decode from the byte position to keep UTF-8 intact.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos - 1..])
-                        .map_err(|_| "invalid utf-8 in string".to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos = self.pos - 1 + c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat(b'[')?;
-        let mut out = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Json::Arr(out));
-        }
-        loop {
-            out.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(out));
-                }
-                other => return Err(format!("expected `,` or `]`, got `{}`", other as char)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
-        let mut out = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Json::Obj(out));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.eat(b':')?;
-            let value = self.value()?;
-            out.push((key, value));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(out));
-                }
-                other => return Err(format!("expected `,` or `}}`, got `{}`", other as char)),
-            }
-        }
+fn line_number(v: &Value) -> Result<u64, String> {
+    match v.as_u64("line")? {
+        0 => Err("`line` is not a positive integer: 0".to_string()),
+        line => Ok(line),
     }
 }
 
@@ -596,7 +324,24 @@ mod tests {
     }
 
     #[test]
-    fn json_strings_are_escaped() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+    fn verification_rejects_out_of_order_allows() {
+        let mut r = sample();
+        r.allows.push(ReportAllow {
+            rules: vec!["no-wall-clock".to_string()],
+            file: "b.rs".to_string(),
+            line: 2,
+            reason: "bench timing".to_string(),
+        });
+        r.finish();
+        let json = r.render_json();
+        verify_json(&json).expect("sorted allows verify");
+        // Swap the two allow objects textually.
+        let a = "{\"rules\": [\"fail-stop\"], \"file\": \"a.rs\", \"line\": 1, \"reason\": \"const-width slice\"}";
+        let b = "{\"rules\": [\"no-wall-clock\"], \"file\": \"b.rs\", \"line\": 2, \"reason\": \"bench timing\"}";
+        let swapped = json.replace(a, "@@A@@").replace(b, a).replace("@@A@@", b);
+        assert_ne!(json, swapped, "test must actually swap the entries");
+        assert!(verify_json(&swapped)
+            .unwrap_err()
+            .contains("allows[1] out of canonical (file, line) order"));
     }
 }

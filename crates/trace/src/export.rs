@@ -1,22 +1,24 @@
 //! Byte-deterministic JSON export and the schema drift checker.
 //!
-//! The writer is hand-rolled (the workspace builds offline; there is no
-//! serde) and fully deterministic: events are merge-sorted by `(lane,
-//! seq)` before serialization, metric maps iterate in `BTreeMap` name
-//! order, and floating-point gauges use the shortest round-trip
-//! representation. Two runs of the same traced workload therefore
+//! The writer lays the document out by hand and takes its scalars from
+//! the workspace's one JSON codec, [`crate::json`]. It is fully
+//! deterministic: events are merge-sorted by `(lane, seq)` before
+//! serialization, metric maps iterate in `BTreeMap` name order, and
+//! floating-point gauges use the shortest round-trip representation
+//! ([`json::number`]). Two runs of the same traced workload therefore
 //! produce byte-identical exports.
 //!
 //! [`verify_json`] is the committed-schema half: it re-parses an export
-//! and checks every structural promise `SCHEMA.md` makes — key order,
-//! known event kinds with exactly their declared fields, `(lane, seq)`
-//! canonical order, sorted metric names, histogram invariants. CI runs
-//! it over a fresh export (`trace_smoke --verify-json`, mirroring
-//! `topk-lint --verify-json`), so schema drift fails the build instead
-//! of silently breaking downstream consumers. When renderer and schema
-//! disagree, the verifier wins.
+//! with [`json::parse`] and checks every structural promise `SCHEMA.md`
+//! makes — key order, known event kinds with exactly their declared
+//! fields, `(lane, seq)` canonical order, sorted metric names, histogram
+//! invariants. CI runs it over a fresh export (`trace_smoke
+//! --verify-json`, mirroring `topk-lint --verify-json`), so schema drift
+//! fails the build instead of silently breaking downstream consumers.
+//! When renderer and schema disagree, the verifier wins.
 
 use crate::event::{schema_fields, FieldKind, FieldValue};
+use crate::json::{self, Value};
 use crate::metrics::MetricsRegistry;
 use crate::session::Trace;
 
@@ -31,6 +33,10 @@ impl Trace {
 
     /// Serializes the trace plus a metrics snapshot (see `SCHEMA.md`).
     pub fn to_json_with_metrics(&self, metrics: &MetricsRegistry) -> String {
+        let u64_list = |values: &[u64]| {
+            let items: Vec<String> = values.iter().map(u64::to_string).collect();
+            format!("[{}]", items.join(", "))
+        };
         let mut out = String::new();
         out.push_str("{\n");
         out.push_str(&format!("  \"schema_version\": {SCHEMA_VERSION},\n"));
@@ -46,15 +52,15 @@ impl Trace {
                 "\"lane\": {}, \"seq\": {}, \"kind\": {}",
                 record.lane,
                 record.seq,
-                json_string(record.event.kind())
+                json::string(record.event.kind())
             ));
             for (name, value) in record.event.fields() {
                 out.push_str(", ");
-                out.push_str(&format!("{}: ", json_string(name)));
+                out.push_str(&format!("{}: ", json::string(name)));
                 match value {
                     FieldValue::U64(v) => out.push_str(&v.to_string()),
                     FieldValue::Bool(v) => out.push_str(if v { "true" } else { "false" }),
-                    FieldValue::Str(v) => out.push_str(&json_string(v)),
+                    FieldValue::Str(v) => out.push_str(&json::string(v)),
                 }
             }
             out.push('}');
@@ -72,7 +78,7 @@ impl Trace {
                 out.push(',');
             }
             first = false;
-            out.push_str(&format!("\n      {}: {}", json_string(name), value));
+            out.push_str(&format!("\n      {}: {}", json::string(name), value));
         }
         out.push_str(if first { "},\n" } else { "\n    },\n" });
         out.push_str("    \"gauges\": {");
@@ -84,8 +90,8 @@ impl Trace {
             first = false;
             out.push_str(&format!(
                 "\n      {}: {}",
-                json_string(name),
-                format_f64(value)
+                json::string(name),
+                json::number(value)
             ));
         }
         out.push_str(if first { "},\n" } else { "\n    },\n" });
@@ -98,9 +104,9 @@ impl Trace {
             first = false;
             out.push_str(&format!(
                 "\n      {}: {{\"bounds\": {}, \"counts\": {}, \"count\": {}, \"sum\": {}}}",
-                json_string(name),
-                json_u64_array(hist.bounds()),
-                json_u64_array(hist.counts()),
+                json::string(name),
+                u64_list(hist.bounds()),
+                u64_list(hist.counts()),
                 hist.count(),
                 hist.sum()
             ));
@@ -112,294 +118,22 @@ impl Trace {
     }
 }
 
-/// `[1, 2, 3]` formatting for histogram bounds/counts.
-fn json_u64_array(values: &[u64]) -> String {
-    let body: Vec<String> = values.iter().map(|v| v.to_string()).collect();
-    format!("[{}]", body.join(", "))
-}
-
-/// JSON string literal with minimal escaping; payloads here are static
-/// identifiers and metric names, but the writer stays robust anyway.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Gauge formatting: integral values print without a fractional part,
-/// everything else uses the shortest round-trip representation (both
-/// are deterministic).
-fn format_f64(value: f64) -> String {
-    if value.fract() == 0.0 && value.abs() < 9_007_199_254_740_992.0 {
-        format!("{}", value as i64)
-    } else {
-        format!("{value}")
-    }
-}
-
-// ---------------------------------------------------------------------
-// Verification: a minimal order-preserving JSON reader + the checks.
-// ---------------------------------------------------------------------
-
-/// A parsed JSON value. Object member order is preserved (the schema
-/// commits to key order) and numbers keep their raw spelling so `u64`
-/// range checks are exact.
-#[derive(Debug)]
-enum Value {
-    Str(String),
-    Num(String),
-    // The payload is retained for parser completeness; the structural
-    // checks only ever need the value's type.
-    #[allow(dead_code)]
-    Bool(bool),
-    Arr(Vec<Value>),
-    Obj(Vec<(String, Value)>),
-}
-
-impl Value {
-    fn type_name(&self) -> &'static str {
-        match self {
-            Value::Str(_) => "string",
-            Value::Num(_) => "number",
-            Value::Bool(_) => "boolean",
-            Value::Arr(_) => "array",
-            Value::Obj(_) => "object",
-        }
-    }
-
-    fn as_u64(&self, what: &str) -> Result<u64, String> {
-        match self {
-            Value::Num(raw) => raw
-                .parse::<u64>()
-                .map_err(|_| format!("{what}: `{raw}` is not a non-negative integer")),
-            other => Err(format!(
-                "{what}: expected number, got {}",
-                other.type_name()
-            )),
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Self {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, msg: &str) -> String {
-        format!("byte {}: {msg}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{}`", byte as char)))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Value, String> {
-        match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
-            Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b't') | Some(b'f') => self.parse_bool(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(members));
-        }
-        loop {
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            members.push((key, value));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(members));
-                }
-                _ => return Err(self.err("expected `,` or `}` in object")),
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(self.err("expected `,` or `]` in array")),
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("non-ascii \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("invalid \\u code point"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("unsupported escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // byte boundaries are sound to find this way).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.bytes.get(self.pos).is_some_and(|b| b & 0xC0 == 0x80) {
-                        self.pos += 1;
-                    }
-                    let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid utf-8 in string"))?;
-                    out.push_str(chunk);
-                }
-            }
-        }
-    }
-
-    fn parse_bool(&mut self) -> Result<Value, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(b"true") {
-            self.pos += 4;
-            Ok(Value::Bool(true))
-        } else if self.bytes[self.pos..].starts_with(b"false") {
-            self.pos += 5;
-            Ok(Value::Bool(false))
-        } else {
-            Err(self.err("expected `true` or `false`"))
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Value, String> {
-        self.skip_ws();
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(self.err("expected a number"));
-        }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        raw.parse::<f64>()
-            .map_err(|_| self.err(&format!("`{raw}` is not a number")))?;
-        Ok(Value::Num(raw.to_string()))
-    }
-}
-
 /// Checks that `text` is a conforming trace export (see `SCHEMA.md`).
 ///
 /// Returns `Err` with a human-readable reason on the first
 /// nonconformance; CI treats that as a failed build.
 pub fn verify_json(text: &str) -> Result<(), String> {
-    let mut parser = Parser::new(text);
-    let root = parser.parse_value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(parser.err("trailing content after the top-level object"));
-    }
-
-    let Value::Obj(members) = root else {
-        return Err("top level must be an object".to_string());
-    };
-    let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
-    let expected = [
-        "schema_version",
-        "clock_nanos",
-        "dropped_events",
-        "events",
-        "metrics",
-    ];
-    if keys != expected {
-        return Err(format!("top-level keys must be {expected:?}, got {keys:?}"));
-    }
+    let root = json::parse(text)?;
+    let members = root.with_keys(
+        &[
+            "schema_version",
+            "clock_nanos",
+            "dropped_events",
+            "events",
+            "metrics",
+        ],
+        "top level",
+    )?;
 
     let version = members[0].1.as_u64("schema_version")?;
     if version != SCHEMA_VERSION {
@@ -410,15 +144,10 @@ pub fn verify_json(text: &str) -> Result<(), String> {
     members[1].1.as_u64("clock_nanos")?;
     members[2].1.as_u64("dropped_events")?;
 
-    let Value::Arr(events) = &members[3].1 else {
-        return Err("`events` must be an array".to_string());
-    };
     let mut prev: Option<(u64, u64)> = None;
-    for (i, event) in events.iter().enumerate() {
+    for (i, event) in members[3].1.as_array("events")?.iter().enumerate() {
         let at = format!("events[{i}]");
-        let Value::Obj(fields) = event else {
-            return Err(format!("{at}: must be an object"));
-        };
+        let fields = event.as_object(&at)?;
         if fields.len() < 3
             || fields[0].0 != "lane"
             || fields[1].0 != "seq"
@@ -428,9 +157,7 @@ pub fn verify_json(text: &str) -> Result<(), String> {
         }
         let lane = fields[0].1.as_u64(&format!("{at}.lane"))?;
         let seq = fields[1].1.as_u64(&format!("{at}.seq"))?;
-        let Value::Str(kind) = &fields[2].1 else {
-            return Err(format!("{at}.kind: must be a string"));
-        };
+        let kind = fields[2].1.as_str(&format!("{at}.kind"))?;
         let schema =
             schema_fields(kind).ok_or_else(|| format!("{at}: unknown event kind `{kind}`"))?;
         let payload = &fields[3..];
@@ -447,20 +174,11 @@ pub fn verify_json(text: &str) -> Result<(), String> {
                     "{at} ({kind}): field `{name}` out of place, expected `{schema_name}`"
                 ));
             }
-            let ok = matches!(
-                (schema_kind, value),
-                (FieldKind::U64, Value::Num(_))
-                    | (FieldKind::Bool, Value::Bool(_))
-                    | (FieldKind::Str, Value::Str(_))
-            );
-            if !ok {
-                return Err(format!(
-                    "{at} ({kind}).{name}: wrong type {}",
-                    value.type_name()
-                ));
-            }
-            if let FieldKind::U64 = schema_kind {
-                value.as_u64(&format!("{at} ({kind}).{name}"))?;
+            let what = format!("{at} ({kind}).{name}");
+            match schema_kind {
+                FieldKind::U64 => value.as_u64(&what).map(drop)?,
+                FieldKind::Bool => value.as_bool(&what).map(drop)?,
+                FieldKind::Str => value.as_str(&what).map(drop)?,
             }
         }
         // Canonical order: (lane, seq) strictly increasing, seqs
@@ -486,25 +204,13 @@ pub fn verify_json(text: &str) -> Result<(), String> {
         prev = Some((lane, seq));
     }
 
-    let Value::Obj(metrics) = &members[4].1 else {
-        return Err("`metrics` must be an object".to_string());
-    };
-    let metric_keys: Vec<&str> = metrics.iter().map(|(k, _)| k.as_str()).collect();
-    if metric_keys != ["counters", "gauges", "histograms"] {
-        return Err(format!(
-            "metrics keys must be [counters, gauges, histograms], got {metric_keys:?}"
-        ));
-    }
+    let metrics = members[4]
+        .1
+        .with_keys(&["counters", "gauges", "histograms"], "metrics")?;
     verify_sorted_map(&metrics[0].1, "counters", |v, what| {
-        v.as_u64(what).map(|_| ())
+        v.as_u64(what).map(drop)
     })?;
-    verify_sorted_map(&metrics[1].1, "gauges", |v, what| match v {
-        Value::Num(_) => Ok(()),
-        other => Err(format!(
-            "{what}: expected number, got {}",
-            other.type_name()
-        )),
-    })?;
+    verify_sorted_map(&metrics[1].1, "gauges", |v, what| v.as_f64(what).map(drop))?;
     verify_sorted_map(&metrics[2].1, "histograms", verify_histogram)?;
     Ok(())
 }
@@ -516,9 +222,7 @@ fn verify_sorted_map(
     what: &str,
     check: impl Fn(&Value, &str) -> Result<(), String>,
 ) -> Result<(), String> {
-    let Value::Obj(members) = value else {
-        return Err(format!("`{what}` must be an object"));
-    };
+    let members = value.as_object(what)?;
     for pair in members.windows(2) {
         if pair[0].0 >= pair[1].0 {
             return Err(format!(
@@ -536,23 +240,23 @@ fn verify_sorted_map(
 /// Checks one histogram object: key order, bound monotonicity, bucket
 /// arity, and that `count` equals the bucket total.
 fn verify_histogram(value: &Value, what: &str) -> Result<(), String> {
-    let Value::Obj(members) = value else {
-        return Err(format!("{what}: must be an object"));
+    let members = value.with_keys(&["bounds", "counts", "count", "sum"], what)?;
+    let u64s = |value: &Value, what: String| -> Result<Vec<u64>, String> {
+        let items = value.as_array(&what)?;
+        let mut out = Vec::with_capacity(items.len());
+        for (i, item) in items.iter().enumerate() {
+            out.push(item.as_u64(&format!("{what}[{i}]"))?);
+        }
+        Ok(out)
     };
-    let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
-    if keys != ["bounds", "counts", "count", "sum"] {
-        return Err(format!(
-            "{what}: keys must be [bounds, counts, count, sum], got {keys:?}"
-        ));
-    }
-    let bounds = u64_array(&members[0].1, &format!("{what}.bounds"))?;
+    let bounds = u64s(&members[0].1, format!("{what}.bounds"))?;
     if bounds.is_empty() {
         return Err(format!("{what}.bounds: must be non-empty"));
     }
     if bounds.windows(2).any(|w| w[0] >= w[1]) {
         return Err(format!("{what}.bounds: must be strictly increasing"));
     }
-    let counts = u64_array(&members[1].1, &format!("{what}.counts"))?;
+    let counts = u64s(&members[1].1, format!("{what}.counts"))?;
     if counts.len() != bounds.len() + 1 {
         return Err(format!(
             "{what}.counts: expected {} buckets, got {}",
@@ -566,17 +270,6 @@ fn verify_histogram(value: &Value, what: &str) -> Result<(), String> {
     }
     members[3].1.as_u64(&format!("{what}.sum"))?;
     Ok(())
-}
-
-fn u64_array(value: &Value, what: &str) -> Result<Vec<u64>, String> {
-    let Value::Arr(items) = value else {
-        return Err(format!("{what}: must be an array"));
-    };
-    items
-        .iter()
-        .enumerate()
-        .map(|(i, v)| v.as_u64(&format!("{what}[{i}]")))
-        .collect()
 }
 
 #[cfg(test)]
@@ -656,12 +349,5 @@ mod tests {
         assert!(verify_json(&bad)
             .unwrap_err()
             .contains("strictly ascending"));
-    }
-
-    #[test]
-    fn gauge_formatting_is_integral_when_exact() {
-        assert_eq!(format_f64(3.0), "3");
-        assert_eq!(format_f64(-2.0), "-2");
-        assert_eq!(format_f64(0.5), "0.5");
     }
 }

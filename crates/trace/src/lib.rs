@@ -18,9 +18,10 @@
 //! * the only clock in this crate is the [`LogicalClock`]; wall time
 //!   enters exclusively through the [`TraceClock`] seam, implemented in
 //!   `crates/bench` (the one lint-allowlisted home of real time);
-//! * the JSON export ([`Trace::to_json_with_metrics`]) is hand-rolled,
-//!   key-ordered, and committed to in `SCHEMA.md`; [`verify_json`]
-//!   fails CI on drift.
+//! * the JSON export ([`Trace::to_json_with_metrics`]) is key-ordered
+//!   and committed to in `SCHEMA.md`; [`verify_json`] fails CI on
+//!   drift. It is built on [`json`], the workspace's one JSON codec,
+//!   which the lint report and the bench reports share.
 //!
 //! Tracing is **observation-only and zero-cost when disabled**: every
 //! instrumentation site first checks [`active`] (one relaxed atomic
@@ -52,6 +53,7 @@
 pub mod clock;
 pub mod event;
 pub mod export;
+pub mod json;
 pub mod metrics;
 pub mod render;
 pub mod session;
