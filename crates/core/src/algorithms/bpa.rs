@@ -1,15 +1,13 @@
 //! The Best Position Algorithm (Section 4).
 
-use std::collections::HashMap;
-
 use topk_lists::source::SourceSet;
 use topk_lists::tracker::{PositionTracker, TrackerKind};
-use topk_lists::{ItemId, Position, Score};
+use topk_lists::{Position, Score};
 
 use crate::algorithms::{collect_stats, TopKAlgorithm};
 use crate::error::TopKError;
 use crate::query::TopKQuery;
-use crate::result::{RunCertificate, TopKResult};
+use crate::result::TopKResult;
 use crate::topk_buffer::TopKBuffer;
 
 /// The Best Position Algorithm — the paper's first contribution.
@@ -63,15 +61,18 @@ impl TopKAlgorithm for Bpa {
         let n = sources.num_items();
 
         // Originator-side bookkeeping: one tracker and one
-        // position -> local-score map per list. Every score at a marked
+        // position -> local-score store per list. Every score at a marked
         // position was observed by the access that marked it, so λ can be
         // recomputed without touching the lists again.
         let mut trackers: Vec<Box<dyn PositionTracker>> =
             (0..m).map(|_| self.tracker.create(n)).collect();
-        let mut seen_scores: Vec<HashMap<Position, Score>> = vec![HashMap::new(); m];
-        let mut resolved: HashMap<ItemId, Score> = HashMap::new();
+        let mut seen_scores: Vec<SeenScores> = (0..m).map(|_| SeenScores::new(n)).collect();
         let mut buffer = TopKBuffer::new(query.k());
         let mut stop_position = n;
+        // Scratch rows reused for the whole query: the local scores of the
+        // item being resolved, and the best-position scores λ combines.
+        let mut locals = vec![Score::ZERO; m];
+        let mut lambda_scores = Vec::with_capacity(m);
 
         'rounds: for pos in 1..=n {
             sources.begin_round();
@@ -82,12 +83,11 @@ impl TopKAlgorithm for Bpa {
                     .sorted_access(position, false)
                     .expect("position within list bounds");
                 trackers[i].mark_seen(entry.position);
-                seen_scores[i].insert(entry.position, entry.score);
+                seen_scores[i].record(entry.position, entry.score);
 
                 // Like TA's literal accounting, each sorted access triggers
                 // m - 1 random accesses; BPA additionally asks for the
                 // positions those random accesses reveal.
-                let mut locals = vec![Score::ZERO; m];
                 locals[i] = entry.score;
                 for j in 0..m {
                     if j == i {
@@ -100,16 +100,16 @@ impl TopKAlgorithm for Bpa {
                     let p = ps.position.expect("position requested");
                     locals[j] = ps.score;
                     trackers[j].mark_seen(p);
-                    seen_scores[j].insert(p, ps.score);
+                    seen_scores[j].record(p, ps.score);
                 }
-                let overall = query.combine(&locals);
-                resolved.insert(entry.item, overall);
-                buffer.offer(entry.item, overall);
+                buffer.offer(entry.item, query.combine(&locals));
             }
 
             // Best positions overall score λ, from the originator's own
             // view of the seen positions and their scores.
-            if let Some(lambda) = best_positions_score(&trackers, &seen_scores, query) {
+            if let Some(lambda) =
+                best_positions_score(&trackers, &seen_scores, query, &mut lambda_scores)
+            {
                 if buffer.has_k_at_or_above(lambda) {
                     stop_position = pos;
                     break 'rounds;
@@ -121,7 +121,7 @@ impl TopKAlgorithm for Bpa {
             sources,
             Some(stop_position),
             stop_position as u64,
-            resolved.len(),
+            buffer.offered_count(),
         );
         // Every position up to bp_i holds a resolved item (it was seen
         // under sorted access — resolved on the spot — or under a random
@@ -130,26 +130,63 @@ impl TopKAlgorithm for Bpa {
         let bounds: Option<Vec<Score>> = trackers
             .iter()
             .zip(&seen_scores)
-            .map(|(tracker, scores)| tracker.best_position().map(|bp| scores[&bp]))
+            .map(|(tracker, scores)| tracker.best_position().map(|bp| scores.at(bp)))
             .collect();
-        let certificate = RunCertificate::new(bounds, resolved.into_iter().collect());
-        Ok(TopKResult::new(buffer.into_ranked(), stats).with_certificate(certificate))
+        let (ranked, certificate) = buffer.finish(bounds);
+        Ok(TopKResult::new(ranked, stats).with_certificate(certificate))
     }
 }
 
-/// Computes `λ = f(s₁(bp₁), …, s_m(bp_m))`, or `None` if some list has no
-/// best position yet (i.e. its position 1 has not been seen).
+/// Positions per chunk of a [`SeenScores`] store.
+const CHUNK: usize = 256;
+
+/// The local scores an originator has seen in one list, by position:
+/// chunks of [`CHUNK`] positions, each allocated when a position in it is
+/// first seen. A scan touches only the chunks its sorted and random
+/// accesses reach, so a short query pays for a few chunks rather than a
+/// zeroed array of all `n` positions.
+#[derive(Debug)]
+struct SeenScores {
+    chunks: Vec<Option<Box<[Score]>>>,
+}
+
+impl SeenScores {
+    fn new(n: usize) -> Self {
+        SeenScores {
+            chunks: vec![None; n.div_ceil(CHUNK)],
+        }
+    }
+
+    fn record(&mut self, position: Position, score: Score) {
+        let i = position.index();
+        let chunk = self.chunks[i / CHUNK]
+            .get_or_insert_with(|| vec![Score::ZERO; CHUNK].into_boxed_slice());
+        chunk[i % CHUNK] = score;
+    }
+
+    /// The score recorded at a seen `position`.
+    fn at(&self, position: Position) -> Score {
+        let i = position.index();
+        self.chunks[i / CHUNK]
+            .as_ref()
+            .expect("seen positions have recorded scores")[i % CHUNK]
+    }
+}
+
+/// Computes `λ = f(s₁(bp₁), …, s_m(bp_m))` in the `scores` scratch row, or
+/// `None` if some list has no best position yet (i.e. its position 1 has
+/// not been seen).
 fn best_positions_score(
     trackers: &[Box<dyn PositionTracker>],
-    seen_scores: &[HashMap<Position, Score>],
+    seen_scores: &[SeenScores],
     query: &TopKQuery,
+    scores: &mut Vec<Score>,
 ) -> Option<Score> {
-    let mut scores = Vec::with_capacity(trackers.len());
+    scores.clear();
     for (tracker, scores_of_list) in trackers.iter().zip(seen_scores) {
-        let bp = tracker.best_position()?;
-        scores.push(scores_of_list[&bp]);
+        scores.push(scores_of_list.at(tracker.best_position()?));
     }
-    Some(query.combine(&scores))
+    Some(query.combine(scores))
 }
 
 #[cfg(test)]

@@ -1,15 +1,13 @@
 //! BPA2 (Section 5).
 
-use std::collections::HashMap;
-
 use topk_lists::source::SourceSet;
 use topk_lists::tracker::TrackerKind;
-use topk_lists::{ItemId, Score};
+use topk_lists::Score;
 
 use crate::algorithms::{collect_stats, TopKAlgorithm};
 use crate::error::TopKError;
 use crate::query::TopKQuery;
-use crate::result::{RunCertificate, TopKResult};
+use crate::result::TopKResult;
 use crate::topk_buffer::TopKBuffer;
 
 /// BPA2 — the paper's second contribution.
@@ -69,11 +67,14 @@ impl TopKAlgorithm for Bpa2 {
     ) -> Result<TopKResult, TopKError> {
         let m = sources.num_lists();
 
-        let mut resolved: HashMap<ItemId, Score> = HashMap::new();
         let mut buffer = TopKBuffer::new(query.k());
         // The local score at each source's current best position, updated
         // from the piggybacked replies (Section 5.1, step 3).
         let mut best_scores: Vec<Option<Score>> = vec![None; m];
+        // Scratch rows reused for the whole query: the local scores of the
+        // item being resolved, and the best-position scores λ combines.
+        let mut locals = vec![Score::ZERO; m];
+        let mut lambda_scores = Vec::with_capacity(m);
         let mut rounds = 0u64;
 
         loop {
@@ -95,7 +96,6 @@ impl TopKAlgorithm for Bpa2 {
                 // The item at an unseen position has never been resolved
                 // (otherwise a random access would have marked this
                 // position), so it always needs m - 1 random accesses.
-                let mut locals = vec![Score::ZERO; m];
                 locals[i] = entry.score;
                 for j in 0..m {
                     if j == i {
@@ -110,23 +110,19 @@ impl TopKAlgorithm for Bpa2 {
                         best_scores[j] = Some(best);
                     }
                 }
-                let overall = query.combine(&locals);
+                let fresh = buffer.offer(entry.item, query.combine(&locals));
                 debug_assert!(
-                    !resolved.contains_key(&entry.item),
+                    fresh,
                     "BPA2 direct access revealed an already-resolved item"
                 );
-                resolved.insert(entry.item, overall);
-                buffer.offer(entry.item, overall);
             }
 
             // Step 4: best positions overall score λ (same condition as
             // BPA), from the piggybacked best-position scores.
-            if best_scores.iter().all(Option::is_some) {
-                let scores: Vec<Score> = best_scores
-                    .iter()
-                    .map(|s| s.expect("checked above"))
-                    .collect();
-                let lambda = query.combine(&scores);
+            lambda_scores.clear();
+            lambda_scores.extend(best_scores.iter().map_while(|s| *s));
+            if lambda_scores.len() == m {
+                let lambda = query.combine(&lambda_scores);
                 if buffer.has_k_at_or_above(lambda) {
                     break;
                 }
@@ -143,16 +139,16 @@ impl TopKAlgorithm for Bpa2 {
             .filter_map(|i| sources.source_ref(i).best_position())
             .map(|p| p.get())
             .max();
-        let stats = collect_stats(sources, stop_position, rounds, resolved.len());
+        let stats = collect_stats(sources, stop_position, rounds, buffer.offered_count());
         // Seen positions only ever hold resolved items (direct access
         // resolves on the spot; tracked random accesses mark positions of
         // the item being resolved), so the final best-position scores
         // bound every unresolved item's locals. On the safety-net exit
         // some list may lack a piggybacked score, but then every position
-        // was seen and `resolved` already covers all items.
+        // was seen and the buffer has resolved every item.
         let bounds: Option<Vec<Score>> = best_scores.iter().copied().collect();
-        let certificate = RunCertificate::new(bounds, resolved.into_iter().collect());
-        Ok(TopKResult::new(buffer.into_ranked(), stats).with_certificate(certificate))
+        let (ranked, certificate) = buffer.finish(bounds);
+        Ok(TopKResult::new(ranked, stats).with_certificate(certificate))
     }
 }
 

@@ -8,7 +8,7 @@ use topk_lists::{ItemId, Position, Score};
 use crate::algorithms::{collect_stats, TopKAlgorithm};
 use crate::error::TopKError;
 use crate::query::TopKQuery;
-use crate::result::{RunCertificate, TopKResult};
+use crate::result::TopKResult;
 use crate::topk_buffer::TopKBuffer;
 
 /// Fagin's Algorithm: scan all lists in parallel under sorted access until
@@ -71,7 +71,6 @@ impl TopKAlgorithm for Fa {
         sources.begin_round();
         let mut buffer = TopKBuffer::new(k);
         let items_scored = seen.len();
-        let mut all_resolved = Vec::with_capacity(items_scored);
         // Resolve in item-id order, not hash order: the *sequence* of
         // random accesses must be deterministic so that physical-layer
         // observers (the paged backend's cache hit/miss counters) see
@@ -92,9 +91,7 @@ impl TopKAlgorithm for Fa {
                 .into_iter()
                 .map(|s| s.expect("all local scores resolved"))
                 .collect();
-            let overall = query.combine(&resolved);
-            all_resolved.push((item, overall));
-            buffer.offer(item, overall);
+            buffer.offer(item, query.combine(&resolved));
         }
 
         let stats = collect_stats(
@@ -106,8 +103,8 @@ impl TopKAlgorithm for Fa {
         // An item FA never resolved was seen in *no* list, so it sits
         // below the stopping position everywhere and `last_scores` bounds
         // its local scores.
-        let certificate = RunCertificate::new(Some(last_scores), all_resolved);
-        Ok(TopKResult::new(buffer.into_ranked(), stats).with_certificate(certificate))
+        let (ranked, certificate) = buffer.finish(Some(last_scores));
+        Ok(TopKResult::new(ranked, stats).with_certificate(certificate))
     }
 }
 

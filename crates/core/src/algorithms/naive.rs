@@ -8,7 +8,7 @@ use topk_lists::{ItemId, Position, Score};
 use crate::algorithms::{collect_stats, TopKAlgorithm};
 use crate::error::TopKError;
 use crate::query::TopKQuery;
-use crate::result::{RunCertificate, TopKResult};
+use crate::result::TopKResult;
 use crate::topk_buffer::TopKBuffer;
 
 /// Scans every list from beginning to end, computes every item's overall
@@ -63,17 +63,14 @@ impl TopKAlgorithm for NaiveScan {
 
         let items_scored = locals.len();
         let mut buffer = TopKBuffer::new(query.k());
-        let mut resolved = Vec::with_capacity(items_scored);
         for (item, scores) in &locals {
-            let overall = query.combine(scores);
-            resolved.push((*item, overall));
-            buffer.offer(*item, overall);
+            buffer.offer(*item, query.combine(scores));
         }
         let stats = collect_stats(sources, None, 1, items_scored);
         // The scan resolves *every* item; the tail scores still make a
         // valid (vacuous) bound for the certificate's consumers.
-        let certificate = RunCertificate::new(Some(tail_scores), resolved);
-        Ok(TopKResult::new(buffer.into_ranked(), stats).with_certificate(certificate))
+        let (ranked, certificate) = buffer.finish(Some(tail_scores));
+        Ok(TopKResult::new(ranked, stats).with_certificate(certificate))
     }
 }
 

@@ -1,14 +1,12 @@
 //! The Threshold Algorithm (Section 3.2).
 
-use std::collections::HashMap;
-
 use topk_lists::source::SourceSet;
-use topk_lists::{ItemId, Position, Score};
+use topk_lists::{Position, Score};
 
 use crate::algorithms::{collect_stats, TopKAlgorithm};
 use crate::error::TopKError;
 use crate::query::TopKQuery;
-use crate::result::{RunCertificate, TopKResult};
+use crate::result::TopKResult;
 use crate::topk_buffer::TopKBuffer;
 
 /// The Threshold Algorithm of Fagin/Güntzer/Nepal — the baseline the paper
@@ -76,10 +74,12 @@ impl TopKAlgorithm for Ta {
         let m = sources.num_lists();
         let n = sources.num_items();
 
-        let mut resolved: HashMap<ItemId, Score> = HashMap::new();
         let mut buffer = TopKBuffer::new(query.k());
         let mut stop_position = n;
         let mut last_scores = vec![Score::ZERO; m];
+        // One scratch row of local scores for the whole query: every
+        // resolution overwrites all m slots.
+        let mut locals = vec![Score::ZERO; m];
 
         'rounds: for pos in 1..=n {
             sources.begin_round();
@@ -91,10 +91,9 @@ impl TopKAlgorithm for Ta {
                     .expect("position within list bounds");
                 last_scores[i] = entry.score;
 
-                if self.memoize && resolved.contains_key(&entry.item) {
+                if self.memoize && buffer.was_offered(entry.item) {
                     continue;
                 }
-                let mut locals = vec![Score::ZERO; m];
                 locals[i] = entry.score;
                 for j in (0..m).filter(|&j| j != i) {
                     let ps = sources
@@ -103,9 +102,7 @@ impl TopKAlgorithm for Ta {
                         .expect("every item appears in every list");
                     locals[j] = ps.score;
                 }
-                let overall = query.combine(&locals);
-                resolved.insert(entry.item, overall);
-                buffer.offer(entry.item, overall);
+                buffer.offer(entry.item, query.combine(&locals));
             }
 
             // Threshold from the last scores seen under sorted access.
@@ -120,13 +117,13 @@ impl TopKAlgorithm for Ta {
             sources,
             Some(stop_position),
             stop_position as u64,
-            resolved.len(),
+            buffer.offered_count(),
         );
         // Any unresolved item sits below the stopping position in every
         // list, so `last_scores` bounds its local scores (the fact behind
         // the δ stopping rule, recorded for standing queries).
-        let certificate = RunCertificate::new(Some(last_scores), resolved.into_iter().collect());
-        Ok(TopKResult::new(buffer.into_ranked(), stats).with_certificate(certificate))
+        let (ranked, certificate) = buffer.finish(Some(last_scores));
+        Ok(TopKResult::new(ranked, stats).with_certificate(certificate))
     }
 }
 

@@ -1,11 +1,11 @@
 //! The answer buffer `Y`: the k highest-scored items seen so far.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
-use topk_lists::{ItemId, Score};
+use topk_lists::{ItemId, ItemMap, Score};
 
-use crate::result::RankedItem;
+use crate::result::{RankedItem, RunCertificate};
 
 /// Maintains "the k seen data items whose overall scores are the highest
 /// among all data items seen so far" (step 1 of TA, BPA and BPA2).
@@ -14,16 +14,19 @@ use crate::result::RankedItem;
 /// scan-based algorithms re-resolve items they meet again); only the first
 /// offer counts. The buffer exposes the k-th best score, which is what the
 /// stopping conditions compare against the thresholds `δ` and `λ`.
+///
+/// The buffer also remembers every item it was offered with its overall
+/// score — exactly the set a run resolved — and hands that set to the
+/// run's [`RunCertificate`] in [`TopKBuffer::finish`].
 #[derive(Debug, Clone)]
 pub struct TopKBuffer {
     k: usize,
     /// Min-heap of the current top-k, keyed by (score, item id) so that the
     /// eviction order is deterministic under ties.
     heap: BinaryHeap<Reverse<(Score, ItemId)>>,
-    /// Items currently held in the heap.
-    members: HashSet<ItemId>,
-    /// Every item ever offered, to make repeated offers idempotent.
-    offered: HashSet<ItemId>,
+    /// Every item ever offered with its overall score: makes repeated
+    /// offers idempotent and feeds the run certificate.
+    offered: ItemMap<Score>,
 }
 
 impl TopKBuffer {
@@ -37,8 +40,7 @@ impl TopKBuffer {
         TopKBuffer {
             k,
             heap: BinaryHeap::with_capacity(k + 1),
-            members: HashSet::new(),
-            offered: HashSet::new(),
+            offered: ItemMap::default(),
         }
     }
 
@@ -54,17 +56,20 @@ impl TopKBuffer {
     /// Offering the same item twice (necessarily with the same overall
     /// score, since overall scores are functions of the item) is a no-op.
     pub fn offer(&mut self, item: ItemId, score: Score) -> bool {
-        if !self.offered.insert(item) {
+        if self.offered.insert(item, score).is_some() {
             return false;
         }
         self.heap.push(Reverse((score, item)));
-        self.members.insert(item);
         if self.heap.len() > self.k {
-            if let Some(Reverse((_, evicted))) = self.heap.pop() {
-                self.members.remove(&evicted);
-            }
+            self.heap.pop();
         }
         true
+    }
+
+    /// Whether the item has been offered (resolved) before.
+    #[inline]
+    pub fn was_offered(&self, item: ItemId) -> bool {
+        self.offered.contains_key(&item)
     }
 
     /// Number of items currently buffered (at most `k`).
@@ -83,11 +88,6 @@ impl TopKBuffer {
     #[inline]
     pub fn offered_count(&self) -> usize {
         self.offered.len()
-    }
-
-    /// Whether the given item is currently one of the buffered top-k.
-    pub fn contains(&self, item: ItemId) -> bool {
-        self.members.contains(&item)
     }
 
     /// The k-th best score seen so far, i.e. the lowest score in the buffer,
@@ -109,11 +109,22 @@ impl TopKBuffer {
         }
     }
 
+    /// Consumes the buffer and returns the answers together with the
+    /// run's certificate: the given per-list `bounds` and every offered
+    /// `(item, overall score)` pair.
+    pub fn finish(self, bounds: Option<Vec<Score>>) -> (Vec<RankedItem>, RunCertificate) {
+        let certificate = RunCertificate::new(bounds, self.offered.into_iter().collect());
+        (Self::ranked(self.heap), certificate)
+    }
+
     /// Consumes the buffer and returns the answers in descending score
     /// order (ties broken by ascending item id).
     pub fn into_ranked(self) -> Vec<RankedItem> {
-        let mut items: Vec<RankedItem> = self
-            .heap
+        Self::ranked(self.heap)
+    }
+
+    fn ranked(heap: BinaryHeap<Reverse<(Score, ItemId)>>) -> Vec<RankedItem> {
+        let mut items: Vec<RankedItem> = heap
             .into_iter()
             .map(|Reverse((score, item))| RankedItem { item, score })
             .collect();
@@ -169,11 +180,31 @@ mod tests {
     fn eviction_updates_membership() {
         let mut buf = TopKBuffer::new(1);
         buf.offer(ItemId(1), s(1.0));
-        assert!(buf.contains(ItemId(1)));
+        assert_eq!(buf.kth_score(), Some(s(1.0)));
         buf.offer(ItemId(2), s(2.0));
-        assert!(!buf.contains(ItemId(1)));
-        assert!(buf.contains(ItemId(2)));
+        assert_eq!(buf.kth_score(), Some(s(2.0)));
+        // An evicted item stays offered: offering it again is a no-op.
+        assert!(buf.was_offered(ItemId(1)));
+        assert!(!buf.offer(ItemId(1), s(1.0)));
         assert_eq!(buf.offered_count(), 2);
+        let ranked = buf.into_ranked();
+        assert_eq!(ranked.len(), 1);
+        assert_eq!(ranked[0].item, ItemId(2));
+    }
+
+    #[test]
+    fn finish_certifies_every_offered_item() {
+        let mut buf = TopKBuffer::new(1);
+        for (id, score) in [(9u64, 3.0), (2, 5.0), (4, 1.0)] {
+            buf.offer(ItemId(id), s(score));
+        }
+        let (ranked, certificate) = buf.finish(Some(vec![s(1.0)]));
+        assert_eq!(ranked.len(), 1);
+        assert_eq!(ranked[0].item, ItemId(2));
+        let ids: Vec<u64> = certificate.resolved.iter().map(|(i, _)| i.0).collect();
+        assert_eq!(ids, vec![2, 4, 9]);
+        assert_eq!(certificate.resolved_score(ItemId(9)), Some(s(3.0)));
+        assert_eq!(certificate.bounds, Some(vec![s(1.0)]));
     }
 
     #[test]

@@ -12,8 +12,12 @@
 //! were stable, the *sequence* was not, and only a bench gate caught it).
 //!
 //! Function-local, token-level analysis. A name is *hash-typed* when a
-//! `let` statement binding it mentions `HashMap`/`HashSet`, or a
-//! field/parameter declaration `name: …HashMap…` does. Iteration over a
+//! `let` statement binding it mentions a hash container type, or a
+//! field/parameter declaration `name: …HashMap…` does. The hash
+//! container types are `HashMap`, `HashSet` and the workspace's alias
+//! `topk_lists::ItemMap` (a `HashMap` on a fixed hasher: its order does
+//! not vary between runs, but it is still hash order, which changes with
+//! every capacity and insertion history). Iteration over a
 //! hash-typed name (`.iter()`, `.into_iter()`, `.keys()`, `.values()`,
 //! `.iter_mut()`, `.values_mut()`, `.drain(…)`, or `for … in [&]name`)
 //! is a violation unless the surrounding statement visibly restores
@@ -25,8 +29,8 @@
 //! * it ends in an order-insensitive reduction (`min`/`max`/`sum`/
 //!   `count`/`len`/`all`/`any`/`is_empty` — note `min_by_key` and friends
 //!   are *not* recognised: their tie-break is iteration order), or
-//! * it collects back into an unordered/ordered set or map
-//!   (`HashMap`/`HashSet`/`BTreeMap`/`BTreeSet` on the chain), or
+//! * it collects back into an unordered/ordered set or map (a hash
+//!   container type or `BTreeMap`/`BTreeSet` on the chain), or
 //! * the immediately following statement sorts the binding the statement
 //!   produced (the idiomatic `let mut v: Vec<_> = map.into_iter()
 //!   .collect(); v.sort…();` pair).
@@ -37,7 +41,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::lexer::TokenKind;
+use crate::lexer::{Token, TokenKind};
 use crate::rules::{under_any, Finding, Rule};
 use crate::source::SourceFile;
 
@@ -48,11 +52,17 @@ const SCOPE: &[&str] = &[
     // Statistics collection issues counted accesses, and the paged
     // backend's LRU counters observe their order.
     "crates/core/src/stats.rs",
+    // The answer buffer owns the resolved-item map and drains it into
+    // the run certificate.
+    "crates/core/src/topk_buffer.rs",
     "crates/lists/src/",
     "crates/storage/src/",
     "crates/distributed/src/",
     "crates/trace/src/",
 ];
+
+/// Hash container types, including workspace aliases of them.
+const HASH_TYPES: &[&str] = &["HashMap", "HashSet", "ItemMap"];
 
 const ITER_METHODS: &[&str] = &[
     "iter",
@@ -76,8 +86,6 @@ const CHAIN_SUPPRESSORS: &[&str] = &[
     "all",
     "any",
     "is_empty",
-    "HashMap",
-    "HashSet",
     "BTreeMap",
     "BTreeSet",
 ];
@@ -90,7 +98,7 @@ impl Rule for DeterministicIteration {
     }
 
     fn description(&self) -> &'static str {
-        "no HashMap/HashSet iteration on the access path unless visibly sorted or order-insensitive"
+        "no HashMap/HashSet/ItemMap iteration on the access path unless visibly sorted or order-insensitive"
     }
 
     fn applies(&self, rel_path: &str) -> bool {
@@ -131,7 +139,7 @@ impl Rule for DeterministicIteration {
                         || t.is_punct('=')
                         || t.is_punct(')'))
                 })
-                .any(|t| t.is_ident("HashMap") || t.is_ident("HashSet"));
+                .any(is_hash_type);
             if is_hash {
                 hash_names.insert(toks[i].text.clone());
             }
@@ -178,9 +186,7 @@ impl Rule for DeterministicIteration {
                 if let Some(jj) = j {
                     if toks[jj].kind == TokenKind::Ident {
                         let end = file.statement_end(i);
-                        let is_hash = file
-                            .sig_range(i, end)
-                            .any(|t| t.is_ident("HashMap") || t.is_ident("HashSet"));
+                        let is_hash = file.sig_range(i, end).any(is_hash_type);
                         pending.push((end + 1, toks[jj].text.clone(), is_hash));
                     }
                 }
@@ -286,7 +292,11 @@ impl DeterministicIteration {
 }
 
 fn is_suppressor(ident: &str) -> bool {
-    ident.starts_with("sort") || CHAIN_SUPPRESSORS.contains(&ident)
+    ident.starts_with("sort") || CHAIN_SUPPRESSORS.contains(&ident) || HASH_TYPES.contains(&ident)
+}
+
+fn is_hash_type(token: &Token) -> bool {
+    token.kind == TokenKind::Ident && HASH_TYPES.contains(&token.text.as_str())
 }
 
 /// End of the *expression chain* containing token `i`: the first `;` at

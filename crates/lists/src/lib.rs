@@ -6,6 +6,9 @@
 //! * [`SortedList`] — a list of `(item, local score)` pairs sorted in
 //!   descending score order, with an item → position index so that *random
 //!   access* (look up a given item) is O(1).
+//! * [`item_index`] — that index, shared with the sharded layout: a dense
+//!   array while item ids are dense, otherwise a hash map on the fixed
+//!   [`ItemHasher`] (whose [`ItemMap`] the algorithms' per-query maps use).
 //! * [`Database`] — a set of `m` sorted lists over the same `n` data items
 //!   (the paper's "database").
 //! * [`source`] — the one access model every backend implements:
@@ -49,6 +52,7 @@ pub mod bptree;
 pub mod database;
 pub mod error;
 pub mod item;
+pub mod item_index;
 pub mod sharded;
 pub mod sorted_list;
 pub mod source;
@@ -60,6 +64,7 @@ pub use bptree::BPlusTree;
 pub use database::Database;
 pub use error::ListError;
 pub use item::{ItemId, Position, Score};
+pub use item_index::{ItemHasher, ItemMap};
 pub use sharded::{ShardedDatabase, ShardedList, ShardedSource};
 pub use sorted_list::{ListDelta, ListEntry, PositionedScore, ScoreUpdate, SortedList};
 pub use source::{

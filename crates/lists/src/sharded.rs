@@ -51,7 +51,6 @@
 //! assert_eq!(sources.total_counters().sorted, 4);
 //! ```
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use topk_pool::ThreadPool;
@@ -60,6 +59,7 @@ use crate::access::AccessCounters;
 use crate::database::Database;
 use crate::error::ListError;
 use crate::item::{ItemId, Position, Score};
+use crate::item_index::ItemIndex;
 use crate::sorted_list::{ScoreUpdate, SortedList};
 use crate::source::{ListSource, SourceEntry, SourceScore, Sources};
 use crate::tracker::{PositionTracker, TrackerKind};
@@ -96,9 +96,11 @@ impl ShardSpan {
 #[derive(Debug, Clone)]
 pub struct ShardedList {
     shards: Vec<ShardSpan>,
-    /// Item → 1-based global position: the cached merge of the per-shard
-    /// spans (random access stays O(1)). Repaired in place on mutation.
-    index: HashMap<ItemId, usize>,
+    /// Item → 0-based global index (position − 1) and score: the cached
+    /// merge of the per-shard spans (random access stays O(1) and reads
+    /// no shard), the same index type as `SortedList`'s. Repaired in
+    /// place on mutation.
+    index: ItemIndex,
     n: usize,
     /// Monotone mutation counter: 0 at construction, +1 per mutation.
     epoch: u64,
@@ -128,14 +130,9 @@ impl ShardedList {
             start += len;
         }
 
-        let index = list
-            .iter()
-            .map(|e| (e.item, e.position.get()))
-            .collect::<HashMap<_, _>>();
-
         ShardedList {
             shards: spans,
-            index,
+            index: list.index().clone(),
             n,
             epoch: 0,
         }
@@ -189,9 +186,8 @@ impl ShardedList {
 
     /// An item's 1-based position and score, or `None` if absent.
     fn lookup(&self, item: ItemId) -> Option<(usize, Score)> {
-        let p = *self.index.get(&item)?;
-        let (_, score) = self.entry(p).expect("indexed positions are in bounds");
-        Some((p, score))
+        let (i, score) = self.index.lookup(item)?;
+        Some((i + 1, score))
     }
 
     /// The score of the list's last entry (catalog metadata).
@@ -214,12 +210,12 @@ impl ShardedList {
     /// Returns an error if the item is not present or the score is NaN.
     pub fn update_score(&mut self, item: ItemId, score: f64) -> Result<ScoreUpdate, ListError> {
         let new_score = Score::new(score)?;
-        let p_old = *self.index.get(&item).ok_or(ListError::UnknownItem(item))?;
+        let p_old = self.index.get(item).ok_or(ListError::UnknownItem(item))? + 1;
         let (_, old_score) = self.remove_global(p_old);
         let p_new = self.insertion_position(item, new_score);
         self.insert_global(p_new, item, new_score);
-        self.index.insert(item, p_new);
         self.repair_index_range(p_old.min(p_new), p_old.max(p_new));
+        self.index.set_score(item, new_score);
         self.epoch += 1;
         self.debug_assert_consistent();
         Ok(ScoreUpdate {
@@ -240,13 +236,13 @@ impl ShardedList {
     /// Returns an error if the score is NaN or the item is already present.
     pub fn insert(&mut self, item: ItemId, score: f64) -> Result<(), ListError> {
         let score = Score::new(score)?;
-        if self.index.contains_key(&item) {
+        if self.index.contains(item) {
             return Err(ListError::DuplicateItem(item));
         }
         let p = self.insertion_position(item, score);
         self.insert_global(p, item, score);
-        self.index.insert(item, p);
         self.repair_index_range(p + 1, self.n);
+        self.index.insert(item, p - 1, score);
         self.epoch += 1;
         self.debug_assert_consistent();
         Ok(())
@@ -259,12 +255,12 @@ impl ShardedList {
     ///
     /// Returns an error if the item is not present or is the last entry.
     pub fn delete(&mut self, item: ItemId) -> Result<(), ListError> {
-        let p = *self.index.get(&item).ok_or(ListError::UnknownItem(item))?;
+        let p = self.index.get(item).ok_or(ListError::UnknownItem(item))? + 1;
         if self.n == 1 {
             return Err(ListError::EmptyList);
         }
         self.remove_global(p);
-        self.index.remove(&item);
+        self.index.remove(item);
         self.repair_index_range(p, self.n);
         self.epoch += 1;
         self.debug_assert_consistent();
@@ -365,9 +361,8 @@ impl ShardedList {
             let shard = self.shard_of(p);
             let span = &self.shards[shard];
             let upper = hi.min(span.end());
-            for q in p..=upper {
-                self.index.insert(span.entries[q - span.start].0, q);
-            }
+            let run = &span.entries[p - span.start..=upper - span.start];
+            self.index.reindex(run, p - 1);
             p = upper + 1;
         }
     }
@@ -380,24 +375,25 @@ impl ShardedList {
         {
             let mut expected_start = 1usize;
             let mut previous: Option<Score> = None;
-            let mut rebuilt = HashMap::with_capacity(self.n);
+            let mut merged = Vec::with_capacity(self.n);
             for span in &self.shards {
                 debug_assert_eq!(
                     span.start, expected_start,
                     "shard spans must stay contiguous"
                 );
                 debug_assert!(!span.entries.is_empty(), "no shard may be empty");
-                for (j, &(item, score)) in span.entries.iter().enumerate() {
+                for &(item, score) in &span.entries {
                     if let Some(prev) = previous {
                         debug_assert!(prev >= score, "descending-score invariant broken");
                     }
                     previous = Some(score);
-                    rebuilt.insert(item, span.start + j);
+                    merged.push((item, score));
                 }
                 expected_start = span.end() + 1;
             }
             debug_assert_eq!(expected_start - 1, self.n, "span coverage must equal n");
-            debug_assert_eq!(rebuilt, self.index, "merged index diverged from rebuild");
+            let rebuilt = ItemIndex::build(&merged).expect("entries hold no duplicates");
+            debug_assert!(rebuilt == self.index, "merged index diverged from rebuild");
         }
     }
 }
@@ -810,7 +806,7 @@ impl ShardedDatabase {
         for &score in scores {
             Score::new(score)?;
         }
-        if self.lists.iter().any(|list| list.index.contains_key(&item)) {
+        if self.lists.iter().any(|list| list.index.contains(item)) {
             return Err(ListError::DuplicateItem(item));
         }
         for (list, &score) in self.lists.iter_mut().zip(scores) {
@@ -828,7 +824,7 @@ impl ShardedDatabase {
     ///
     /// Returns an error if the item is not present or is the last one.
     pub fn delete_item(&mut self, item: ItemId) -> Result<(), ListError> {
-        if !self.lists.iter().all(|list| list.index.contains_key(&item)) {
+        if !self.lists.iter().all(|list| list.index.contains(item)) {
             return Err(ListError::UnknownItem(item));
         }
         if self.n == 1 {

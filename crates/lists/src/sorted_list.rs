@@ -1,9 +1,8 @@
 //! A single sorted list `Li` of `(data item, local score)` pairs.
 
-use std::collections::HashMap;
-
 use crate::error::ListError;
 use crate::item::{ItemId, Position, Score};
+use crate::item_index::ItemIndex;
 
 /// One entry of a sorted list: the data item at a given position together
 /// with its local score.
@@ -74,7 +73,9 @@ impl ScoreUpdate {
 }
 
 /// A list of `n` data items sorted in descending order of their local
-/// scores, with an item → position index for O(1) random access.
+/// scores, with an item → position index for O(1) random access (a dense
+/// array while the item ids are dense, a hash map otherwise; see
+/// [`crate::item_index`]).
 ///
 /// This is the paper's `Li`: "each list Li contains n pairs of the form
 /// (d, si(d)) … Each list Li is sorted in descending order of its local
@@ -89,8 +90,8 @@ impl ScoreUpdate {
 pub struct SortedList {
     /// Entries in descending score order. Index `i` holds position `i + 1`.
     entries: Vec<(ItemId, Score)>,
-    /// Item → 0-based index into `entries`.
-    index: HashMap<ItemId, usize>,
+    /// Item → 0-based index into `entries` and the entry's score.
+    index: ItemIndex,
     /// Monotone mutation counter: 0 at construction, +1 per mutation.
     epoch: u64,
 }
@@ -137,12 +138,7 @@ impl SortedList {
         if entries.is_empty() {
             return Err(ListError::EmptyList);
         }
-        let mut index = HashMap::with_capacity(entries.len());
-        for (i, (item, _)) in entries.iter().enumerate() {
-            if index.insert(*item, i).is_some() {
-                return Err(ListError::DuplicateItem(*item));
-            }
-        }
+        let index = ItemIndex::build(&entries).map_err(ListError::DuplicateItem)?;
         Ok(SortedList {
             entries,
             index,
@@ -168,11 +164,13 @@ impl SortedList {
     /// Returns an error if the score is NaN or the item is already present.
     pub fn insert(&mut self, item: ItemId, score: f64) -> Result<ListDelta, ListError> {
         let score = Score::new(score)?;
-        if self.index.contains_key(&item) {
+        if self.index.contains(item) {
             return Err(ListError::DuplicateItem(item));
         }
-        let at = self.insertion_index(item, score);
-        self.insert_entry(at, item, score);
+        let at = self.insertion_index(item, score, None);
+        self.entries.insert(at, (item, score));
+        self.index.reindex(&self.entries[at + 1..], at + 1);
+        self.index.insert(item, at, score);
         self.epoch += 1;
         self.debug_assert_consistent();
         Ok(ListDelta {
@@ -191,12 +189,13 @@ impl SortedList {
     /// leave the list empty (lists are never empty; delete the whole list
     /// instead).
     pub fn delete(&mut self, item: ItemId) -> Result<ListDelta, ListError> {
-        let at = *self.index.get(&item).ok_or(ListError::UnknownItem(item))?;
+        let at = self.index.get(item).ok_or(ListError::UnknownItem(item))?;
         if self.entries.len() == 1 {
             return Err(ListError::EmptyList);
         }
-        let score = self.entries[at].1;
-        self.remove_entry(at);
+        let (_, score) = self.entries.remove(at);
+        self.index.remove(item);
+        self.index.reindex(&self.entries[at..], at);
         self.epoch += 1;
         self.debug_assert_consistent();
         Ok(ListDelta {
@@ -209,18 +208,27 @@ impl SortedList {
 
     /// Changes an item's local score, moving its entry to the position the
     /// new score sorts to (same tie order as [`SortedList::insert`]) and
-    /// repairing the position index in place.
+    /// repairing the position index in place. Only the entries between the
+    /// old and the new position move, so the repair costs
+    /// O(|old − new|), however long the list.
     ///
     /// # Errors
     ///
     /// Returns an error if the item is not present or the score is NaN.
     pub fn update_score(&mut self, item: ItemId, score: f64) -> Result<ScoreUpdate, ListError> {
         let new_score = Score::new(score)?;
-        let from = *self.index.get(&item).ok_or(ListError::UnknownItem(item))?;
+        let from = self.index.get(item).ok_or(ListError::UnknownItem(item))?;
         let old_score = self.entries[from].1;
-        self.remove_entry(from);
-        let to = self.insertion_index(item, new_score);
-        self.insert_entry(to, item, new_score);
+        let to = self.insertion_index(item, new_score, Some(from));
+        let (lo, hi) = (from.min(to), from.max(to));
+        if to < from {
+            self.entries[lo..=hi].rotate_right(1);
+        } else {
+            self.entries[lo..=hi].rotate_left(1);
+        }
+        self.entries[to] = (item, new_score);
+        self.index.reindex(&self.entries[lo..=hi], lo);
+        self.index.set_score(item, new_score);
         self.epoch += 1;
         self.debug_assert_consistent();
         Ok(ScoreUpdate {
@@ -235,33 +243,19 @@ impl SortedList {
 
     /// The 0-based index a fresh `(item, score)` entry sorts to: after all
     /// strictly greater scores, then (within the tie run, which is short in
-    /// practice) after equal scores with smaller item ids.
-    fn insertion_index(&self, item: ItemId, score: Score) -> usize {
-        let mut at = self.entries.partition_point(|&(_, s)| s > score);
-        while at < self.entries.len() && self.entries[at].1 == score && self.entries[at].0 < item {
-            at += 1;
-        }
-        at
-    }
-
-    /// Splices an entry in at index `at`, shifting the indexed positions of
-    /// every entry at or past `at` up by one — an O(n − at) in-place repair
-    /// instead of a full index rebuild.
-    fn insert_entry(&mut self, at: usize, item: ItemId, score: Score) {
-        self.entries.insert(at, (item, score));
-        for &(shifted, _) in &self.entries[at + 1..] {
-            *self.index.get_mut(&shifted).expect("indexed entry") += 1;
-        }
-        self.index.insert(item, at);
-    }
-
-    /// Removes the entry at index `at`, shifting the indexed positions of
-    /// every entry past `at` down by one.
-    fn remove_entry(&mut self, at: usize) {
-        let (item, _) = self.entries.remove(at);
-        self.index.remove(&item);
-        for &(shifted, _) in &self.entries[at..] {
-            *self.index.get_mut(&shifted).expect("indexed entry") -= 1;
+    /// practice) after equal scores with smaller item ids. With
+    /// `without = Some(i)` the index is into the list with entry `i`
+    /// taken out (where an updated entry lands).
+    fn insertion_index(&self, item: ItemId, score: Score, without: Option<usize>) -> usize {
+        let skip = without.unwrap_or(usize::MAX);
+        let greater = self.entries.partition_point(|&(_, s)| s > score);
+        let mut at = greater - usize::from(skip < greater);
+        loop {
+            let full = if at < skip { at } else { at + 1 };
+            match self.entries.get(full) {
+                Some(&(other, s)) if s == score && other < item => at += 1,
+                _ => return at,
+            }
         }
     }
 
@@ -270,18 +264,21 @@ impl SortedList {
     fn debug_assert_consistent(&self) {
         #[cfg(debug_assertions)]
         {
-            let rebuilt: HashMap<ItemId, usize> = self
-                .entries
-                .iter()
-                .enumerate()
-                .map(|(i, &(item, _))| (item, i))
-                .collect();
-            debug_assert_eq!(rebuilt, self.index, "position index diverged from rebuild");
+            let rebuilt = ItemIndex::build(&self.entries).expect("entries hold no duplicates");
+            debug_assert!(
+                rebuilt == self.index,
+                "position index diverged from rebuild"
+            );
             debug_assert!(
                 self.entries.windows(2).all(|w| w[0].1 >= w[1].1),
                 "descending-score invariant broken by mutation"
             );
         }
+    }
+
+    /// The item → index map, shared with the sharded layout of the list.
+    pub(crate) fn index(&self) -> &ItemIndex {
+        &self.index
     }
 
     /// Number of entries (`n`) in the list.
@@ -317,30 +314,30 @@ impl SortedList {
     /// not appear in this list.
     #[inline]
     pub fn position_of(&self, item: ItemId) -> Option<Position> {
-        self.index.get(&item).map(|&i| Position::from_index(i))
+        self.index.get(item).map(Position::from_index)
     }
 
     /// Returns the local score of an item, or `None` if the item does not
     /// appear in this list.
     #[inline]
     pub fn score_of(&self, item: ItemId) -> Option<Score> {
-        self.index.get(&item).map(|&i| self.entries[i].1)
+        self.index.lookup(item).map(|(_, score)| score)
     }
 
     /// Looks up an item and returns its position and local score (the raw
     /// read behind *random access*).
     #[inline]
     pub fn lookup(&self, item: ItemId) -> Option<PositionedScore> {
-        self.index.get(&item).map(|&i| PositionedScore {
+        self.index.lookup(item).map(|(i, score)| PositionedScore {
             position: Position::from_index(i),
-            score: self.entries[i].1,
+            score,
         })
     }
 
     /// Whether the item appears in this list.
     #[inline]
     pub fn contains(&self, item: ItemId) -> bool {
-        self.index.contains_key(&item)
+        self.index.contains(item)
     }
 
     /// Iterates over the entries in descending score order.

@@ -723,3 +723,58 @@ fn statistics_over_a_failing_backend_are_a_typed_error() {
         "{err:?}"
     );
 }
+
+/// Sparse item ids (at or above 2^40, strided by 2^32 + 1) put every
+/// list's item index in its hashed shape. TA, BPA and BPA2 must still be
+/// bit-identical over every backend, and answer exactly like the same
+/// database with dense ids (the id map is monotone, so tie order holds).
+#[test]
+fn sparse_item_ids_are_bit_identical_across_backends() {
+    use bpa_topk::lists::ShardedDatabase;
+
+    let sparse = |item: ItemId| ItemId((1 << 40) + item.0 * 0x1_0000_0001);
+    let dense = DatabaseSpec::new(DatabaseKind::Uniform, 4, 600).generate(7);
+    let lists = dense
+        .lists()
+        .map(|list| {
+            list.iter()
+                .map(|e| (sparse(e.item).0, e.score.value()))
+                .collect()
+        })
+        .collect();
+    let db = Database::from_unsorted_lists(lists).unwrap();
+
+    let pool = ThreadPool::new(2);
+    let sharded = ShardedDatabase::new(&db, 3);
+    let dir = ScratchDir::new("cross-backend-sparse-ids");
+    let paged = PagedDatabase::create(dir.path(), &db, PageLayout::with_page_size(256)).unwrap();
+    let cluster = Cluster::new(&db);
+    for kind in PROTOCOLS {
+        for k in [1, 10] {
+            let query = TopKQuery::top(k);
+            let reference = kind.create().run(&db, &query).unwrap();
+            let on_dense = kind.create().run(&dense, &query).unwrap();
+            let mut expected = essence(&on_dense);
+            for answer in &mut expected.0 {
+                answer.0 = sparse(answer.0);
+            }
+            assert_eq!(essence(&reference), expected, "{kind:?} k={k} dense ids");
+            let backends: [(&str, &mut dyn SourceSet); 3] = [
+                ("sharded", &mut sharded.sources(&pool)),
+                (
+                    "paged",
+                    &mut paged.sources(CacheCapacity::Pages(2)).unwrap(),
+                ),
+                ("cluster", &mut ClusterSources::new(&cluster)),
+            ];
+            for (label, sources) in backends {
+                let result = kind.create().run_on(sources, &query).unwrap();
+                assert_eq!(
+                    essence(&result),
+                    essence(&reference),
+                    "{kind:?} k={k} {label}"
+                );
+            }
+        }
+    }
+}
