@@ -89,6 +89,7 @@ impl TopKAlgorithm for Bpa {
                 // m - 1 random accesses; BPA additionally asks for the
                 // positions those random accesses reveal.
                 locals[i] = entry.score;
+                sources.prefetch_random(entry.item, i, true, false);
                 for j in 0..m {
                     if j == i {
                         continue;

@@ -97,6 +97,7 @@ impl TopKAlgorithm for Bpa2 {
                 // (otherwise a random access would have marked this
                 // position), so it always needs m - 1 random accesses.
                 locals[i] = entry.score;
+                sources.prefetch_random(entry.item, i, false, true);
                 for j in 0..m {
                     if j == i {
                         continue;

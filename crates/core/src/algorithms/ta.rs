@@ -95,6 +95,7 @@ impl TopKAlgorithm for Ta {
                     continue;
                 }
                 locals[i] = entry.score;
+                sources.prefetch_random(entry.item, i, false, false);
                 for j in (0..m).filter(|&j| j != i) {
                     let ps = sources
                         .source(j)

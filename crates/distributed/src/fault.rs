@@ -26,7 +26,10 @@
 //!   every owner's replica links. Retries reuse the transport's
 //!   at-most-once sequence number, so an owner that *did* execute a
 //!   request whose reply was lost serves the cached reply instead of
-//!   executing twice.
+//!   executing twice. A request posted ahead is retried, failed over and
+//!   journaled when its reply is collected, exactly like an exchange.
+//!   `FaultyLink` posts nothing ahead, so the plan numbers exchanges in
+//!   the same order with or without posting.
 //! * [`FaultStats`] — the session-level tally (injected faults, retries,
 //!   failovers, modelled backoff), exported as `fault.*` metrics.
 
@@ -476,7 +479,9 @@ fn mutates_owner_state(request: &Request) -> bool {
 /// at-most-once sequence number under deterministic exponential backoff;
 /// on a dead replica (or exhausted retries/deadline) it fails over:
 /// verifies the next replica against the catalog, replays the journal to
-/// rebuild owner-side session state, and re-issues the request.
+/// rebuild owner-side session state, and re-issues the request. A
+/// request posted ahead goes to the active replica, and all of this
+/// happens when its reply is collected.
 #[derive(Debug)]
 pub(crate) struct ResilientLink<'a> {
     replicas: Vec<Box<dyn OwnerLink + 'a>>,
@@ -594,43 +599,47 @@ impl<'a> ResilientLink<'a> {
 }
 
 impl OwnerLink for ResilientLink<'_> {
+    /// The same as [`complete`](OwnerLink::complete): a request posted
+    /// ahead is collected, any other is exchanged.
     fn exchange(&self, request: Request, _attempt: u32) -> Result<Response, LinkFault> {
+        self.complete(request)
+    }
+
+    /// Posts to the active replica; a failover, if one is needed, happens
+    /// when the reply is collected.
+    fn post(&self, request: Request) {
+        self.replicas[self.active.get()].post(request);
+    }
+
+    /// The first attempt collects the reply (of a request posted ahead,
+    /// or exchanged now), every retry retransmits the request under the
+    /// same sequence number, and a dead replica or exhausted budget fails
+    /// over. A successful state-mutating request is journaled once,
+    /// however many attempts it took.
+    fn complete(&self, request: Request) -> Result<Response, LinkFault> {
         self.op.set(self.op.get() + 1);
         let mut attempt: u32 = 0;
-        loop {
-            match self.replicas[self.active.get()].exchange(request, attempt) {
-                Ok(response) => {
-                    if mutates_owner_state(&request) {
-                        self.journal.borrow_mut().push(request);
-                    }
-                    return Ok(response);
-                }
+        let served = loop {
+            let replica = &self.replicas[self.active.get()];
+            let outcome = if attempt == 0 {
+                replica.complete(request)
+            } else {
+                replica.exchange(request, attempt)
+            };
+            match outcome {
+                Ok(response) => break Ok(response),
                 Err(LinkFault::OwnerDown) => {
-                    return self
-                        .fail_over_with("exchange", |link| link.exchange(request, 0))
-                        .map(|response| {
-                            if mutates_owner_state(&request) {
-                                self.journal.borrow_mut().push(request);
-                            }
-                            response
-                        });
+                    break self.fail_over_with("exchange", |link| link.exchange(request, 0))
                 }
                 Err(LinkFault::ReplyLost) => {}
                 Err(LinkFault::TimedOut { nanos }) => self.charge(nanos),
-                Err(terminal) => return Err(terminal),
+                Err(terminal) => break Err(terminal),
             }
             attempt += 1;
             if attempt > self.policy.max_retries
                 || self.spent_nanos.get() >= self.policy.deadline_nanos
             {
-                return self
-                    .fail_over_with("exchange", |link| link.exchange(request, 0))
-                    .map(|response| {
-                        if mutates_owner_state(&request) {
-                            self.journal.borrow_mut().push(request);
-                        }
-                        response
-                    });
+                break self.fail_over_with("exchange", |link| link.exchange(request, 0));
             }
             let backoff = self.backoff_nanos(attempt);
             self.charge(backoff);
@@ -645,7 +654,11 @@ impl OwnerLink for ResilientLink<'_> {
                     backoff_nanos: backoff,
                 });
             }
+        };
+        if served.is_ok() && mutates_owner_state(&request) {
+            self.journal.borrow_mut().push(request);
         }
+        served
     }
 
     fn owner_index(&self) -> usize {
@@ -706,7 +719,9 @@ mod tests {
     type ExchangeLog = Rc<RefCell<Vec<(usize, Request, u32)>>>;
 
     /// A scripted in-memory link for driving the retry machinery without
-    /// a runtime: every exchange succeeds with `Exhausted` and is logged.
+    /// a runtime: every transmission succeeds with `Exhausted` and is
+    /// logged. Like the runtime's transport, it splits an exchange into
+    /// `post` and `complete` and numbers first transmissions.
     #[derive(Debug)]
     struct ScriptedLink {
         owner: usize,
@@ -715,6 +730,13 @@ mod tests {
         epoch: u64,
         log: ExchangeLog,
         dead: Rc<Cell<bool>>,
+        /// Sequence number of the latest first transmission.
+        seq: Rc<Cell<u64>>,
+        /// Sequence numbers the owner executed; a retransmission of an
+        /// executed one is served from its reply cache instead.
+        executed: Rc<RefCell<Vec<u64>>>,
+        /// Whether the next `complete` loses its reply.
+        lose_reply: Cell<bool>,
     }
 
     impl ScriptedLink {
@@ -730,9 +752,25 @@ mod tests {
                 epoch: 7,
                 log: Rc::clone(log),
                 dead: Rc::new(Cell::new(false)),
+                seq: Rc::default(),
+                executed: Rc::default(),
+                lose_reply: Cell::new(false),
             }) as Box<dyn OwnerLink>
             // `owner` doubles as the replica tag in the log; the real
             // owner index is irrelevant to these tests.
+        }
+    }
+
+    impl ScriptedLink {
+        fn transmit(&self, request: Request, attempt: u32) {
+            if attempt == 0 {
+                self.seq.set(self.seq.get() + 1);
+            }
+            let seq = self.seq.get();
+            if !self.executed.borrow().contains(&seq) {
+                self.executed.borrow_mut().push(seq);
+            }
+            self.log.borrow_mut().push((self.owner, request, attempt));
         }
     }
 
@@ -741,7 +779,23 @@ mod tests {
             if self.dead.get() {
                 return Err(LinkFault::OwnerDown);
             }
-            self.log.borrow_mut().push((self.owner, request, attempt));
+            self.transmit(request, attempt);
+            Ok(Response::Exhausted)
+        }
+
+        fn post(&self, request: Request) {
+            if !self.dead.get() {
+                self.transmit(request, 0);
+            }
+        }
+
+        fn complete(&self, _request: Request) -> Result<Response, LinkFault> {
+            if self.dead.get() {
+                return Err(LinkFault::OwnerDown);
+            }
+            if self.lose_reply.replace(false) {
+                return Err(LinkFault::ReplyLost);
+            }
             Ok(Response::Exhausted)
         }
 
@@ -867,6 +921,9 @@ mod tests {
             epoch: 7,
             log: Rc::clone(&log),
             dead: Rc::new(Cell::new(false)),
+            seq: Rc::default(),
+            executed: Rc::default(),
+            lose_reply: Cell::new(false),
         };
         let kill = Rc::clone(&primary.dead);
         let t = tally();
@@ -911,6 +968,9 @@ mod tests {
             epoch: 7,
             log: Rc::clone(&log),
             dead: Rc::new(Cell::new(true)),
+            seq: Rc::default(),
+            executed: Rc::default(),
+            lose_reply: Cell::new(false),
         };
         let stale = ScriptedLink {
             owner: 1,
@@ -919,6 +979,9 @@ mod tests {
             epoch: 8, // one update ahead of the catalog
             log: Rc::clone(&log),
             dead: Rc::new(Cell::new(false)),
+            seq: Rc::default(),
+            executed: Rc::default(),
+            lose_reply: Cell::new(false),
         };
         let link = ResilientLink::new(
             vec![Box::new(primary), Box::new(stale)],
@@ -973,5 +1036,46 @@ mod tests {
         // The blown deadline forced a failover instead of a retry chain.
         assert_eq!(t.get().failovers, 1);
         assert_eq!(t.get().retries, 0);
+    }
+
+    #[test]
+    fn a_lost_completion_retries_under_its_sequence_number_and_journals_once() {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let scripted = ScriptedLink {
+            owner: 0,
+            len: 4,
+            tail: Score::from_f64(1.0),
+            epoch: 7,
+            log: Rc::clone(&log),
+            dead: Rc::new(Cell::new(false)),
+            seq: Rc::default(),
+            executed: Rc::default(),
+            lose_reply: Cell::new(true),
+        };
+        let seq = Rc::clone(&scripted.seq);
+        let executed = Rc::clone(&scripted.executed);
+        let t = tally();
+        let link = ResilientLink::new(
+            vec![Box::new(scripted)],
+            0,
+            RetryPolicy::default(),
+            Rc::clone(&t),
+        );
+        let tracked = Request::RandomAccess {
+            item: ItemId(3),
+            with_position: false,
+            track: true,
+        };
+        link.post(tracked);
+        assert_eq!(link.complete(tracked).unwrap(), Response::Exhausted);
+        // The post went out as a first transmission; the retry after the
+        // lost reply is a retransmission under the same sequence number,
+        // so the owner executed the request once.
+        assert_eq!(log.borrow().as_slice(), &[(0, tracked, 0), (0, tracked, 1)]);
+        assert_eq!(seq.get(), 1);
+        assert_eq!(executed.borrow().as_slice(), &[1]);
+        assert_eq!(link.journal.borrow().as_slice(), &[tracked]);
+        assert_eq!(t.get().retries, 1);
+        assert_eq!(t.get().failovers, 0);
     }
 }

@@ -49,7 +49,14 @@
 //!   *relative* ranking on simulated wall clock is still meaningful — it
 //!   is driven by rounds × per-lane work, where BPA2's fewer accesses and
 //!   fewer rounds win — but their absolute makespans are floors, not
-//!   forecasts.
+//!   forecasts. Over the [`ClusterRuntime`](crate::ClusterRuntime) part
+//!   of that overlap is real: the `m − 1` random accesses that resolve
+//!   one item travel together (announced through
+//!   `SourceSet::prefetch_random`), while each resolution still waits for
+//!   the access that revealed its item. The modelled makespan does not
+//!   change with it, because it is priced from the recorded exchanges
+//!   and rounds alone, and those are the same whether the requests
+//!   travelled one by one or together.
 //!
 //! The CI overlap gate (`network_latency` bench) therefore only asserts
 //! the speedup for TPUT and the batched naive scan, the two protocols for

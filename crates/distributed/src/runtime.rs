@@ -56,12 +56,27 @@
 //!   `topk_core::run_on_degraded`, which serves a certified best-effort
 //!   answer over a [`ClusterRuntime::connect_surviving`] session.
 //!
-//! Within one session the algorithms drive accesses serially (each trait
-//! call needs its reply before the algorithm can continue), so the
-//! *intra-round* overlap that the round demarcation permits is priced by
-//! the deterministic latency model rather than measured from the host
-//! clock: [`RoundStats`](crate::RoundStats) reports both the serialized
-//! sum and the overlapped makespan of every round, flakiness-free.
+//! # Requests in flight
+//!
+//! Within one session most accesses are serial: each trait call needs its
+//! reply before the algorithm can continue. Resolving an item is the
+//! exception. TA, BPA and BPA2 announce its `m − 1` random accesses
+//! through [`SourceSet::prefetch_random`], and the session sends all of
+//! those requests at once, so the owners serve them side by side and each
+//! following `random_access` waits only for its own reply. Replies are
+//! still read, recorded and counted in list order, so answers, counters
+//! and every [`NetworkStats`] figure, the modelled makespan included, are
+//! those of a serial run. The model keeps pricing overlap from the round
+//! structure, not from the host clock: [`RoundStats`](crate::RoundStats)
+//! reports both the serialized sum and the overlapped makespan of every
+//! round, flakiness-free.
+//!
+//! Sessions with a fault plan ([`SessionOptions::faults`]) stay serial.
+//! The plan fires its fault at one exchange ordinal, counted as exchanges
+//! are made; the fault-injecting link therefore sends nothing ahead, so
+//! every exchange keeps the ordinal it has in a serial run and a plan
+//! armed at ordinal `N` hits the same request as before.
+//!
 //! Session bring-up, reset and teardown scatter-gather over all `m`
 //! worker channels at once.
 
@@ -77,7 +92,7 @@ use std::rc::Rc;
 use topk_core::degraded::ListOutage;
 use topk_lists::source::{ListSource, SourceSet};
 use topk_lists::tracker::TrackerKind;
-use topk_lists::{BatchingSource, Database, Position, Score, SortedList};
+use topk_lists::{BatchingSource, Database, ItemId, Position, Score, SortedList};
 
 use crate::cluster::{NetworkRecorder, NetworkStats};
 use crate::fault::{
@@ -498,7 +513,11 @@ impl Drop for ClusterRuntime {
 /// requests travel to the worker thread, replies come back over the
 /// session's per-replica reply channel, and every *successful* exchange
 /// is recorded in the session's shared [`NetworkRecorder`] under the
-/// logical owner's lane.
+/// logical owner's lane — when its reply is read, so a request posted
+/// ahead is recorded in the order the session collects it.
+///
+/// At most one request is in flight per link, so the worker's one-entry
+/// reply cache still covers every retry.
 #[derive(Debug)]
 struct AsyncOwnerLink<'a> {
     worker: &'a Sender<WorkerMsg>,
@@ -513,41 +532,76 @@ struct AsyncOwnerLink<'a> {
     reply: RefCell<(Sender<Response>, Receiver<Response>)>,
     reply_timeout: Duration,
     recorder: Rc<RefCell<NetworkRecorder>>,
+    /// The request `post` sent ahead whose reply is still unread.
+    posted: Cell<Option<Request>>,
 }
 
-impl OwnerLink for AsyncOwnerLink<'_> {
-    fn exchange(&self, request: Request, attempt: u32) -> Result<Response, LinkFault> {
+impl AsyncOwnerLink<'_> {
+    /// Sends `request` to the worker; only a first attempt takes a new
+    /// sequence number, so a retry is served from the reply cache.
+    fn send(&self, request: Request, attempt: u32) -> Result<(), LinkFault> {
         if attempt == 0 {
             self.seq.set(self.seq.get() + 1);
         }
         let reply_tx = self.reply.borrow().0.clone();
-        if self
-            .worker
+        self.worker
             .send(WorkerMsg::Handle {
                 session: self.session,
                 seq: self.seq.get(),
                 request,
                 reply: reply_tx,
             })
-            .is_err()
-        {
-            return Err(LinkFault::OwnerDown);
-        }
+            .map_err(|_| LinkFault::OwnerDown)
+    }
+
+    /// Waits for the reply to `request` and records the exchange.
+    fn receive(&self, request: Request) -> Result<Response, LinkFault> {
         let received = self.reply.borrow().1.recv_timeout(self.reply_timeout);
-        let response = match received {
-            Ok(response) => response,
-            Err(_) => {
-                // The worker is gone or wedged. Retire the reply lane:
-                // if the reply arrives after all, it must not be read as
-                // the answer to a *different* future request.
-                *self.reply.borrow_mut() = channel();
-                return Err(LinkFault::OwnerDown);
-            }
+        let Ok(response) = received else {
+            // The worker is gone or wedged. Retire the reply lane: if the
+            // reply arrives after all, it must not be read as the answer
+            // to a *different* future request.
+            *self.reply.borrow_mut() = channel();
+            return Err(LinkFault::OwnerDown);
         };
         self.recorder
             .borrow_mut()
             .record(self.owner, &request, &response);
         Ok(response)
+    }
+
+    /// Collects the reply of a posted request that no access claimed.
+    /// The owner served it, so it is recorded like any exchange; it is
+    /// then dropped, never read as the answer to a later request.
+    fn settle(&self) {
+        if let Some(unclaimed) = self.posted.take() {
+            let _ = self.receive(unclaimed);
+        }
+    }
+}
+
+impl OwnerLink for AsyncOwnerLink<'_> {
+    fn exchange(&self, request: Request, attempt: u32) -> Result<Response, LinkFault> {
+        self.settle();
+        self.send(request, attempt)?;
+        self.receive(request)
+    }
+
+    fn post(&self, request: Request) {
+        self.settle();
+        // A failed send leaves nothing posted; `complete` then exchanges
+        // the request and meets the dead owner itself.
+        if self.send(request, 0).is_ok() {
+            self.posted.set(Some(request));
+        }
+    }
+
+    fn complete(&self, request: Request) -> Result<Response, LinkFault> {
+        if self.posted.get() == Some(request) {
+            self.posted.set(None);
+            return self.receive(request);
+        }
+        self.exchange(request, 0)
     }
 
     fn owner_index(&self) -> usize {
@@ -581,6 +635,11 @@ impl OwnerLink for AsyncOwnerLink<'_> {
     }
 
     fn reset_owner(&self) -> Result<(), LinkFault> {
+        // A reply still owed to an unwound query belongs to no one: retire
+        // the lane so the next exchange cannot read it.
+        if self.posted.take().is_some() {
+            *self.reply.borrow_mut() = channel();
+        }
         let (tx, rx) = channel();
         self.worker
             .send(WorkerMsg::ResetOwner {
@@ -629,6 +688,9 @@ pub struct AsyncClusterSources<'a> {
     session: SessionId,
     recorder: Rc<RefCell<NetworkRecorder>>,
     tally: FaultTally,
+    /// Each source's owner link, shared so that
+    /// [`SourceSet::prefetch_random`] can post requests ahead.
+    links: Vec<Rc<dyn OwnerLink + 'a>>,
     sources: Vec<Box<dyn ListSource + 'a>>,
 }
 
@@ -660,7 +722,7 @@ impl<'a> AsyncClusterSources<'a> {
             runtime.latency.clone(),
         )));
         let tally: FaultTally = Rc::new(Cell::new(FaultStats::default()));
-        let sources = (0..runtime.num_owners())
+        let links: Vec<Rc<dyn OwnerLink + 'a>> = (0..runtime.num_owners())
             .filter(|owner| !dead.contains(owner))
             .map(|owner| {
                 let replicas: Vec<Box<dyn OwnerLink + 'a>> = runtime.workers[owner]
@@ -676,6 +738,7 @@ impl<'a> AsyncClusterSources<'a> {
                             reply: RefCell::new(channel()),
                             reply_timeout: options.retry.reply_timeout,
                             recorder: Rc::clone(&recorder),
+                            posted: Cell::new(None),
                         };
                         match &options.faults {
                             Some(plan) => Box::new(FaultyLink::new(
@@ -689,10 +752,19 @@ impl<'a> AsyncClusterSources<'a> {
                         }
                     })
                     .collect();
-                let resilient =
-                    ResilientLink::new(replicas, owner, options.retry, Rc::clone(&tally));
+                Rc::new(ResilientLink::new(
+                    replicas,
+                    owner,
+                    options.retry,
+                    Rc::clone(&tally),
+                )) as Rc<dyn OwnerLink + 'a>
+            })
+            .collect();
+        let sources = links
+            .iter()
+            .map(|link| {
                 let source =
-                    Box::new(ClusterSource::from_link(Box::new(resilient))) as Box<dyn ListSource>;
+                    Box::new(ClusterSource::from_link(Rc::clone(link))) as Box<dyn ListSource>;
                 match options.block_len {
                     None => source,
                     Some(len) => Box::new(BatchingSource::new(source, len)) as Box<dyn ListSource>,
@@ -704,6 +776,7 @@ impl<'a> AsyncClusterSources<'a> {
             session,
             recorder,
             tally,
+            links,
             sources,
         }
     }
@@ -757,6 +830,25 @@ impl SourceSet for AsyncClusterSources<'_> {
         self.recorder.borrow_mut().begin_round();
         for source in &mut self.sources {
             source.begin_round();
+        }
+    }
+
+    /// Sends the `m − 1` random-access requests at once, so the owners
+    /// serve them side by side and each following `random_access` waits
+    /// only for its own reply. Replies are still read, recorded and
+    /// counted in list order, so every figure matches a serial run.
+    /// Under a [`FaultPlan`] the faulty links send nothing ahead and the
+    /// accesses stay serial, keeping the plan's exchange numbering.
+    fn prefetch_random(&mut self, item: ItemId, skip: usize, with_position: bool, track: bool) {
+        let request = Request::RandomAccess {
+            item,
+            with_position,
+            track,
+        };
+        for (j, link) in self.links.iter().enumerate() {
+            if j != skip {
+                link.post(request);
+            }
         }
     }
 
@@ -986,6 +1078,202 @@ mod tests {
                 .map(|s| s.value())
                 .sum();
             assert!(interval.contains(Score::from_f64(truth)));
+        }
+    }
+
+    /// m = 4 lists of 60 items with distinct scores per list, so TA, BPA
+    /// and BPA2 resolve many items before they stop.
+    fn four_list_database() -> Database {
+        Database::from_unsorted_lists(
+            (0..4u64)
+                .map(|l| {
+                    (1..=60u64)
+                        .map(|i| (i, ((i * (17 + 6 * l)) % 61) as f64))
+                        .collect()
+                })
+                .collect(),
+        )
+        .unwrap()
+    }
+
+    fn short_timeout() -> SessionOptions {
+        SessionOptions {
+            retry: RetryPolicy {
+                reply_timeout: Duration::from_millis(200),
+                ..RetryPolicy::default()
+            },
+            ..SessionOptions::default()
+        }
+    }
+
+    #[test]
+    fn an_unwind_between_post_and_complete_leaves_no_stale_reply() {
+        let db = figure2_database();
+        let runtime = ClusterRuntime::spawn(&db);
+        let mut session = runtime.connect_with(short_timeout());
+        runtime.kill_owner(1, 0);
+        // BPA2's first resolution posts to lists 1 and 2, then fails
+        // collecting list 1's reply while list 2's is still pending.
+        let err = Bpa2::default()
+            .run_on(&mut session, &TopKQuery::top(3))
+            .unwrap_err();
+        assert!(
+            matches!(&err, TopKError::Source(source) if source.list == Some(1)),
+            "{err:?}"
+        );
+
+        session.reset();
+        let entry = session
+            .source(2)
+            .sorted_access(Position::FIRST, false)
+            .unwrap();
+        let top = db.list(2).unwrap().entry_at(Position::FIRST).unwrap();
+        assert_eq!((entry.item, entry.score), (top.item, top.score));
+        // The stale reply was neither read nor recorded after the reset.
+        assert_eq!(session.network().messages, 2);
+        assert_eq!(session.accesses_served(), 1);
+    }
+
+    #[test]
+    fn an_unclaimed_hint_is_settled_as_the_exchange_it_was() {
+        let db = figure1_database();
+        let latency = LatencyModel::lan(3, 7);
+        let item = db.list(0).unwrap().entry_at(Position::FIRST).unwrap().item;
+
+        // The caller announces a resolution, then scans position 1 of
+        // every list instead of making the announced random accesses.
+        let runtime = ClusterRuntime::with_latency(&db, TrackerKind::BitArray, latency.clone());
+        let mut session = runtime.connect();
+        session.prefetch_random(item, 0, false, false);
+        for i in 0..3 {
+            let entry = session
+                .source(i)
+                .sorted_access(Position::FIRST, false)
+                .unwrap();
+            let top = db.list(i).unwrap().entry_at(Position::FIRST).unwrap();
+            assert_eq!(entry.item, top.item, "list {i} read its own reply");
+        }
+
+        // Each posted request was served, so the network and the owners
+        // account for it where it was settled: before the next exchange
+        // on its list. The originator counts only the accesses it made.
+        let cluster = Cluster::with_latency(&db, TrackerKind::BitArray, latency);
+        let mut serial = ClusterSources::new(&cluster);
+        serial.source(0).sorted_access(Position::FIRST, false);
+        for i in 1..3 {
+            serial.source(i).random_access(item, false, false);
+            serial.source(i).sorted_access(Position::FIRST, false);
+        }
+        assert_eq!(session.network(), cluster.network());
+        assert_eq!(session.accesses_served(), cluster.accesses_served());
+        let counted = session.total_counters();
+        assert_eq!((counted.sorted, counted.random), (3, 0));
+    }
+
+    #[test]
+    fn failover_from_a_killed_primary_keeps_every_protocol_bit_identical() {
+        let db = four_list_database();
+        let latency = LatencyModel::lan(4, 5);
+        let query = TopKQuery::top(5);
+        for kind in [AlgorithmKind::Ta, AlgorithmKind::Bpa, AlgorithmKind::Bpa2] {
+            let cluster = Cluster::with_latency(&db, TrackerKind::BitArray, latency.clone());
+            let mut serial = ClusterSources::new(&cluster);
+            let reference = kind.create().run_on(&mut serial, &query).unwrap();
+            for dead in 0..4 {
+                let runtime = ClusterRuntime::with_latency_replicated(
+                    &db,
+                    TrackerKind::BitArray,
+                    latency.clone(),
+                    2,
+                );
+                runtime.kill_owner(dead, 0);
+                let mut session = runtime.connect_with(short_timeout());
+                let result = kind.create().run_on(&mut session, &query).unwrap();
+                assert_eq!(result.item_ids(), reference.item_ids(), "{kind:?} {dead}");
+                assert_eq!(result.scores(), reference.scores(), "{kind:?} {dead}");
+                assert_eq!(
+                    result.stats().accesses,
+                    reference.stats().accesses,
+                    "{kind:?} {dead}"
+                );
+                assert_eq!(session.network(), cluster.network(), "{kind:?} {dead}");
+                assert_eq!(session.accesses_served(), cluster.accesses_served());
+                assert_eq!(session.fault_stats().failovers, 1, "{kind:?} {dead}");
+            }
+        }
+    }
+
+    /// Kills one primary just before the `at`-th list access of a query,
+    /// wherever that falls between posting a resolution's requests and
+    /// collecting their replies.
+    struct KillMidQuery<'s, 'r> {
+        session: &'s mut AsyncClusterSources<'r>,
+        runtime: &'r ClusterRuntime,
+        victim: usize,
+        at: usize,
+        calls: usize,
+    }
+
+    impl SourceSet for KillMidQuery<'_, '_> {
+        fn num_lists(&self) -> usize {
+            self.session.num_lists()
+        }
+
+        fn source(&mut self, i: usize) -> &mut dyn ListSource {
+            self.calls += 1;
+            if self.calls == self.at {
+                self.runtime.kill_owner(self.victim, 0);
+            }
+            self.session.source(i)
+        }
+
+        fn source_ref(&self, i: usize) -> &dyn ListSource {
+            self.session.source_ref(i)
+        }
+
+        fn begin_round(&mut self) {
+            self.session.begin_round();
+        }
+
+        fn prefetch_random(&mut self, item: ItemId, skip: usize, with_position: bool, track: bool) {
+            self.session
+                .prefetch_random(item, skip, with_position, track);
+        }
+
+        fn reset(&mut self) {
+            self.session.reset();
+        }
+    }
+
+    #[test]
+    fn a_primary_killed_mid_query_fails_over_to_identical_answers() {
+        let db = four_list_database();
+        let query = TopKQuery::top(5);
+        for kind in [AlgorithmKind::Ta, AlgorithmKind::Bpa, AlgorithmKind::Bpa2] {
+            let reference = kind.create().run(&db, &query).unwrap();
+            // At accesses 2 and 7 the primary of list 2 dies with a request
+            // posted to it; at access 5 the next resolution's post meets
+            // the dead primary.
+            for at in [2, 5, 7, 23] {
+                let runtime = ClusterRuntime::spawn_replicated(&db, 2);
+                let mut session = runtime.connect_with(short_timeout());
+                let mut killing = KillMidQuery {
+                    session: &mut session,
+                    runtime: &runtime,
+                    victim: 2,
+                    at,
+                    calls: 0,
+                };
+                let result = kind.create().run_on(&mut killing, &query).unwrap();
+                assert_eq!(result.item_ids(), reference.item_ids(), "{kind:?} {at}");
+                assert_eq!(result.scores(), reference.scores(), "{kind:?} {at}");
+                assert_eq!(
+                    result.stats().accesses,
+                    reference.stats().accesses,
+                    "{kind:?} {at}"
+                );
+                assert_eq!(session.fault_stats().failovers, 1, "{kind:?} {at}");
+            }
         }
     }
 }

@@ -30,6 +30,8 @@
 //! ([`crate::runtime`]) through a worker thread's channels. Both reuse
 //! this exact mapping, so the two backends cannot drift apart.
 
+use std::rc::Rc;
+
 use topk_lists::source::{ListSource, SourceEntry, SourceScore, SourceSet};
 use topk_lists::{AccessCounters, BatchingSource, ItemId, Position, Score};
 
@@ -41,6 +43,12 @@ use crate::message::{Request, Response};
 /// request/response exchange, plus the uncounted owner introspection the
 /// simulation exposes for statistics. Implementations are responsible for
 /// recording the exchange in their backend's network accounting.
+///
+/// An exchange may also be split in two halves: [`post`](OwnerLink::post)
+/// sends a request ahead and [`complete`](OwnerLink::complete) collects
+/// its reply, so a session can keep requests to several owners in flight
+/// at once. The defaults keep a transport serial: `post` sends nothing
+/// and `complete` does the whole exchange.
 ///
 /// Exchanges are fallible: a transport may report a [`LinkFault`]
 /// instead of a response. The synchronous in-thread transport never
@@ -55,6 +63,18 @@ pub(crate) trait OwnerLink: std::fmt::Debug {
     /// at-most-once transports reuse their sequence number so a retried
     /// request is never executed twice.
     fn exchange(&self, request: Request, attempt: u32) -> Result<Response, LinkFault>;
+
+    /// Sends `request` without waiting for its reply. Only the next
+    /// [`complete`](OwnerLink::complete) of the same request collects
+    /// it; the default sends nothing.
+    fn post(&self, _request: Request) {}
+
+    /// Returns the reply to `request`: waits for it when
+    /// [`post`](OwnerLink::post) sent the request ahead, otherwise
+    /// exchanges it now as a first attempt (the default).
+    fn complete(&self, request: Request) -> Result<Response, LinkFault> {
+        self.exchange(request, 0)
+    }
 
     /// Index of the owner this link reaches (for typed error reports).
     fn owner_index(&self) -> usize;
@@ -122,7 +142,8 @@ impl OwnerLink for SyncOwnerLink<'_> {
 /// the same per-mode counts over this backend as over the in-memory one.
 #[derive(Debug)]
 pub struct ClusterSource<'a> {
-    link: Box<dyn OwnerLink + 'a>,
+    /// Shared with the session, which may post random accesses ahead.
+    link: Rc<dyn OwnerLink + 'a>,
     counters: AccessCounters,
 }
 
@@ -130,11 +151,11 @@ impl<'a> ClusterSource<'a> {
     /// A source for owner `index` of the cluster.
     pub fn new(cluster: &'a Cluster, index: usize) -> Self {
         assert!(index < cluster.num_owners(), "owner index out of range");
-        Self::from_link(Box::new(SyncOwnerLink { cluster, index }))
+        Self::from_link(Rc::new(SyncOwnerLink { cluster, index }))
     }
 
     /// A source speaking the wire mapping over any transport.
-    pub(crate) fn from_link(link: Box<dyn OwnerLink + 'a>) -> Self {
+    pub(crate) fn from_link(link: Rc<dyn OwnerLink + 'a>) -> Self {
         ClusterSource {
             link,
             counters: AccessCounters::default(),
@@ -145,9 +166,11 @@ impl<'a> ClusterSource<'a> {
     /// [`LinkFault`] becomes a typed [`SourceError`] unwound to
     /// `TopKAlgorithm::run_on`
     /// ([`SourceError::raise`](topk_lists::source::SourceError::raise)),
-    /// never a panic message of our own.
+    /// never a panic message of our own. A random access the session
+    /// posted ahead (`SourceSet::prefetch_random`) only waits for its
+    /// reply.
     fn dispatch(&self, op: &'static str, request: Request) -> Response {
-        match self.link.exchange(request, 0) {
+        match self.link.complete(request) {
             Ok(response) => response,
             Err(fault) => fault.raise(self.link.owner_index(), op),
         }

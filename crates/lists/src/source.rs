@@ -373,6 +373,24 @@ pub trait SourceSet {
     /// coalescing decorators can flush pending work at the barrier.
     fn begin_round(&mut self) {}
 
+    /// Announces that the caller is about to resolve `item`: it will call
+    /// [`ListSource::random_access`]`(item, with_position, track)` on
+    /// every list except `skip`, in list order, before any other access
+    /// to those lists. TA, BPA and BPA2 announce every item they resolve.
+    ///
+    /// A hint, not an access: the default does nothing, and when the
+    /// announced accesses follow, no answer, counter or network figure
+    /// changes. A backend whose random accesses are request/reply
+    /// exchanges may send all `m − 1` requests at once here, so each
+    /// following `random_access` waits only for its own reply instead of
+    /// a full round trip (the distributed runtime's sessions do). Such a
+    /// backend must stay correct when the accesses do not follow, as
+    /// after an unwind: no reply may be read as the answer to another
+    /// access, and [`reset`](SourceSet::reset) discards what is still in
+    /// flight.
+    fn prefetch_random(&mut self, _item: ItemId, _skip: usize, _with_position: bool, _track: bool) {
+    }
+
     /// Resets every source (counters, trackers, round state) so the set
     /// can serve another query over the same data.
     fn reset(&mut self);

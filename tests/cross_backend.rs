@@ -18,7 +18,7 @@
 
 use bpa_topk::datagen::{DatabaseKind, DatabaseSpec};
 use bpa_topk::distributed::{
-    AsyncClusterSources, Cluster, ClusterRuntime, ClusterSources, LatencyModel,
+    AsyncClusterSources, Cluster, ClusterRuntime, ClusterSources, FaultStats, LatencyModel,
 };
 use bpa_topk::lists::Database;
 use bpa_topk::prelude::*;
@@ -262,7 +262,10 @@ fn run_all_over_a_runtime_session_resets_between_algorithms() {
 /// datagen families, returns identical answers with identical access
 /// counters AND an identical `NetworkStats` — same messages, same payload,
 /// same rounds, same simulated serialized/overlapped timings — when both
-/// backends use the same latency model.
+/// backends use the same latency model. The pin also covers the
+/// benchmark's cluster shape (uniform, m = 4, n = 2 000, k ∈ {10, 20, 50}),
+/// plain and batched, where TA, BPA and BPA2 keep each item's m − 1
+/// random-access requests in flight together.
 #[test]
 fn async_runtime_matches_the_synchronous_cluster_everywhere() {
     let mut databases = vec![figure1_database(), figure2_database()];
@@ -273,37 +276,66 @@ fn async_runtime_matches_the_synchronous_cluster_everywhere() {
     ] {
         databases.push(DatabaseSpec::new(kind, 4, 400).generate(42));
     }
-
     for db in &databases {
-        let m = db.num_lists();
-        let latency = LatencyModel::lan(m, 2007);
-        let runtime = ClusterRuntime::with_latency(db, TrackerKind::BitArray, latency.clone());
         let k = 3.min(db.num_items());
-        let query = TopKQuery::top(k);
+        assert_async_matches_sync(db, &[k], None);
+    }
 
+    let workload = DatabaseSpec::new(DatabaseKind::Uniform, 4, 2_000).generate(7);
+    assert_async_matches_sync(&workload, &[10, 20, 50], None);
+    assert_async_matches_sync(&workload, &[10, 20, 50], Some(16));
+}
+
+/// Runs every algorithm for every `k` over a fresh synchronous cluster
+/// and a fresh runtime session (both batched when `block_len` is set)
+/// under one latency model, and asserts they agree exactly.
+fn assert_async_matches_sync(db: &Database, ks: &[usize], block_len: Option<usize>) {
+    let m = db.num_lists();
+    let latency = LatencyModel::lan(m, 2007);
+    let runtime = ClusterRuntime::with_latency(db, TrackerKind::BitArray, latency.clone());
+    for &k in ks {
+        let query = TopKQuery::top(k);
         for algorithm in AlgorithmKind::ALL {
             let cluster = Cluster::with_latency(db, TrackerKind::BitArray, latency.clone());
-            let mut sync = ClusterSources::new(&cluster);
-            let reference = algorithm.create().run_on(&mut sync, &query).unwrap();
-
-            let mut session = runtime.connect();
+            let (reference, mut session) = match block_len {
+                None => (
+                    algorithm
+                        .create()
+                        .run_on(&mut ClusterSources::new(&cluster), &query),
+                    runtime.connect(),
+                ),
+                Some(len) => (
+                    algorithm
+                        .create()
+                        .run_on(&mut ClusterSources::batched(&cluster, len), &query),
+                    AsyncClusterSources::batched(&runtime, len),
+                ),
+            };
+            let reference = reference.unwrap();
             let result = algorithm.create().run_on(&mut session, &query).unwrap();
+            let case = format!("{algorithm:?} k={k} block_len={block_len:?}");
 
             assert!(
                 result.scores_match(&reference, 1e-9),
-                "{algorithm:?} answers diverge over the async runtime"
+                "{case}: answers diverge over the async runtime"
             );
+            assert_eq!(result.item_ids(), reference.item_ids(), "{case}");
             assert_eq!(
                 result.stats().accesses,
                 reference.stats().accesses,
-                "{algorithm:?} access counters diverge over the async runtime"
+                "{case}: access counters diverge over the async runtime"
             );
             assert_eq!(
                 session.network(),
                 cluster.network(),
-                "{algorithm:?} network accounting diverges over the async runtime"
+                "{case}: network accounting diverges over the async runtime"
             );
-            assert_eq!(session.accesses_served(), cluster.accesses_served());
+            assert_eq!(
+                session.accesses_served(),
+                cluster.accesses_served(),
+                "{case}"
+            );
+            assert_eq!(session.fault_stats(), FaultStats::default(), "{case}");
         }
     }
 }
