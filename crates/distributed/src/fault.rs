@@ -466,7 +466,6 @@ fn mutates_owner_state(request: &Request) -> bool {
         | Request::RandomAccess { track, .. }
         | Request::SortedBlock { track, .. } => *track,
         Request::DirectAccessNext => true,
-        Request::BestPositionScore => false,
     }
 }
 
@@ -937,7 +936,10 @@ mod tests {
             position: Position::FIRST,
             track: true,
         };
-        let untracked = Request::BestPositionScore;
+        let untracked = Request::SortedAccess {
+            position: Position::FIRST,
+            track: false,
+        };
         link.exchange(tracked, 0).unwrap();
         link.exchange(untracked, 0).unwrap();
         link.exchange(Request::DirectAccessNext, 0).unwrap();

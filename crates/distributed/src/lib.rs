@@ -10,7 +10,9 @@
 //! This crate simulates that setting in process:
 //!
 //! * every sorted list is held by a [`ListOwner`] node that also manages
-//!   the list's best position (as BPA2 prescribes),
+//!   the list's best position (as BPA2 prescribes); an owner is the
+//!   access core of `topk_lists::tracked` over its list, so it counts,
+//!   tracks and piggybacks by the same code as every local backend,
 //! * [`ClusterSource`] adapts the backend-generic
 //!   [`ListSource`](topk_lists::source::ListSource) API onto typed
 //!   [`message`]s — so the *same* `topk_core` algorithms execute

@@ -34,8 +34,6 @@ pub enum Request {
     /// BPA2's direct access: read the entry at the owner's `bp + 1` (the
     /// smallest unseen position) and mark it seen.
     DirectAccessNext,
-    /// Ask for the local score at the owner's current best position.
-    BestPositionScore,
     /// Batched sorted access: read up to `len` consecutive entries
     /// starting at `start`, in one round trip. Used by the batching
     /// decorator (`topk_lists::source::BatchingSource`) to coalesce
@@ -60,7 +58,6 @@ impl Request {
             Request::SortedAccess { .. } => 1, // position
             Request::RandomAccess { .. } => 1, // item id
             Request::DirectAccessNext => 0,    // no operands
-            Request::BestPositionScore => 0,   // no operands
             Request::SortedBlock { .. } => 2,  // start position + length
         }
     }
@@ -93,9 +90,6 @@ pub enum Response {
         /// access changed the best position (BPA2 step 3).
         best_position_score: Option<Score>,
     },
-    /// The local score at the owner's current best position, or `None` when
-    /// no position has been seen yet.
-    BestPositionScore(Option<Score>),
     /// The answer to a [`Request::SortedBlock`]: consecutive entries
     /// starting at `start` (possibly fewer than asked when the list ends,
     /// possibly empty when `start` is past the end). Positions are
@@ -129,7 +123,6 @@ impl Response {
                 best_position_score,
                 ..
             } => 1 + u64::from(position.is_some()) + u64::from(best_position_score.is_some()),
-            Response::BestPositionScore(score) => u64::from(score.is_some()),
             Response::Entries {
                 items,
                 best_position_score,
@@ -168,7 +161,6 @@ mod tests {
             1
         );
         assert_eq!(Request::DirectAccessNext.payload_units(), 0);
-        assert_eq!(Request::BestPositionScore.payload_units(), 0);
         assert_eq!(
             Request::SortedBlock {
                 start: pos(1),
@@ -232,11 +224,6 @@ mod tests {
             best_position_score: None,
         };
         assert_eq!(entry.payload_units(), 3);
-        assert_eq!(Response::BestPositionScore(None).payload_units(), 0);
-        assert_eq!(
-            Response::BestPositionScore(Some(Score::from_f64(1.0))).payload_units(),
-            1
-        );
         assert_eq!(Response::Exhausted.payload_units(), 0);
     }
 }

@@ -1,7 +1,16 @@
-//! List-owner nodes.
+//! List-owner nodes: one sorted list behind the wire protocol.
+//!
+//! An owner is the access core ([`TrackedSource`]) over its list, so it
+//! counts, tracks and piggybacks by exactly the rules every other backend
+//! follows. [`ListOwner::handle`] only translates one [`Request`] into
+//! the matching [`ListSource`] call and its reply into a [`Response`].
 
-use topk_lists::tracker::{PositionTracker, TrackerKind};
-use topk_lists::{ItemId, Position, Score, SortedList};
+use std::sync::Arc;
+
+use topk_lists::source::{ListSource, SourceEntry};
+use topk_lists::tracked::TrackedSource;
+use topk_lists::tracker::TrackerKind;
+use topk_lists::{Position, Score, SortedList};
 
 use crate::message::{Request, Response};
 
@@ -10,182 +19,99 @@ use crate::message::{Request, Response};
 /// managed by the list owners").
 #[derive(Debug)]
 pub struct ListOwner {
-    list: SortedList,
-    tracker: Box<dyn PositionTracker>,
-    tracker_kind: TrackerKind,
-    accesses: u64,
+    source: TrackedSource<Arc<SortedList>>,
 }
 
 impl ListOwner {
-    /// Creates an owner for a copy of the given list using the default
-    /// (bit-array) best-position tracker.
-    pub fn new(list: SortedList) -> Self {
+    /// Creates an owner for the given list using the default (bit-array)
+    /// best-position tracker.
+    pub fn new(list: impl Into<Arc<SortedList>>) -> Self {
         Self::with_tracker(list, TrackerKind::BitArray)
     }
 
     /// Creates an owner with an explicit best-position tracking strategy.
-    pub fn with_tracker(list: SortedList, kind: TrackerKind) -> Self {
-        let n = list.len();
+    /// Owners of one shared `Arc<SortedList>` share its entries.
+    pub fn with_tracker(list: impl Into<Arc<SortedList>>, kind: TrackerKind) -> Self {
         ListOwner {
-            list,
-            tracker: kind.create(n),
-            tracker_kind: kind,
-            accesses: 0,
+            source: TrackedSource::with_tracker(list.into(), kind),
         }
     }
 
     /// Forgets all per-query state (seen positions, access counts), so the
     /// owner can serve a fresh query over its unchanged list.
     pub fn reset(&mut self) {
-        self.tracker = self.tracker_kind.create(self.list.len());
-        self.accesses = 0;
+        self.source.reset();
     }
 
     /// The score of the list's last entry — catalog metadata known at list
     /// registration time, not an access.
     pub fn tail_score(&self) -> Score {
-        self.list.last_entry().score
+        self.source.tail_score()
     }
 
     /// Number of items in the owned list.
     pub fn len(&self) -> usize {
-        self.list.len()
+        self.source.len()
     }
 
     /// Whether the owned list is empty (never true for validated databases).
     pub fn is_empty(&self) -> bool {
-        self.list.is_empty()
+        self.source.is_empty()
     }
 
     /// Number of list accesses this owner has served (sorted + random +
     /// direct).
     pub fn accesses_served(&self) -> u64 {
-        self.accesses
+        self.source.counters().total()
     }
 
     /// The owner's current best position, if any position has been seen.
     pub fn best_position(&self) -> Option<Position> {
-        self.tracker.best_position()
-    }
-
-    /// The local score at the current best position.
-    pub fn best_position_score(&self) -> Option<Score> {
-        self.best_position().and_then(|bp| self.list.score_at(bp))
+        self.source.best_position()
     }
 
     /// Handles one request from the query originator.
     pub fn handle(&mut self, request: Request) -> Response {
+        let source = &mut self.source;
         match request {
             Request::SortedAccess { position, track } => {
-                self.accesses += 1;
-                match self.list.entry_at(position) {
-                    None => Response::Exhausted,
-                    Some(entry) => {
-                        let best = if track {
-                            self.mark_and_report_best_change(position)
-                        } else {
-                            None
-                        };
-                        Response::Entry {
-                            item: entry.item,
-                            score: entry.score,
-                            position,
-                            best_position_score: best,
-                        }
-                    }
-                }
+                entry_reply(source.sorted_access(position, track))
             }
+            Request::DirectAccessNext => entry_reply(source.direct_access_next()),
             Request::RandomAccess {
                 item,
                 with_position,
                 track,
-            } => {
-                self.accesses += 1;
-                match self.list.lookup(item) {
-                    None => Response::Exhausted,
-                    Some(ps) => {
-                        let best = if track {
-                            self.mark_and_report_best_change(ps.position)
-                        } else {
-                            None
-                        };
-                        Response::LocalScore {
-                            score: ps.score,
-                            position: with_position.then_some(ps.position),
-                            best_position_score: best,
-                        }
-                    }
-                }
-            }
-            Request::DirectAccessNext => {
-                let next = self.tracker.first_unseen();
-                if next.get() > self.list.len() {
-                    return Response::Exhausted;
-                }
-                self.accesses += 1;
-                let entry = self
-                    .list
-                    .entry_at(next)
-                    .expect("first unseen position is within bounds");
-                let best = self.mark_and_report_best_change(next);
-                Response::Entry {
-                    item: entry.item,
-                    score: entry.score,
-                    position: next,
-                    best_position_score: best,
-                }
-            }
-            Request::BestPositionScore => Response::BestPositionScore(self.best_position_score()),
+            } => match source.random_access(item, with_position, track) {
+                Some(found) => Response::LocalScore {
+                    score: found.score,
+                    position: found.position,
+                    best_position_score: found.best_position_score,
+                },
+                None => Response::Exhausted,
+            },
             Request::SortedBlock { start, len, track } => {
-                let end = self
-                    .list
-                    .len()
-                    .min(start.get().saturating_add(len as usize).saturating_sub(1));
-                let mut items = Vec::with_capacity(end.saturating_sub(start.get() - 1));
-                let best_before = self.tracker.best_position();
-                for pos in start.get()..=end {
-                    let position = Position::new(pos).expect("pos >= 1");
-                    let entry = self
-                        .list
-                        .entry_at(position)
-                        .expect("position within list bounds");
-                    self.accesses += 1;
-                    if track {
-                        self.tracker.mark_seen(position);
-                    }
-                    items.push((entry.item, entry.score));
-                }
-                let best_after = self.tracker.best_position();
-                let best = if track && best_after != best_before {
-                    best_after.and_then(|bp| self.list.score_at(bp))
-                } else {
-                    None
-                };
+                let entries = source.sorted_block(start, len as usize, track);
                 Response::Entries {
                     start,
-                    items,
-                    best_position_score: best,
+                    best_position_score: entries.last().and_then(|e| e.best_position_score),
+                    items: entries.iter().map(|e| (e.item, e.score)).collect(),
                 }
             }
         }
     }
+}
 
-    /// Marks a position as seen; if the best position changed, returns the
-    /// local score at the new best position (BPA2 step 3).
-    fn mark_and_report_best_change(&mut self, position: Position) -> Option<Score> {
-        let before = self.tracker.best_position();
-        self.tracker.mark_seen(position);
-        let after = self.tracker.best_position();
-        if after != before {
-            after.and_then(|bp| self.list.score_at(bp))
-        } else {
-            None
-        }
-    }
-
-    /// Lookup of an item without going through the protocol; used by tests.
-    pub fn lookup_item(&self, item: ItemId) -> Option<(Position, Score)> {
-        self.list.lookup(item).map(|ps| (ps.position, ps.score))
+/// The reply to a sorted or direct access.
+fn entry_reply(entry: Option<SourceEntry>) -> Response {
+    match entry {
+        Some(entry) => Response::Entry {
+            item: entry.item,
+            score: entry.score,
+            position: entry.position,
+            best_position_score: entry.best_position_score,
+        },
+        None => Response::Exhausted,
     }
 }
 
@@ -422,25 +348,5 @@ mod tests {
             Response::Entry { position, .. } => assert_eq!(position, pos(1)),
             other => panic!("unexpected response {other:?}"),
         }
-    }
-
-    #[test]
-    fn best_position_score_query() {
-        let mut o = owner();
-        assert_eq!(
-            o.handle(Request::BestPositionScore),
-            Response::BestPositionScore(None)
-        );
-        o.handle(Request::SortedAccess {
-            position: pos(1),
-            track: true,
-        });
-        assert_eq!(
-            o.handle(Request::BestPositionScore),
-            Response::BestPositionScore(Some(Score::from_f64(30.0)))
-        );
-        assert_eq!(o.len(), 3);
-        assert!(!o.is_empty());
-        assert_eq!(o.lookup_item(ItemId(2)).unwrap().0, pos(2));
     }
 }

@@ -83,6 +83,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -158,14 +159,15 @@ enum WorkerMsg {
     Shutdown,
 }
 
-/// The worker body: owns the list, keeps one [`SessionState`] per open
-/// session, and serves messages until shutdown. Constructing the owners
-/// inside the thread keeps the tracker objects thread-local.
+/// The worker body: holds one copy of the list, keeps one
+/// [`SessionState`] per open session, and serves messages until shutdown.
+/// Every session's owner shares the worker's list through the `Arc` and
+/// adds only its own tracker and counters.
 ///
 /// A message for an unknown session is *dropped*, not a panic: the
 /// originator's reply timeout turns the silence into a typed fault. An
 /// owner must survive a confused client.
-fn worker_loop(list: SortedList, tracker: TrackerKind, inbox: Receiver<WorkerMsg>) {
+fn worker_loop(list: Arc<SortedList>, tracker: TrackerKind, inbox: Receiver<WorkerMsg>) {
     let mut sessions: HashMap<SessionId, SessionState> = HashMap::new();
     while let Ok(msg) = inbox.recv() {
         match msg {
@@ -173,7 +175,7 @@ fn worker_loop(list: SortedList, tracker: TrackerKind, inbox: Receiver<WorkerMsg
                 sessions.insert(
                     session,
                     SessionState {
-                        owner: ListOwner::with_tracker(list.clone(), tracker),
+                        owner: ListOwner::with_tracker(Arc::clone(&list), tracker),
                         last_seq: 0,
                         last_reply: None,
                     },
@@ -371,7 +373,7 @@ impl ClusterRuntime {
             let mut lanes = Vec::with_capacity(replicas);
             for r in 0..replicas {
                 let (tx, rx) = channel();
-                let list = list.clone();
+                let list = Arc::new(list.clone());
                 let handle = std::thread::Builder::new()
                     .name(format!("list-owner-{i}-r{r}"))
                     .spawn(move || worker_loop(list, kind, rx))

@@ -19,6 +19,11 @@
 //! | `direct_access_next()` | `DirectAccessNext` |
 //! | `sorted_block(p, len, track)` | `SortedBlock { start, len, track }` (one round trip) |
 //!
+//! At the other end of every exchange,
+//! [`ListOwner::handle`](crate::ListOwner::handle) makes the inverse
+//! mapping onto the owner's access core, so the owner's replies and
+//! counts follow the same rules as every local backend.
+//!
 //! `best_position` and `tail_score` are *not* messages: the former is
 //! simulation introspection used only for run statistics (the algorithms'
 //! stopping logic uses the piggybacked best scores, as Section 5.1

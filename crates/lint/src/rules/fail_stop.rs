@@ -1,12 +1,13 @@
-//! Rule 4, `fail-stop`: the storage and distributed layers fail through
-//! the failure contract, not through panics.
+//! Rule 4, `fail-stop`: the access core, the storage layer and the
+//! distributed layers fail through the failure contract, not through
+//! panics.
 //!
 //! PR 4 established the failure model: a source that dies raises
 //! `SourceError` and `run_on` (or statistics collection) converts the
 //! panic into `Err` through one shared helper in `topk-core` — the only
 //! place a source panic is caught.
-//! A stray `.unwrap()` in the paged store or the distributed source
-//! turns an injected I/O fault into an unclassified abort that the
+//! A stray `.unwrap()` in the access core, the paged store or the
+//! distributed source turns an injected I/O fault into an unclassified abort that the
 //! fault-injection tests cannot distinguish from a bug. In the patrolled
 //! modules, `.unwrap()`, `.expect(…)` and `panic!` are violations outside
 //! tests; real failures route through `SourceError::raise()` or return
@@ -16,9 +17,13 @@
 use crate::rules::{under_any, Finding, Rule};
 use crate::source::SourceFile;
 
-/// Modules bound to the fail-stop contract.
+/// Modules bound to the fail-stop contract: the access core every
+/// backend's reads run through, the paged store, and the distributed
+/// owner, source and runtime layers.
 const SCOPE: &[&str] = &[
+    "crates/lists/src/tracked.rs",
     "crates/storage/src/",
+    "crates/distributed/src/owner.rs",
     "crates/distributed/src/source.rs",
     "crates/distributed/src/runtime.rs",
     "crates/distributed/src/fault.rs",
@@ -32,7 +37,7 @@ impl Rule for FailStop {
     }
 
     fn description(&self) -> &'static str {
-        "no unwrap/expect/panic! in storage or the distributed source; use SourceError::raise()"
+        "no unwrap/expect/panic! in the access core, storage or the distributed layers; use SourceError::raise()"
     }
 
     fn applies(&self, rel_path: &str) -> bool {

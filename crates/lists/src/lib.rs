@@ -17,6 +17,9 @@
 //!   counted ([`AccessCounters`]), so the middleware-cost metrics of the
 //!   paper's evaluation are measured rather than estimated.
 //!   [`Sources::in_memory`] is the in-process backend.
+//! * [`tracked`] — the access core: [`TrackedSource`] implements the
+//!   counting, tracking and piggyback rules of [`ListSource`] once, over
+//!   any [`ListStore`] (in memory, sharded, paged, list owner).
 //! * [`tracker`] — the *best position* bookkeeping of Section 5.2 of the
 //!   paper: a [`tracker::PositionTracker`] trait with the bit-array
 //!   (§5.2.1), B+tree (§5.2.2) and naive-set strategies.
@@ -24,9 +27,9 @@
 //!   the B+tree tracker.
 //!
 //! * [`sharded`] — the range-partitioned physical layout: each sorted
-//!   list split into contiguous position-range shards with per-shard
-//!   best-position trackers, scanned in parallel on a shared
-//!   `topk_pool::ThreadPool` ([`ShardedDatabase`]/[`ShardedSource`]).
+//!   list split into contiguous position-range shards whose block reads
+//!   run in parallel on a shared `topk_pool::ThreadPool`
+//!   ([`ShardedDatabase`]/[`ShardedSource`]).
 //!
 //! The crate's only dependency is the std-only `topk-pool` work-stealing
 //! pool, and it is deliberately free of any algorithm logic; the
@@ -57,6 +60,7 @@ pub mod sharded;
 pub mod sorted_list;
 pub mod source;
 pub mod traced;
+pub mod tracked;
 pub mod tracker;
 
 pub use access::{AccessCounters, AccessMode};
@@ -65,14 +69,15 @@ pub use database::Database;
 pub use error::ListError;
 pub use item::{ItemId, Position, Score};
 pub use item_index::{ItemHasher, ItemMap};
-pub use sharded::{ShardedDatabase, ShardedList, ShardedSource};
+pub use sharded::{ShardedDatabase, ShardedList, ShardedSource, ShardedStore};
 pub use sorted_list::{ListDelta, ListEntry, PositionedScore, ScoreUpdate, SortedList};
 pub use source::{
     BatchingSource, CacheCounters, InMemorySource, ListSource, SourceEntry, SourceError,
     SourceErrorKind, SourceScore, SourceSet, Sources,
 };
+pub use tracked::{ListStore, TrackedSource};
 pub use tracker::{
-    BPlusTreeTracker, BitArrayTracker, NaiveSetTracker, PositionShift, PositionTracker, TrackerKind,
+    BPlusTreeTracker, BitArrayTracker, NaiveSetTracker, PositionTracker, TrackerKind,
 };
 
 /// Commonly used types, re-exported for convenient glob import.
@@ -81,15 +86,15 @@ pub mod prelude {
     pub use crate::database::Database;
     pub use crate::error::ListError;
     pub use crate::item::{ItemId, Position, Score};
-    pub use crate::sharded::{ShardedDatabase, ShardedList, ShardedSource};
+    pub use crate::sharded::{ShardedDatabase, ShardedList, ShardedSource, ShardedStore};
     pub use crate::sorted_list::{ListDelta, ListEntry, PositionedScore, ScoreUpdate, SortedList};
     pub use crate::source::{
         BatchingSource, CacheCounters, InMemorySource, ListSource, SourceEntry, SourceError,
         SourceScore, SourceSet, Sources,
     };
     pub use crate::traced::{TracedSource, TracedSources};
+    pub use crate::tracked::TrackedSource;
     pub use crate::tracker::{
-        BPlusTreeTracker, BitArrayTracker, NaiveSetTracker, PositionShift, PositionTracker,
-        TrackerKind,
+        BPlusTreeTracker, BitArrayTracker, NaiveSetTracker, PositionTracker, TrackerKind,
     };
 }

@@ -1,29 +1,21 @@
-//! The sharded storage backend: range-partitioned sorted lists scanned in
-//! parallel on a shared work-stealing pool.
+//! The sharded storage backend: range-partitioned sorted lists whose
+//! block reads run in parallel on a shared work-stealing pool.
 //!
 //! A [`ShardedList`] splits one sorted list into **contiguous
 //! position-range shards** — shard `s` physically owns the entries at
-//! positions `start(s) ..= end(s)` plus a shard-local best-position
-//! tracker — so block fetches and scans parallelise across shards while
-//! the *logical* access semantics of [`ListSource`] stay untouched:
+//! positions `start(s) ..= end(s)` — so block reads parallelise across
+//! shards. A query reads it through [`ShardedSource`], the access core
+//! ([`TrackedSource`]) over a [`ShardedStore`], so counting, the one
+//! best-position tracker per list and the piggyback follow exactly the
+//! rules of every other backend. The store only decides how entries are
+//! read:
 //!
-//! * [`ShardedSource::sorted_block`] partitions the requested range by
-//!   shard and dispatches one scan job per shard onto the shared
-//!   [`ThreadPool`]; results are merged **in shard order** and tracker
-//!   state is combined deterministically, so entries, per-mode access
-//!   counters and the block-level best-score piggyback are bit-identical
-//!   to [`InMemorySource`](crate::source::InMemorySource) — independent
-//!   of shard count and pool width.
-//! * Single-position accesses (`sorted_access`, `random_access`,
-//!   `direct_access_next`) route to the owning shard directly: a one-entry
-//!   lookup has nothing to parallelise, and keeping it on the calling
-//!   thread preserves the exact per-access counting contract.
-//! * The list-level best position is the merge of the per-shard trackers:
-//!   walk the shards in range order while each is completely seen, and
-//!   stop inside the first shard with a gap (the longest seen prefix of
-//!   the whole list). The merge is cached and advanced incrementally
-//!   after every mark, so reads and tracked accesses stay O(1) amortized
-//!   regardless of the shard count.
+//! * a block that spans several shards dispatches one copy job per shard
+//!   onto the shared [`ThreadPool`], and the copies are concatenated in
+//!   shard order, so the result is independent of shard count and pool
+//!   width;
+//! * single-position reads go to the owning shard on the calling thread,
+//!   and random access reads the merged item index, never a shard.
 //!
 //! [`ShardedDatabase`] holds one `Arc<ShardedList>` per list; cloning the
 //! `Arc`s into per-query [`ShardedSource`]s is cheap, so any number of
@@ -55,14 +47,14 @@ use std::sync::Arc;
 
 use topk_pool::ThreadPool;
 
-use crate::access::AccessCounters;
 use crate::database::Database;
 use crate::error::ListError;
 use crate::item::{ItemId, Position, Score};
 use crate::item_index::ItemIndex;
-use crate::sorted_list::{ScoreUpdate, SortedList};
-use crate::source::{ListSource, SourceEntry, SourceScore, Sources};
-use crate::tracker::{PositionTracker, TrackerKind};
+use crate::sorted_list::{PositionedScore, ScoreUpdate, SortedList};
+use crate::source::{ListSource, SourceEntry, Sources};
+use crate::tracked::{ListStore, TrackedSource};
+use crate::tracker::TrackerKind;
 
 /// One contiguous position range of a sharded list, physically owning its
 /// entries.
@@ -79,11 +71,26 @@ impl ShardSpan {
     fn end(&self) -> usize {
         self.start + self.entries.len() - 1
     }
+
+    /// Copies the entries at global positions `lo..=hi` (both within
+    /// this shard): the job a cross-shard block read runs per shard.
+    fn copy(&self, lo: usize, hi: usize) -> Vec<SourceEntry> {
+        self.entries[lo - self.start..=hi - self.start]
+            .iter()
+            .enumerate()
+            .map(|(offset, &(item, score))| SourceEntry {
+                position: Position::from_index(lo - 1 + offset),
+                item,
+                score,
+                best_position_score: None,
+            })
+            .collect()
+    }
 }
 
 /// A sorted list split into contiguous position-range shards.
 ///
-/// All per-query state (trackers, counters) lives in [`ShardedSource`], so
+/// All per-query state (tracker, counters) lives in [`ShardedSource`], so
 /// one `Arc<ShardedList>` serves any number of concurrent queries. The
 /// list itself is updatable — [`ShardedList::update_score`],
 /// [`ShardedList::insert`], [`ShardedList::delete`] route each mutation to
@@ -184,10 +191,13 @@ impl ShardedList {
         self.entry(p).map(|(_, score)| score)
     }
 
-    /// An item's 1-based position and score, or `None` if absent.
-    fn lookup(&self, item: ItemId) -> Option<(usize, Score)> {
+    /// An item's position and score, or `None` if absent.
+    fn lookup(&self, item: ItemId) -> Option<PositionedScore> {
         let (i, score) = self.index.lookup(item)?;
-        Some((i + 1, score))
+        Some(PositionedScore {
+            position: Position::from_index(i),
+            score,
+        })
     }
 
     /// The score of the list's last entry (catalog metadata).
@@ -398,285 +408,63 @@ impl ShardedList {
     }
 }
 
-/// Scans the in-bounds positions `lo..=hi` (global, both within shard
-/// `span`) of one shard, marking them seen when `track` is set. This is
-/// the shard-local job [`ShardedSource::sorted_block`] dispatches onto the
-/// pool.
-fn scan_span(
-    span: &ShardSpan,
-    tracker: &mut dyn PositionTracker,
-    lo: usize,
-    hi: usize,
-    track: bool,
-) -> Vec<SourceEntry> {
-    let entries: Vec<SourceEntry> = span.entries[lo - span.start..=hi - span.start]
-        .iter()
-        .enumerate()
-        .map(|(offset, &(item, score))| SourceEntry {
-            position: Position::from_index(lo - 1 + offset),
-            item,
-            score,
-            best_position_score: None,
-        })
-        .collect();
-    if track {
-        let local_lo = Position::new(lo - span.start + 1).expect("lo >= span.start");
-        let local_hi = Position::new(hi - span.start + 1).expect("hi >= span.start");
-        tracker.mark_range_seen(local_lo, local_hi);
-    }
-    entries
-}
-
-/// One sharded list served through the [`ListSource`] access model, with
-/// per-shard best-position trackers and shard-parallel block scans on a
-/// shared [`ThreadPool`].
+/// The [`ListStore`] of a sharded list: a shared snapshot of the shards
+/// plus the pool its block reads fan out on.
 #[derive(Debug)]
-pub struct ShardedSource<'p> {
-    pool: &'p ThreadPool,
+pub struct ShardedStore<'p> {
     list: Arc<ShardedList>,
-    /// One tracker per shard, over the shard's local positions.
-    trackers: Vec<Box<dyn PositionTracker>>,
-    kind: TrackerKind,
-    counters: AccessCounters,
-    /// Cached merge of the per-shard trackers: the list-level best
-    /// position (0 = none yet). Advanced incrementally after every mark
-    /// ([`ShardedSource::advance_best`]), so reading it is O(1) — like
-    /// the in-memory bit array's moving pointer — instead of an
-    /// O(shard count) walk per access.
-    best: usize,
+    pool: &'p ThreadPool,
 }
 
-impl<'p> ShardedSource<'p> {
-    /// Opens a query-local view of a sharded list with the default
-    /// bit-array trackers.
+impl<'p> ShardedStore<'p> {
+    /// A store reading `list`, with block reads on `pool`.
     pub fn new(list: Arc<ShardedList>, pool: &'p ThreadPool) -> Self {
-        Self::with_tracker(list, pool, TrackerKind::BitArray)
-    }
-
-    /// Opens a query-local view with an explicit tracking strategy.
-    pub fn with_tracker(list: Arc<ShardedList>, pool: &'p ThreadPool, kind: TrackerKind) -> Self {
-        let trackers = list
-            .shards
-            .iter()
-            .map(|span| kind.create(span.entries.len()))
-            .collect();
-        ShardedSource {
-            pool,
-            list,
-            trackers,
-            kind,
-            counters: AccessCounters::default(),
-            best: 0,
-        }
-    }
-
-    /// The cached list-level best position (O(1) read).
-    fn global_best(&self) -> Option<Position> {
-        Position::new(self.best)
-    }
-
-    /// Advances the cached best position over the per-shard trackers:
-    /// starting at the shard owning `best + 1`, jump to that shard's
-    /// local best (its tracker already maintains the local prefix) and
-    /// keep walking while shards are completely covered. Amortized O(1)
-    /// per mark — every step either stops or permanently consumes
-    /// positions/shards, bounding the total walk per query by n plus the
-    /// shard count (the in-memory bit array's moving-pointer argument,
-    /// lifted to the merge).
-    fn advance_best(&mut self) {
-        while self.best < self.list.len() {
-            let shard = self.list.shard_of(self.best + 1);
-            let span = &self.list.shards[shard];
-            match self.trackers[shard].best_position() {
-                Some(local) => {
-                    let candidate = span.start - 1 + local.get();
-                    if candidate <= self.best {
-                        break; // position best + 1 has not been seen
-                    }
-                    self.best = candidate;
-                    if self.best < span.end() {
-                        break; // gap inside this shard
-                    }
-                    // Shard completely covered: continue into the next.
-                }
-                None => break,
-            }
-        }
-        debug_assert_eq!(
-            Position::new(self.best),
-            self.merged_best_reference(),
-            "cached best position diverged from the tracker merge"
-        );
-    }
-
-    /// The full O(shard count) merge of the per-shard trackers — the
-    /// specification [`ShardedSource::advance_best`] is checked against
-    /// in debug builds: walk the shards in range order while completely
-    /// seen; the prefix ends inside the first shard with a gap.
-    fn merged_best_reference(&self) -> Option<Position> {
-        let mut best = 0usize;
-        for (span, tracker) in self.list.shards.iter().zip(&self.trackers) {
-            match tracker.best_position() {
-                Some(local) if local.get() == span.entries.len() => {
-                    best = span.end();
-                }
-                Some(local) => {
-                    best = span.start - 1 + local.get();
-                    break;
-                }
-                None => break,
-            }
-        }
-        Position::new(best)
-    }
-
-    /// Marks the global position seen in its owning shard's tracker.
-    fn mark_global(&mut self, position: Position) {
-        let p = position.get();
-        let shard = self.list.shard_of(p);
-        let local = Position::new(p - self.list.shards[shard].start + 1)
-            .expect("positions within a shard are >= its start");
-        self.trackers[shard].mark_seen(local);
-    }
-
-    /// Marks a position seen; if the merged best position changed, returns
-    /// the local score at the new best position (the §5.1 piggyback) —
-    /// exactly `InMemorySource::mark_and_report` over the merged state.
-    fn mark_and_report(&mut self, position: Position) -> Option<Score> {
-        let before = self.best;
-        self.mark_global(position);
-        self.advance_best();
-        if self.best != before {
-            self.list.score_at(self.best)
-        } else {
-            None
-        }
+        ShardedStore { list, pool }
     }
 }
 
-impl ListSource for ShardedSource<'_> {
+/// One sharded list served through the access core: one best-position
+/// tracker over the whole list, shard-parallel block reads.
+pub type ShardedSource<'p> = TrackedSource<ShardedStore<'p>>;
+
+impl ListStore for ShardedStore<'_> {
     fn len(&self) -> usize {
         self.list.len()
     }
 
-    fn sorted_access(&mut self, position: Position, track: bool) -> Option<SourceEntry> {
-        self.counters.sorted += 1; // counted even past the end
-        let (item, score) = self.list.entry(position.get())?;
-        let best = if track {
-            self.mark_and_report(position)
-        } else {
-            None
-        };
-        Some(SourceEntry {
-            position,
-            item,
-            score,
-            best_position_score: best,
-        })
+    fn entry(&mut self, position: Position) -> Option<(ItemId, Score)> {
+        self.list.entry(position.get())
     }
 
-    fn random_access(
-        &mut self,
-        item: ItemId,
-        with_position: bool,
-        track: bool,
-    ) -> Option<SourceScore> {
-        self.counters.random += 1; // counted even when the item is absent
-        let (p, score) = self.list.lookup(item)?;
-        let position = Position::new(p).expect("indexed positions are 1-based");
-        let best = if track {
-            self.mark_and_report(position)
-        } else {
-            None
-        };
-        Some(SourceScore {
-            score,
-            position: with_position.then_some(position),
-            best_position_score: best,
-        })
+    fn lookup(&mut self, item: ItemId) -> Option<PositionedScore> {
+        self.list.lookup(item)
     }
 
-    fn direct_access_next(&mut self) -> Option<SourceEntry> {
-        let next = match self.global_best() {
-            None => Position::FIRST,
-            Some(bp) => bp.next(),
-        };
-        if next.get() > self.list.len() {
-            return None; // every position seen; no read attempt is made
+    fn score_at(&mut self, position: Position) -> Option<Score> {
+        self.list.score_at(position.get())
+    }
+
+    fn read_block(&mut self, first: Position, last: Position) -> Vec<SourceEntry> {
+        let (first, last) = (first.get(), last.get());
+        let list = &self.list;
+        let first_shard = list.shard_of(first);
+        let last_shard = list.shard_of(last);
+        if first_shard == last_shard {
+            // Single shard involved: copy inline, nothing to fan out.
+            return list.shards[first_shard].copy(first, last);
         }
-        self.counters.direct += 1;
-        let (item, score) = self
-            .list
-            .entry(next.get())
-            .expect("first unseen position is within list bounds");
-        let best = self.mark_and_report(next);
-        Some(SourceEntry {
-            position: next,
-            item,
-            score,
-            best_position_score: best,
-        })
-    }
-
-    fn sorted_block(&mut self, start: Position, len: usize, track: bool) -> Vec<SourceEntry> {
-        let first = start.get();
-        let last = self
-            .list
-            .len()
-            .min(first.saturating_add(len).saturating_sub(1));
-        if last < first {
-            return Vec::new(); // nothing in bounds: nothing counted
-        }
-        let before = if track { self.global_best() } else { None };
-
-        let first_shard = self.list.shard_of(first);
-        let last_shard = self.list.shard_of(last);
-        let mut entries = if first_shard == last_shard {
-            // Single shard involved: scan inline, nothing to fan out.
-            scan_span(
-                &self.list.shards[first_shard],
-                self.trackers[first_shard].as_mut(),
-                first,
-                last,
-                track,
-            )
-        } else {
-            // One scan job per shard on the shared pool; `scope_run`
-            // returns in submission (= shard) order, so the merge is
-            // deterministic regardless of pool width.
-            let list = &self.list;
-            let jobs: Vec<_> = self.trackers[first_shard..=last_shard]
-                .iter_mut()
-                .enumerate()
-                .map(|(offset, tracker)| {
-                    let shard = first_shard + offset;
-                    let span = &list.shards[shard];
-                    let lo = first.max(span.start);
-                    let hi = last.min(span.end());
-                    let tracker = tracker.as_mut();
-                    move || scan_span(span, tracker, lo, hi, track)
-                })
-                .collect();
-            self.pool.scope_run(jobs).concat()
-        };
-
-        self.counters.sorted += entries.len() as u64;
-        if track {
-            // One cache advance for the whole block (the shard jobs only
-            // marked their local trackers).
-            self.advance_best();
-            let after = self.global_best();
-            if after != before {
-                if let Some(entry) = entries.last_mut() {
-                    entry.best_position_score = after.and_then(|bp| self.list.score_at(bp.get()));
-                }
-            }
-        }
-        entries
-    }
-
-    fn best_position(&self) -> Option<Position> {
-        self.global_best()
+        // One copy job per shard on the shared pool; `scope_run` returns
+        // in submission (= shard) order, so the merge is deterministic
+        // regardless of pool width.
+        let jobs: Vec<_> = list.shards[first_shard..=last_shard]
+            .iter()
+            .map(|span| {
+                let lo = first.max(span.start);
+                let hi = last.min(span.end());
+                move || span.copy(lo, hi)
+            })
+            .collect();
+        self.pool.scope_run(jobs).concat()
     }
 
     fn tail_score(&self) -> Score {
@@ -689,21 +477,6 @@ impl ListSource for ShardedSource<'_> {
         // `Arc::make_mut` into a fresh copy.
         self.list.epoch()
     }
-
-    fn counters(&self) -> AccessCounters {
-        self.counters
-    }
-
-    fn reset(&mut self) {
-        self.counters = AccessCounters::default();
-        self.best = 0;
-        self.trackers = self
-            .list
-            .shards
-            .iter()
-            .map(|span| self.kind.create(span.entries.len()))
-            .collect();
-    }
 }
 
 /// A database whose every list is range-partitioned into shards, shared by
@@ -711,8 +484,8 @@ impl ListSource for ShardedSource<'_> {
 ///
 /// This is the physical layout behind the batched front door: build it
 /// once, then open a cheap per-query [`Sources`] view per query (each view
-/// has its own trackers and counters; the entry data is shared through
-/// `Arc`s).
+/// has its own tracker and counters per list; the entry data is shared
+/// through `Arc`s).
 #[derive(Debug, Clone)]
 pub struct ShardedDatabase {
     lists: Vec<Arc<ShardedList>>,
@@ -845,8 +618,8 @@ impl ShardedDatabase {
             self.lists
                 .iter()
                 .map(|list| {
-                    Box::new(ShardedSource::with_tracker(Arc::clone(list), pool, kind))
-                        as Box<dyn ListSource>
+                    let store = ShardedStore::new(Arc::clone(list), pool);
+                    Box::new(ShardedSource::with_tracker(store, kind)) as Box<dyn ListSource>
                 })
                 .collect(),
         )
@@ -856,6 +629,7 @@ impl ShardedDatabase {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::access::AccessCounters;
     use crate::source::SourceSet;
 
     fn db() -> Database {
@@ -906,7 +680,8 @@ mod tests {
         let database = db();
         let pool = ThreadPool::new(1);
         let sharded = ShardedDatabase::new(&database, 3);
-        let mut source = ShardedSource::new(Arc::clone(&sharded.lists[0]), &pool);
+        let mut source =
+            ShardedSource::new(ShardedStore::new(Arc::clone(&sharded.lists[0]), &pool));
 
         // Fill shard 0 (positions 1-4) out of order via random accesses.
         for item in [2u64, 4, 1, 3] {
@@ -944,7 +719,8 @@ mod tests {
         let database = db();
         let pool = ThreadPool::new(2);
         let sharded = ShardedDatabase::new(&database, 4);
-        let mut source = ShardedSource::new(Arc::clone(&sharded.lists[1]), &pool);
+        let mut source =
+            ShardedSource::new(ShardedStore::new(Arc::clone(&sharded.lists[1]), &pool));
         for expected in 1..=10usize {
             let entry = source.direct_access_next().unwrap();
             assert_eq!(entry.position.get(), expected);
@@ -1077,16 +853,22 @@ mod tests {
         assert_eq!(update.new_position, Position::FIRST);
         assert!(!update.is_decrease());
         assert_eq!(list.entry(1), Some((ItemId(9), Score::new(40.0).unwrap())));
-        assert_eq!(list.lookup(ItemId(9)), Some((1, Score::new(40.0).unwrap())));
+        assert_eq!(
+            list.lookup(ItemId(9)),
+            Some(PositionedScore {
+                position: Position::FIRST,
+                score: Score::new(40.0).unwrap()
+            })
+        );
         // Everything that was above position 9 shifted down by one.
-        assert_eq!(list.lookup(ItemId(1)).unwrap().0, 2);
-        assert_eq!(list.lookup(ItemId(8)).unwrap().0, 9);
+        assert_eq!(list.lookup(ItemId(1)).unwrap().position.get(), 2);
+        assert_eq!(list.lookup(ItemId(8)).unwrap().position.get(), 9);
         assert_eq!(list.epoch(), 1);
 
         // Insert between existing scores; delete from the middle.
         list.insert(ItemId(42), 25.5).unwrap();
         assert_eq!(list.len(), 11);
-        let (p, _) = list.lookup(ItemId(42)).unwrap();
+        let p = list.lookup(ItemId(42)).unwrap().position.get();
         assert_eq!(p, 4, "40, 30, 27, then 25.5");
         list.delete(ItemId(42)).unwrap();
         assert_eq!(list.len(), 10);
@@ -1114,7 +896,7 @@ mod tests {
         list.delete(ItemId(5)).unwrap(); // position 5's singleton shard
         assert_eq!(list.shard_count(), 9);
         assert_eq!(list.len(), 9);
-        assert_eq!(list.lookup(ItemId(6)).unwrap().0, 5);
+        assert_eq!(list.lookup(ItemId(6)).unwrap().position.get(), 5);
 
         // Shrink all the way down to one entry; the last delete is refused.
         for item in [1u64, 2, 3, 4, 6, 7, 8, 9] {

@@ -297,8 +297,8 @@ impl SortedList {
     /// Returns the entry at a 1-based position, or `None` past the end.
     ///
     /// This is the raw read used by both sorted and direct access; the
-    /// *accounting* of those access modes lives in
-    /// [`crate::source::InMemorySource`].
+    /// *accounting* of those access modes lives in the access core,
+    /// [`crate::tracked::TrackedSource`].
     #[inline]
     pub fn entry_at(&self, position: Position) -> Option<ListEntry> {
         self.entries
@@ -365,8 +365,8 @@ impl SortedList {
 
     /// The contiguous run of entries starting at `position`, at most `len`
     /// long, clipped to the end of the list (possibly empty). This is the
-    /// raw read behind coalesced sorted access
-    /// ([`crate::source::InMemorySource`]'s `sorted_block`); like
+    /// raw read behind coalesced sorted access over an in-memory list
+    /// ([`crate::tracked::ListStore::read_block`]); like
     /// [`SortedList::entry_at`] it carries no access accounting.
     #[inline]
     pub fn slice_at(&self, position: Position, len: usize) -> &[(ItemId, Score)] {

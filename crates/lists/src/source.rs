@@ -17,7 +17,10 @@
 //!   demarcation ([`SourceSet::begin_round`]) so backends can account or
 //!   coalesce per originator round.
 //! * [`InMemorySource`] / [`Sources::in_memory`] — the in-process backend
-//!   over borrowed [`SortedList`]s, counting every access it serves.
+//!   over borrowed [`SortedList`](crate::SortedList)s. It is the access core
+//!   ([`TrackedSource`](crate::tracked::TrackedSource)) over an in-memory
+//!   store; the sharded, paged and list-owner backends are the same core
+//!   over their own stores.
 //! * [`BatchingSource`] — a decorator that serves sorted accesses from a
 //!   prefetched block ([`ListSource::sorted_block`]), the groundwork for
 //!   sharded and asynchronous backends where accesses are coalesced into
@@ -52,8 +55,9 @@
 use crate::access::AccessCounters;
 use crate::database::Database;
 use crate::item::{ItemId, Position, Score};
-use crate::sorted_list::SortedList;
-use crate::tracker::{PositionTracker, TrackerKind};
+use crate::tracker::TrackerKind;
+
+pub use crate::tracked::InMemorySource;
 
 /// Hit/miss statistics of a backend-side page cache.
 ///
@@ -439,159 +443,6 @@ pub trait SourceSet {
     }
 }
 
-/// The in-memory backend: one borrowed [`SortedList`], per-mode
-/// [`AccessCounters`] incremented on every access, and a source-side
-/// [`PositionTracker`] for the tracked access modes.
-#[derive(Debug)]
-pub struct InMemorySource<'a> {
-    list: &'a SortedList,
-    counters: AccessCounters,
-    tracker: Box<dyn PositionTracker>,
-    kind: TrackerKind,
-}
-
-impl<'a> InMemorySource<'a> {
-    /// Wraps a list with the default bit-array tracker.
-    pub fn new(list: &'a SortedList) -> Self {
-        Self::with_tracker(list, TrackerKind::BitArray)
-    }
-
-    /// Wraps a list with an explicit best-position tracking strategy.
-    pub fn with_tracker(list: &'a SortedList, kind: TrackerKind) -> Self {
-        InMemorySource {
-            list,
-            counters: AccessCounters::default(),
-            tracker: kind.create(list.len()),
-            kind,
-        }
-    }
-
-    /// Marks a position seen; if the best position changed, returns the
-    /// local score at the new best position (the piggyback of §5.1).
-    fn mark_and_report(&mut self, position: Position) -> Option<Score> {
-        let before = self.tracker.best_position();
-        self.tracker.mark_seen(position);
-        let after = self.tracker.best_position();
-        if after != before {
-            after.and_then(|bp| self.list.score_at(bp))
-        } else {
-            None
-        }
-    }
-}
-
-impl ListSource for InMemorySource<'_> {
-    fn len(&self) -> usize {
-        self.list.len()
-    }
-
-    fn sorted_access(&mut self, position: Position, track: bool) -> Option<SourceEntry> {
-        self.counters.sorted += 1; // counted even past the end
-        let entry = self.list.entry_at(position)?;
-        let best = if track {
-            self.mark_and_report(entry.position)
-        } else {
-            None
-        };
-        Some(SourceEntry {
-            position: entry.position,
-            item: entry.item,
-            score: entry.score,
-            best_position_score: best,
-        })
-    }
-
-    fn random_access(
-        &mut self,
-        item: ItemId,
-        with_position: bool,
-        track: bool,
-    ) -> Option<SourceScore> {
-        self.counters.random += 1; // counted even when the item is absent
-        let ps = self.list.lookup(item)?;
-        let best = if track {
-            self.mark_and_report(ps.position)
-        } else {
-            None
-        };
-        Some(SourceScore {
-            score: ps.score,
-            position: with_position.then_some(ps.position),
-            best_position_score: best,
-        })
-    }
-
-    fn direct_access_next(&mut self) -> Option<SourceEntry> {
-        // Past the end every position has been seen: no read, no count.
-        let entry = self.list.entry_at(self.tracker.first_unseen())?;
-        self.counters.direct += 1;
-        let best = self.mark_and_report(entry.position);
-        Some(SourceEntry {
-            position: entry.position,
-            item: entry.item,
-            score: entry.score,
-            best_position_score: best,
-        })
-    }
-
-    fn sorted_block(&mut self, start: Position, len: usize, track: bool) -> Vec<SourceEntry> {
-        // Fast path over the default per-position loop: one contiguous
-        // slice walk (a single counter update) and one bulk tracker
-        // update. Entries, counters and the block-level piggyback are
-        // bit-identical to the default path, which the tests pin.
-        let block = self.list.slice_at(start, len);
-        self.counters.sorted += block.len() as u64;
-        let mut entries: Vec<SourceEntry> = block
-            .iter()
-            .enumerate()
-            .map(|(offset, &(item, score))| SourceEntry {
-                position: Position::from_index(start.index() + offset),
-                item,
-                score,
-                best_position_score: None,
-            })
-            .collect();
-        if track && !entries.is_empty() {
-            let first = entries[0].position;
-            let last = entries[entries.len() - 1].position;
-            let before = self.tracker.best_position();
-            self.tracker.mark_range_seen(first, last);
-            let after = self.tracker.best_position();
-            if after != before {
-                // The score at the best position after the block — exactly
-                // what the default path's last piggybacked change reports.
-                let piggyback = after.and_then(|bp| self.list.score_at(bp));
-                entries
-                    .last_mut()
-                    .expect("entries checked non-empty")
-                    .best_position_score = piggyback;
-            }
-        }
-        entries
-    }
-
-    fn best_position(&self) -> Option<Position> {
-        self.tracker.best_position()
-    }
-
-    fn epoch(&self) -> u64 {
-        self.list.epoch()
-    }
-
-    fn tail_score(&self) -> Score {
-        self.list.last_entry().score
-    }
-
-    fn counters(&self) -> AccessCounters {
-        self.counters
-    }
-
-    fn reset(&mut self) {
-        self.counters = AccessCounters::default();
-        self.tracker = self.kind.create(self.list.len());
-    }
-}
-
 /// A prefetching decorator: untracked sorted accesses are served from a
 /// block fetched through [`ListSource::sorted_block`], so sequential scans
 /// cost one backend exchange per `block_len` positions instead of one per
@@ -826,6 +677,8 @@ impl SourceSet for Sources<'_> {
 mod tests {
     use super::*;
     use crate::access::AccessMode;
+    use crate::sorted_list::SortedList;
+    use crate::tracked::{ListStore, TrackedSource};
 
     fn db() -> Database {
         Database::from_unsorted_lists(vec![
@@ -1006,43 +859,26 @@ mod tests {
         assert_eq!(source.best_position(), None);
     }
 
-    /// Delegating shim that deliberately does NOT override `sorted_block`,
-    /// so block reads run through the trait's default per-position path —
-    /// the reference implementation for the fast-path regression tests.
+    /// A store over a borrowed list that keeps the trait's default
+    /// entry-by-entry `read_block`: the reference for the slice walk.
     #[derive(Debug)]
-    struct DefaultBlockPath<'a>(InMemorySource<'a>);
+    struct EntryByEntry<'a>(&'a SortedList);
 
-    impl ListSource for DefaultBlockPath<'_> {
+    impl ListStore for EntryByEntry<'_> {
         fn len(&self) -> usize {
             self.0.len()
         }
-        fn sorted_access(&mut self, position: Position, track: bool) -> Option<SourceEntry> {
-            self.0.sorted_access(position, track)
+        fn entry(&mut self, position: Position) -> Option<(ItemId, Score)> {
+            ListStore::entry(&mut self.0, position)
         }
-        fn random_access(
-            &mut self,
-            item: ItemId,
-            with_position: bool,
-            track: bool,
-        ) -> Option<SourceScore> {
-            self.0.random_access(item, with_position, track)
+        fn lookup(&mut self, item: ItemId) -> Option<crate::PositionedScore> {
+            self.0.lookup(item)
         }
-        fn direct_access_next(&mut self) -> Option<SourceEntry> {
-            self.0.direct_access_next()
-        }
-        // `sorted_block` intentionally not overridden: the default loops
-        // over `sorted_access` above, which delegates to the inner source.
-        fn best_position(&self) -> Option<Position> {
-            self.0.best_position()
+        fn score_at(&mut self, position: Position) -> Option<Score> {
+            self.0.score_at(position)
         }
         fn tail_score(&self) -> Score {
-            self.0.tail_score()
-        }
-        fn counters(&self) -> AccessCounters {
-            self.0.counters()
-        }
-        fn reset(&mut self) {
-            self.0.reset()
+            self.0.last_entry().score
         }
     }
 
@@ -1056,18 +892,16 @@ mod tests {
         .unwrap()
     }
 
-    /// Satellite regression: the overridden `sorted_block` fast path of
-    /// `InMemorySource` is bit-identical to the default per-position path
-    /// — same entries, same counters, same tracker state, same block-level
-    /// piggyback — across tracked/untracked blocks interleaved with the
-    /// other access modes.
+    /// The in-memory slice walk is bit-identical to the default
+    /// entry-by-entry block read — same entries, same counters, same
+    /// tracker state, same block-level piggyback — across tracked and
+    /// untracked blocks interleaved with the other access modes.
     #[test]
     fn fast_block_path_matches_the_default_path() {
         let db = twelve_entry_db();
         for kind in TrackerKind::ALL {
             let mut fast = InMemorySource::with_tracker(db.list(0).unwrap(), kind);
-            let mut slow =
-                DefaultBlockPath(InMemorySource::with_tracker(db.list(0).unwrap(), kind));
+            let mut slow = TrackedSource::with_tracker(EntryByEntry(db.list(0).unwrap()), kind);
 
             // (start, len, track) patterns: head block, mid overlap, exact
             // tail, past-the-end clip, fully out of bounds, single entry.

@@ -1,7 +1,7 @@
 //! Bit-array best-position tracking (Section 5.2.1).
 
 use crate::item::Position;
-use crate::tracker::{PositionShift, PositionTracker};
+use crate::tracker::PositionTracker;
 
 /// Tracks seen positions in an array of `n` bits plus a moving best-position
 /// pointer, exactly as in Section 5.2.1 of the paper:
@@ -50,53 +50,6 @@ impl BitArrayTracker {
         let newly = *word & mask == 0;
         *word |= mask;
         newly
-    }
-
-    /// Opens a zero gap at 0-based bit index `idx`: every bit at or past
-    /// `idx` shifts up by one, word-wise with carries. `words` must already
-    /// be sized for the grown capacity.
-    fn insert_bit_gap(&mut self, idx: usize) {
-        let w0 = idx / 64;
-        let off = idx % 64;
-        let mut carry = 0u64;
-        for w in w0..self.words.len() {
-            let word = self.words[w];
-            let out = word >> 63;
-            self.words[w] = if w == w0 {
-                let mask_low = (1u64 << off) - 1;
-                (word & mask_low) | ((word & !mask_low) << 1)
-            } else {
-                (word << 1) | carry
-            };
-            carry = out;
-        }
-    }
-
-    /// Drops the bit at 0-based index `idx`: every bit past `idx` shifts
-    /// down by one, word-wise with borrows from the following word.
-    fn remove_bit(&mut self, idx: usize) {
-        let w0 = idx / 64;
-        let off = idx % 64;
-        let last = self.words.len() - 1;
-        for w in w0..=last {
-            let incoming = if w < last { self.words[w + 1] & 1 } else { 0 };
-            let word = self.words[w];
-            self.words[w] = if w == w0 {
-                let mask_low = (1u64 << off) - 1;
-                (word & mask_low) | ((word >> 1) & !mask_low) | (incoming << 63)
-            } else {
-                (word >> 1) | (incoming << 63)
-            };
-        }
-    }
-
-    /// Re-derives the best-position pointer after a shift invalidated the
-    /// prefix at `safe_prefix` (positions `1..safe_prefix` are untouched).
-    fn reanchor_bp(&mut self, safe_prefix: usize) {
-        self.bp = self.bp.min(safe_prefix.saturating_sub(1));
-        while self.bp < self.n && self.bit(self.bp + 1) {
-            self.bp += 1;
-        }
     }
 }
 
@@ -173,58 +126,6 @@ impl PositionTracker for BitArrayTracker {
         self.n = capacity;
         self.bp = 0;
         self.seen = 0;
-    }
-
-    /// In-place repair: word-wise bit shifting instead of the default
-    /// collect/clear/re-mark rebuild, debug-asserted against that rebuild.
-    fn apply_shift(&mut self, shift: PositionShift) {
-        #[cfg(debug_assertions)]
-        let rebuilt = {
-            let mut reference = BitArrayTracker::new(shift.new_capacity(self.n));
-            for p in 1..=self.n {
-                let position = Position::new(p).expect("p >= 1");
-                if self.is_seen(position) {
-                    if let Some(mapped) = shift.map(position) {
-                        reference.mark_seen(mapped);
-                    }
-                }
-            }
-            reference
-        };
-        match shift {
-            PositionShift::Insert { at } => {
-                self.n += 1;
-                self.words.resize(self.n.div_ceil(64), 0);
-                self.insert_bit_gap(at.get() - 1);
-                self.reanchor_bp(at.get());
-            }
-            PositionShift::Delete { at } => {
-                if self.bit(at.get()) {
-                    self.seen -= 1;
-                }
-                self.remove_bit(at.get() - 1);
-                self.n -= 1;
-                self.words.truncate(self.n.div_ceil(64));
-                self.reanchor_bp(at.get());
-            }
-            PositionShift::Move { from, to } => {
-                let moved = self.bit(from.get());
-                self.remove_bit(from.get() - 1);
-                self.insert_bit_gap(to.get() - 1);
-                if moved {
-                    self.set_bit(to.get());
-                }
-                self.reanchor_bp(from.get().min(to.get()));
-            }
-        }
-        #[cfg(debug_assertions)]
-        {
-            debug_assert_eq!(
-                (&rebuilt.words, rebuilt.n, rebuilt.bp, rebuilt.seen),
-                (&self.words, self.n, self.bp, self.seen),
-                "in-place bit surgery diverged from rebuild-from-scratch"
-            );
-        }
     }
 }
 

@@ -2,7 +2,7 @@
 
 use crate::bptree::BPlusTree;
 use crate::item::Position;
-use crate::tracker::{PositionShift, PositionTracker};
+use crate::tracker::PositionTracker;
 
 /// Tracks seen positions in a [`BPlusTree`] and advances the best position
 /// by walking successive keys of the leaf chain, following Section 5.2.2:
@@ -83,25 +83,6 @@ impl PositionTracker for BPlusTreeTracker {
         self.seen = BPlusTree::new();
         self.n = capacity;
         self.bp = 0;
-    }
-
-    /// O(u log u) repair: walk the seen keys via successor probes, map them
-    /// through the shift and re-insert — proportional to the number of
-    /// *seen* positions, never to the list size `n` (the point of the
-    /// B+tree variant when `n ≫ u`).
-    fn apply_shift(&mut self, shift: PositionShift) {
-        let mut keys = Vec::with_capacity(self.seen.len());
-        let mut probe = self.seen.successor(1);
-        while let Some(key) = probe {
-            keys.push(key);
-            probe = self.seen.successor(key + 1);
-        }
-        self.clear_resize(shift.new_capacity(self.n));
-        for key in keys {
-            if let Some(mapped) = shift.map(Position::new(key as usize).expect("seen key >= 1")) {
-                self.mark_seen(mapped);
-            }
-        }
     }
 }
 

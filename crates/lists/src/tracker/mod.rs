@@ -26,91 +26,13 @@ pub use naive::NaiveSetTracker;
 
 use crate::item::Position;
 
-/// The positional transform one sorted-list mutation applies to a list:
-/// how every pre-mutation position maps to its post-mutation position.
-///
-/// Trackers use this to repair their seen-sets in place
-/// ([`PositionTracker::apply_shift`]) when the list under them mutates:
-/// the seen flag travels with the *entry*, so `is_seen` at an entry's new
-/// position equals `is_seen` at its old position, and an inserted entry
-/// starts unseen. Note that a shift only fixes *positions* — whether the
-/// scores previously read at those positions are still current is an
-/// epoch question, answered by `SortedList::epoch`, not by the tracker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PositionShift {
-    /// An entry was inserted at `at`: entries at or past `at` move up by
-    /// one, `at` itself holds the (unseen) new entry, capacity grows by one.
-    Insert {
-        /// Post-mutation position of the inserted entry.
-        at: Position,
-    },
-    /// The entry at `at` was removed: entries past `at` move down by one,
-    /// capacity shrinks by one.
-    Delete {
-        /// Pre-mutation position of the removed entry.
-        at: Position,
-    },
-    /// The entry at `from` moved to `to` (a score update): the positions
-    /// between them rotate by one, capacity is unchanged.
-    Move {
-        /// Pre-mutation position of the moved entry.
-        from: Position,
-        /// Post-mutation position of the moved entry.
-        to: Position,
-    },
-}
-
-impl PositionShift {
-    /// The list capacity after the mutation, given the capacity before.
-    pub fn new_capacity(&self, old: usize) -> usize {
-        match self {
-            PositionShift::Insert { .. } => old + 1,
-            PositionShift::Delete { .. } => old - 1,
-            PositionShift::Move { .. } => old,
-        }
-    }
-
-    /// Maps a pre-mutation position to its post-mutation position, or
-    /// `None` for the deleted position.
-    pub fn map(&self, position: Position) -> Option<Position> {
-        let p = position.get();
-        let mapped = match *self {
-            PositionShift::Insert { at } => {
-                if p >= at.get() {
-                    p + 1
-                } else {
-                    p
-                }
-            }
-            PositionShift::Delete { at } => match p.cmp(&at.get()) {
-                std::cmp::Ordering::Less => p,
-                std::cmp::Ordering::Equal => return None,
-                std::cmp::Ordering::Greater => p - 1,
-            },
-            PositionShift::Move { from, to } => {
-                let (from, to) = (from.get(), to.get());
-                if p == from {
-                    to
-                } else if from < to && p > from && p <= to {
-                    p - 1
-                } else if to < from && p >= to && p < from {
-                    p + 1
-                } else {
-                    p
-                }
-            }
-        };
-        Some(Position::new(mapped).expect("mapped position is >= 1"))
-    }
-}
-
 /// Records the positions of one list that have been seen during query
 /// execution and maintains the list's best position.
 ///
-/// Trackers are `Send`: the sharded backend keeps one tracker per shard
-/// and marks them from pool worker threads (each shard's tracker is only
-/// ever touched by one job at a time).
-pub trait PositionTracker: std::fmt::Debug + Send {
+/// Every backend keeps one tracker per list: the access core
+/// ([`TrackedSource`](crate::tracked::TrackedSource)) owns it, whatever
+/// the storage format. BPA keeps one per list at the originator.
+pub trait PositionTracker: std::fmt::Debug {
     /// Marks a position as seen (idempotent). Returns `true` if the
     /// position was newly marked.
     fn mark_seen(&mut self, position: Position) -> bool;
@@ -154,33 +76,6 @@ pub trait PositionTracker: std::fmt::Debug + Send {
     /// Resets the tracker to an empty seen-set over a list of `capacity`
     /// items.
     fn clear_resize(&mut self, capacity: usize);
-
-    /// Repairs the tracker in place after the list under it mutated.
-    ///
-    /// Contract: for every entry that survives the mutation, `is_seen` at
-    /// its post-mutation position equals `is_seen` at its pre-mutation
-    /// position; an inserted entry's position starts unseen; the deleted
-    /// position's flag is dropped. The default implementation is the
-    /// rebuild-from-scratch reference — collect the seen positions, map
-    /// them through the shift, re-mark on a cleared tracker — which
-    /// implementations may replace with an in-place fast path producing
-    /// the identical state.
-    fn apply_shift(&mut self, shift: PositionShift) {
-        let old_capacity = self.capacity();
-        let mut moved = Vec::with_capacity(self.seen_count());
-        for p in 1..=old_capacity {
-            let position = Position::new(p).expect("p >= 1");
-            if self.is_seen(position) {
-                if let Some(mapped) = shift.map(position) {
-                    moved.push(mapped);
-                }
-            }
-        }
-        self.clear_resize(shift.new_capacity(old_capacity));
-        for position in moved {
-            self.mark_seen(position);
-        }
-    }
 }
 
 /// The available tracker implementations, used to select one at run time
@@ -310,161 +205,6 @@ mod tests {
     #[test]
     fn default_kind_is_bit_array() {
         assert_eq!(TrackerKind::default(), TrackerKind::BitArray);
-    }
-
-    fn pos(p: usize) -> Position {
-        Position::new(p).unwrap()
-    }
-
-    /// Reference transform: the seen-set a shift must produce, computed
-    /// independently of any tracker implementation.
-    fn reference_shift(seen: &[usize], shift: PositionShift) -> Vec<usize> {
-        let mut mapped: Vec<usize> = seen
-            .iter()
-            .filter_map(|&p| shift.map(pos(p)))
-            .map(|p| p.get())
-            .collect();
-        mapped.sort_unstable();
-        mapped
-    }
-
-    #[test]
-    fn apply_shift_repairs_every_tracker_kind() {
-        let n = 140;
-        // A pattern straddling word boundaries: prefix, a gap, scattered tail.
-        let seen: Vec<usize> = (1..=40).chain([63, 64, 65, 70, 128, 129, 140]).collect();
-        let shifts = [
-            PositionShift::Insert { at: pos(1) },
-            PositionShift::Insert { at: pos(20) },
-            PositionShift::Insert { at: pos(141) },
-            PositionShift::Delete { at: pos(1) },
-            PositionShift::Delete { at: pos(41) },
-            PositionShift::Delete { at: pos(64) },
-            PositionShift::Delete { at: pos(140) },
-            PositionShift::Move {
-                from: pos(3),
-                to: pos(130),
-            },
-            PositionShift::Move {
-                from: pos(130),
-                to: pos(3),
-            },
-            PositionShift::Move {
-                from: pos(64),
-                to: pos(64),
-            },
-            PositionShift::Move {
-                from: pos(41),
-                to: pos(1),
-            },
-        ];
-        for shift in shifts {
-            let expected = reference_shift(&seen, shift);
-            for kind in TrackerKind::ALL {
-                let mut tracker = kind.create(n);
-                for &p in &seen {
-                    tracker.mark_seen(pos(p));
-                }
-                tracker.apply_shift(shift);
-                let new_capacity = shift.new_capacity(n);
-                assert_eq!(tracker.capacity(), new_capacity, "{kind:?} {shift:?}");
-                let observed: Vec<usize> = (1..=new_capacity)
-                    .filter(|&p| tracker.is_seen(pos(p)))
-                    .collect();
-                assert_eq!(observed, expected, "{kind:?} {shift:?}");
-                assert_eq!(tracker.seen_count(), expected.len(), "{kind:?} {shift:?}");
-                // Best position must match a from-scratch tracker fed the
-                // mapped seen-set.
-                let mut rebuilt = kind.create(new_capacity);
-                for &p in &expected {
-                    rebuilt.mark_seen(pos(p));
-                }
-                assert_eq!(
-                    tracker.best_position(),
-                    rebuilt.best_position(),
-                    "{kind:?} {shift:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn shift_map_handles_rotation_boundaries() {
-        let up = PositionShift::Move {
-            from: pos(2),
-            to: pos(5),
-        };
-        assert_eq!(up.map(pos(1)), Some(pos(1)));
-        assert_eq!(up.map(pos(2)), Some(pos(5)));
-        assert_eq!(up.map(pos(3)), Some(pos(2)));
-        assert_eq!(up.map(pos(5)), Some(pos(4)));
-        assert_eq!(up.map(pos(6)), Some(pos(6)));
-        let down = PositionShift::Move {
-            from: pos(5),
-            to: pos(2),
-        };
-        assert_eq!(down.map(pos(5)), Some(pos(2)));
-        assert_eq!(down.map(pos(2)), Some(pos(3)));
-        assert_eq!(down.map(pos(4)), Some(pos(5)));
-        assert_eq!(down.map(pos(1)), Some(pos(1)));
-        assert_eq!(down.map(pos(6)), Some(pos(6)));
-        assert_eq!(PositionShift::Delete { at: pos(3) }.map(pos(3)), None);
-    }
-
-    #[test]
-    fn tracker_mutation_workout_stays_consistent() {
-        // Interleave marks and shifts; shadow with a reference Vec<bool>.
-        for kind in TrackerKind::ALL {
-            let mut tracker = kind.create(8);
-            let mut shadow: Vec<bool> = vec![false; 8];
-            let mark = |t: &mut Box<dyn PositionTracker>, s: &mut Vec<bool>, p: usize| {
-                t.mark_seen(pos(p));
-                s[p - 1] = true;
-            };
-            let shift = |t: &mut Box<dyn PositionTracker>, s: &mut Vec<bool>, sh| {
-                t.apply_shift(sh);
-                let mut next = vec![false; sh.new_capacity(s.len())];
-                for (i, &was) in s.iter().enumerate() {
-                    if was {
-                        if let Some(mapped) = sh.map(pos(i + 1)) {
-                            next[mapped.get() - 1] = true;
-                        }
-                    }
-                }
-                *s = next;
-            };
-            mark(&mut tracker, &mut shadow, 1);
-            mark(&mut tracker, &mut shadow, 2);
-            mark(&mut tracker, &mut shadow, 5);
-            shift(
-                &mut tracker,
-                &mut shadow,
-                PositionShift::Insert { at: pos(2) },
-            );
-            mark(&mut tracker, &mut shadow, 2);
-            shift(
-                &mut tracker,
-                &mut shadow,
-                PositionShift::Move {
-                    from: pos(6),
-                    to: pos(1),
-                },
-            );
-            shift(
-                &mut tracker,
-                &mut shadow,
-                PositionShift::Delete { at: pos(4) },
-            );
-            mark(&mut tracker, &mut shadow, 8);
-            for (i, &was) in shadow.iter().enumerate() {
-                assert_eq!(tracker.is_seen(pos(i + 1)), was, "{kind:?} at {}", i + 1);
-            }
-            assert_eq!(
-                tracker.seen_count(),
-                shadow.iter().filter(|&&b| b).count(),
-                "{kind:?}"
-            );
-        }
     }
 
     #[test]

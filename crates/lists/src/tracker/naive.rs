@@ -3,7 +3,7 @@
 use std::collections::HashSet;
 
 use crate::item::Position;
-use crate::tracker::{PositionShift, PositionTracker};
+use crate::tracker::PositionTracker;
 
 /// Maintains the seen positions in a hash set and recomputes the best
 /// position by scanning forward from position 1 on every query.
@@ -62,19 +62,6 @@ impl PositionTracker for NaiveSetTracker {
     fn clear_resize(&mut self, capacity: usize) {
         self.seen.clear();
         self.n = capacity;
-    }
-
-    /// O(u) repair: map the seen positions through the shift instead of
-    /// scanning all `n` positions as the default does.
-    fn apply_shift(&mut self, shift: PositionShift) {
-        let mapped: HashSet<usize> = self
-            .seen
-            .iter()
-            .filter_map(|&p| shift.map(Position::new(p).expect("seen position >= 1")))
-            .map(|p| p.get())
-            .collect();
-        self.n = shift.new_capacity(self.n);
-        self.seen = mapped;
     }
 }
 

@@ -11,7 +11,9 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use topk_lists::{ItemId, ListError, ListSource, Position, ShardedList, ShardedSource, SortedList};
+use topk_lists::{
+    ItemId, ListError, ListSource, Position, ShardedList, ShardedSource, ShardedStore, SortedList,
+};
 use topk_pool::ThreadPool;
 
 /// Dense ids, ids at or above 2^40, and dense ids that later meet far ones.
@@ -43,7 +45,7 @@ fn assert_matches_rebuild(
     assert_eq!(list.iter().collect::<Vec<_>>(), expected);
     assert_eq!(sharded.len(), expected.len());
 
-    let mut source = ShardedSource::new(Arc::new(sharded.clone()), pool);
+    let mut source = ShardedSource::new(ShardedStore::new(Arc::new(sharded.clone()), pool));
     for e in &expected {
         assert_eq!(list.lookup(e.item), rebuilt.lookup(e.item), "{}", e.item);
         let sorted = source.sorted_access(e.position, false).expect("in bounds");

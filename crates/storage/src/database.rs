@@ -5,13 +5,14 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use topk_lists::source::{ListSource, Sources};
+use topk_lists::tracked::ListStore;
 use topk_lists::tracker::TrackerKind;
 use topk_lists::Database;
 
 use crate::cache::CacheCapacity;
 use crate::error::StorageError;
 use crate::layout::PageLayout;
-use crate::source::PagedSource;
+use crate::source::{PagedSource, PagedStore};
 use crate::writer::write_list;
 
 /// File extension of paged list files.
@@ -72,14 +73,14 @@ impl PagedDatabase {
         let mut num_items = None;
         for path in &files {
             // A full open validates header, length and page index.
-            let source = PagedSource::open(path, CacheCapacity::Unbounded)?;
+            let store = PagedStore::open(path, CacheCapacity::Unbounded)?;
             match num_items {
-                None => num_items = Some(source.len()),
-                Some(n) if n != source.len() => {
+                None => num_items = Some(store.len()),
+                Some(n) if n != store.len() => {
                     return Err(StorageError::corrupt(format!(
                         "lists disagree on n: {} has {}, expected {n}",
                         path.display(),
-                        source.len()
+                        store.len()
                     )));
                 }
                 Some(_) => {}
@@ -122,9 +123,8 @@ impl PagedDatabase {
     ) -> Result<Sources<'static>, StorageError> {
         let mut sources: Vec<Box<dyn ListSource>> = Vec::with_capacity(self.files.len());
         for path in &self.files {
-            sources.push(Box::new(PagedSource::open_with_tracker(
-                path, capacity, kind,
-            )?));
+            let store = PagedStore::open(path, capacity)?;
+            sources.push(Box::new(PagedSource::with_tracker(store, kind)));
         }
         Ok(Sources::new(sources))
     }

@@ -18,14 +18,13 @@ use std::sync::Arc;
 use topk_core::algorithms::AlgorithmKind;
 use topk_core::{TopKError, TopKQuery, TopKResult};
 use topk_lists::source::{ListSource, SourceSet, Sources};
-use topk_lists::tracker::TrackerKind;
 use topk_lists::{AccessCounters, Database, ItemId, Position};
 
 use crate::cache::CacheCapacity;
 use crate::error::StorageError;
 use crate::io::{MemIo, PageIo};
 use crate::layout::PageLayout;
-use crate::source::PagedSource;
+use crate::source::{PagedSource, PagedStore};
 use crate::writer::encode_list;
 
 /// Shared op counter + armed failure point. `fail_at == 0` disarms the
@@ -152,11 +151,8 @@ fn faulty_sources(
                 plan: plan.clone(),
             }),
         };
-        sources.push(Box::new(PagedSource::from_io(
-            io,
-            CacheCapacity::Unbounded,
-            TrackerKind::BitArray,
-        )?));
+        let store = PagedStore::from_io(io, CacheCapacity::Unbounded)?;
+        sources.push(Box::new(PagedSource::new(store)));
     }
     Ok(Sources::new(sources))
 }
@@ -269,16 +265,16 @@ fn short_reads_cannot_poison_the_cache() {
 fn failures_are_latched_on_the_source_and_cleared_by_reset() {
     let images = images();
     let plan = FaultPlan::new();
-    let mut source = PagedSource::from_io(
+    let store = PagedStore::from_io(
         Box::new(FlakyIo {
             inner: MemIo::new(images[0].clone()),
             plan: plan.clone(),
         }),
         CacheCapacity::Pages(1),
-        TrackerKind::BitArray,
     )
     .unwrap();
-    assert!(source.last_error().is_none());
+    let mut source = PagedSource::new(store);
+    assert!(source.store().last_error().is_none());
 
     // Arm the next read and catch the fail-stop unwind by hand (this is
     // what `run_on` does for a whole algorithm).
@@ -290,12 +286,12 @@ fn failures_are_latched_on_the_source_and_cleared_by_reset() {
     let raised = unwind
         .downcast::<topk_lists::source::SourceError>()
         .expect("the payload is the typed SourceError");
-    assert_eq!(source.last_error(), Some(raised.as_ref()));
+    assert_eq!(source.store().last_error(), Some(raised.as_ref()));
     assert!(raised.detail.contains("injected failure"));
 
     // Reset clears the latch and the source serves queries again.
     source.reset();
-    assert!(source.last_error().is_none());
+    assert!(source.store().last_error().is_none());
     let entry = source.sorted_access(Position::FIRST, false).unwrap();
     assert_eq!(entry.position, Position::FIRST);
 }

@@ -9,8 +9,9 @@
 //!   a checksummed header with entry count and tail score, a page index
 //!   of per-page tail scores, and an item index for `O(log n)` random
 //!   access (the indexed lookup the paper's `cr = log n` cost assumes).
-//! * [`PagedSource`] — a `ListSource` over one such file, reading pages
-//!   through a deterministic LRU cache ([`CacheCapacity`]). Logical
+//! * [`PagedSource`] — a `ListSource` over one such file: the access
+//!   core of `topk_lists::tracked` over a [`PagedStore`], which reads
+//!   pages through a deterministic LRU cache ([`CacheCapacity`]). Logical
 //!   accesses are bit-identical to the in-memory backend; the physical
 //!   difference shows up only in per-source hit/miss counters, which
 //!   `topk_core::CostModel::total_cost` prices as a fourth access class.
@@ -91,7 +92,7 @@ pub use database::PagedDatabase;
 pub use error::StorageError;
 pub use layout::{PageLayout, DEFAULT_PAGE_SIZE, MIN_PAGE_SIZE};
 pub use scratch::ScratchDir;
-pub use source::PagedSource;
+pub use source::{PagedSource, PagedStore};
 pub use writer::write_list;
 
 /// Commonly used types, re-exported for convenient glob import.
@@ -101,5 +102,5 @@ pub mod prelude {
     pub use crate::error::StorageError;
     pub use crate::layout::PageLayout;
     pub use crate::scratch::ScratchDir;
-    pub use crate::source::PagedSource;
+    pub use crate::source::{PagedSource, PagedStore};
 }

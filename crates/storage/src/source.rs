@@ -1,83 +1,64 @@
-//! The disk-backed execution backend: [`PagedSource`].
+//! The disk-backed execution backend: [`PagedSource`], the access core
+//! over a [`PagedStore`].
+//!
+//! The counting, tracking and piggyback rules are the core's
+//! ([`TrackedSource`]), the same code every other backend runs, so
+//! algorithm runs are bit-identical to the in-memory backend. The store
+//! adds only physics: entries are decoded from pages fetched through a
+//! deterministic LRU cache, whose hits and misses surface through
+//! [`ListSource::cache_counters`](topk_lists::ListSource::cache_counters)
+//! and are priced by `topk_core::CostModel::total_cost`.
 
 use std::path::Path;
 
-use topk_lists::source::{CacheCounters, ListSource, SourceEntry, SourceError, SourceScore};
-use topk_lists::tracker::{PositionTracker, TrackerKind};
-use topk_lists::{AccessCounters, ItemId, Position, Score};
+use topk_lists::source::{CacheCounters, SourceError};
+use topk_lists::tracked::{ListStore, TrackedSource};
+use topk_lists::{ItemId, Position, PositionedScore, Score};
 
 use crate::cache::{CacheCapacity, PageCache};
 use crate::error::StorageError;
 use crate::file::PagedListFile;
 use crate::io::{FileIo, PageIo};
 
-/// A [`ListSource`] over one paged list file: sorted/random/direct
-/// accesses decode pages fetched through a deterministic LRU cache, and
-/// a source-side [`PositionTracker`] provides the best-position
-/// bookkeeping exactly as the in-memory backend does.
-///
-/// Semantics mirror
-/// [`InMemorySource`](topk_lists::source::InMemorySource) access for
-/// access — same counters (including counted past-the-end probes), same
-/// tracked-access piggybacks, same block fast path — so algorithm runs
-/// are bit-identical across the two backends; the cross-backend suite
-/// pins this. What differs is physics: page hits/misses, surfaced via
-/// [`ListSource::cache_counters`] and priced by
-/// `topk_core::CostModel::total_cost`.
+/// One paged list file served through the access core.
+pub type PagedSource = TrackedSource<PagedStore>;
+
+/// The [`ListStore`] of one paged list file: the file, its LRU page
+/// cache, and the error that aborted the current query, if any.
 ///
 /// IO failures during a query follow the fail-stop contract: the error
-/// is latched ([`PagedSource::last_error`]) and raised as a
+/// is latched ([`PagedStore::last_error`]) and raised as a
 /// [`SourceError`] unwind, which `run_on` converts to a typed `Err`.
-/// [`reset`](ListSource::reset) clears the latch, the cache and all
-/// counters, so a retry runs from a cold, consistent state.
+/// Resetting the source clears the latch and the cache, so a retry runs
+/// from a cold, consistent state.
 #[derive(Debug)]
-pub struct PagedSource {
+pub struct PagedStore {
     file: PagedListFile,
     cache: PageCache,
-    tracker: Box<dyn PositionTracker>,
-    tracker_kind: TrackerKind,
-    counters: AccessCounters,
     last_error: Option<SourceError>,
 }
 
-impl PagedSource {
-    /// Opens a paged list file with the given cache capacity and the
-    /// default bit-array tracker.
-    pub fn open(path: &Path, capacity: CacheCapacity) -> Result<PagedSource, StorageError> {
-        Self::open_with_tracker(path, capacity, TrackerKind::BitArray)
+impl PagedStore {
+    /// Opens a paged list file with the given cache capacity.
+    pub fn open(path: &Path, capacity: CacheCapacity) -> Result<PagedStore, StorageError> {
+        Self::from_io(Box::new(FileIo::open(path)?), capacity)
     }
 
-    /// Opens a paged list file with an explicit best-position tracking
-    /// strategy.
-    pub fn open_with_tracker(
-        path: &Path,
-        capacity: CacheCapacity,
-        kind: TrackerKind,
-    ) -> Result<PagedSource, StorageError> {
-        Self::from_io(Box::new(FileIo::open(path)?), capacity, kind)
-    }
-
-    /// Builds a source over any [`PageIo`] — the seam the fault tests
+    /// Builds a store over any [`PageIo`] — the seam the fault tests
     /// inject failing doubles through.
     pub(crate) fn from_io(
         io: Box<dyn PageIo>,
         capacity: CacheCapacity,
-        kind: TrackerKind,
-    ) -> Result<PagedSource, StorageError> {
-        let file = PagedListFile::open(io)?;
-        let n = file.len();
-        Ok(PagedSource {
-            file,
+    ) -> Result<PagedStore, StorageError> {
+        Ok(PagedStore {
+            file: PagedListFile::open(io)?,
             cache: PageCache::new(capacity),
-            tracker: kind.create(n),
-            tracker_kind: kind,
-            counters: AccessCounters::default(),
             last_error: None,
         })
     }
 
     /// The IO or corruption failure that aborted the current query, if
-    /// any. Cleared by [`reset`](ListSource::reset).
+    /// any. Cleared when the source resets.
     pub fn last_error(&self) -> Option<&SourceError> {
         self.last_error.as_ref()
     }
@@ -90,142 +71,42 @@ impl PagedSource {
         error.raise()
     }
 
-    fn entry_at(&mut self, idx: usize, op: &str) -> (ItemId, Score) {
-        match self.file.entry(idx, &mut self.cache) {
-            Ok(entry) => entry,
-            Err(err) => self.raise(op, err),
+    /// Reads the entry at `position` through the cache, or `None` past
+    /// the end of the list.
+    fn read(&mut self, position: Position, op: &str) -> Option<(ItemId, Score)> {
+        if position.get() > self.file.len() {
+            return None;
         }
-    }
-
-    /// Marks `position` seen; if the best position moved, reads and
-    /// returns the score at the new best position (the §5.1 piggyback).
-    /// The piggyback read goes through the page cache but is not a
-    /// counted list access, matching the in-memory backend's uncounted
-    /// raw read.
-    fn mark_and_report(&mut self, position: Position) -> Option<Score> {
-        let before = self.tracker.best_position();
-        self.tracker.mark_seen(position);
-        let after = self.tracker.best_position();
-        if after != before {
-            after.map(|bp| self.entry_at(bp.index(), "best-position read").1)
-        } else {
-            None
+        match self.file.entry(position.index(), &mut self.cache) {
+            Ok(entry) => Some(entry),
+            Err(err) => self.raise(op, err),
         }
     }
 }
 
-impl ListSource for PagedSource {
+impl ListStore for PagedStore {
     fn len(&self) -> usize {
         self.file.len()
     }
 
-    fn sorted_access(&mut self, position: Position, track: bool) -> Option<SourceEntry> {
-        self.counters.sorted += 1; // counted even past the end
-        if position.get() > self.file.len() {
-            return None;
-        }
-        let (item, score) = self.entry_at(position.index(), "sorted access");
-        let best = if track {
-            self.mark_and_report(position)
-        } else {
-            None
-        };
-        Some(SourceEntry {
-            position,
-            item,
-            score,
-            best_position_score: best,
-        })
+    fn entry(&mut self, position: Position) -> Option<(ItemId, Score)> {
+        self.read(position, "entry read")
     }
 
-    fn random_access(
-        &mut self,
-        item: ItemId,
-        with_position: bool,
-        track: bool,
-    ) -> Option<SourceScore> {
-        self.counters.random += 1; // counted even when the item is absent
-        let found = match self.file.lookup(item, &mut self.cache) {
+    fn lookup(&mut self, item: ItemId) -> Option<PositionedScore> {
+        match self.file.lookup(item, &mut self.cache) {
             Ok(found) => found,
             Err(err) => self.raise("random access", err),
-        };
-        let ps = found?;
-        let best = if track {
-            self.mark_and_report(ps.position)
-        } else {
-            None
-        };
-        Some(SourceScore {
-            score: ps.score,
-            position: with_position.then_some(ps.position),
-            best_position_score: best,
-        })
+        }
     }
 
-    fn direct_access_next(&mut self) -> Option<SourceEntry> {
-        let next = self.tracker.first_unseen();
-        if next.get() > self.file.len() {
-            return None; // every position seen; no read attempt is made
-        }
-        self.counters.direct += 1;
-        let (item, score) = self.entry_at(next.index(), "direct access");
-        let best = self.mark_and_report(next);
-        Some(SourceEntry {
-            position: next,
-            item,
-            score,
-            best_position_score: best,
-        })
-    }
-
-    fn sorted_block(&mut self, start: Position, len: usize, track: bool) -> Vec<SourceEntry> {
-        // Mirror of the in-memory fast path: count only in-bounds reads,
-        // one bulk tracker update, block-level piggyback on the last
-        // entry. Entries land in the same pages, so a block costs at
-        // most ⌈len / entries_per_page⌉ cache lookups beyond residency.
-        let end = self
-            .file
-            .len()
-            .min(start.get().saturating_add(len).saturating_sub(1));
-        let mut entries = Vec::with_capacity(end.saturating_sub(start.get() - 1));
-        for pos in start.get()..=end {
-            let (item, score) = self.entry_at(pos - 1, "sorted access");
-            entries.push(SourceEntry {
-                position: Position::from_index(pos - 1),
-                item,
-                score,
-                best_position_score: None,
-            });
-        }
-        self.counters.sorted += entries.len() as u64;
-        if track && !entries.is_empty() {
-            let first = entries[0].position;
-            let last = entries[entries.len() - 1].position;
-            let before = self.tracker.best_position();
-            self.tracker.mark_range_seen(first, last);
-            let after = self.tracker.best_position();
-            if after != before {
-                let piggyback = after.map(|bp| self.entry_at(bp.index(), "best-position read").1);
-                entries
-                    .last_mut()
-                    // lint:allow(fail-stop) -- guarded by !entries.is_empty() at the top of this block
-                    .expect("entries checked non-empty")
-                    .best_position_score = piggyback;
-            }
-        }
-        entries
-    }
-
-    fn best_position(&self) -> Option<Position> {
-        self.tracker.best_position()
+    fn score_at(&mut self, position: Position) -> Option<Score> {
+        self.read(position, "best-position read")
+            .map(|(_, score)| score)
     }
 
     fn tail_score(&self) -> Score {
         self.file.tail_score()
-    }
-
-    fn counters(&self) -> AccessCounters {
-        self.counters
     }
 
     fn cache_counters(&self) -> CacheCounters {
@@ -233,8 +114,6 @@ impl ListSource for PagedSource {
     }
 
     fn reset(&mut self) {
-        self.counters = AccessCounters::default();
-        self.tracker = self.tracker_kind.create(self.file.len());
         self.cache.clear();
         self.last_error = None;
     }
@@ -246,8 +125,8 @@ mod tests {
     use crate::io::MemIo;
     use crate::layout::PageLayout;
     use crate::writer::encode_list;
-    use topk_lists::source::InMemorySource;
-    use topk_lists::SortedList;
+    use topk_lists::source::ListSource;
+    use topk_lists::{ItemId, Position, SortedList};
 
     fn list() -> SortedList {
         SortedList::from_unsorted(
@@ -260,57 +139,7 @@ mod tests {
 
     fn paged(page_size: usize, capacity: CacheCapacity) -> PagedSource {
         let image = encode_list(&list(), PageLayout::with_page_size(page_size));
-        PagedSource::from_io(Box::new(MemIo::new(image)), capacity, TrackerKind::BitArray).unwrap()
-    }
-
-    /// Drives both backends through an interleaved access script and
-    /// asserts identical replies, counters and tracker state at every
-    /// step — the unit-level version of the cross-backend pinning.
-    #[test]
-    fn mirrors_the_in_memory_source_access_for_access() {
-        let reference = list();
-        for page_size in [64, 4096] {
-            for capacity in [CacheCapacity::Pages(1), CacheCapacity::Unbounded] {
-                let mut memory = InMemorySource::new(&reference);
-                let mut disk = paged(page_size, capacity);
-                assert_eq!(disk.len(), memory.len());
-                assert_eq!(disk.tail_score(), memory.tail_score());
-
-                for (pos, track) in [(1, false), (3, true), (12, true), (99, false)] {
-                    let p = Position::new(pos).unwrap();
-                    assert_eq!(disk.sorted_access(p, track), memory.sorted_access(p, track));
-                }
-                for (item, with_pos, track) in
-                    [(5u64, true, true), (1, false, false), (77, true, true)]
-                {
-                    assert_eq!(
-                        disk.random_access(ItemId(item), with_pos, track),
-                        memory.random_access(ItemId(item), with_pos, track)
-                    );
-                }
-                for _ in 0..4 {
-                    assert_eq!(disk.direct_access_next(), memory.direct_access_next());
-                }
-                for (start, len, track) in [(2, 5, true), (10, 99, false), (13, 2, true)] {
-                    let start = Position::new(start).unwrap();
-                    assert_eq!(
-                        disk.sorted_block(start, len, track),
-                        memory.sorted_block(start, len, track)
-                    );
-                }
-                assert_eq!(disk.counters(), memory.counters());
-                assert_eq!(disk.best_position(), memory.best_position());
-
-                disk.reset();
-                memory.reset();
-                assert_eq!(disk.counters(), memory.counters());
-                assert_eq!(disk.cache_counters(), CacheCounters::default());
-                assert_eq!(
-                    disk.sorted_access(Position::FIRST, true),
-                    memory.sorted_access(Position::FIRST, true)
-                );
-            }
-        }
+        PagedSource::new(PagedStore::from_io(Box::new(MemIo::new(image)), capacity).unwrap())
     }
 
     #[test]

@@ -15,6 +15,12 @@
 //! from `InMemorySource` — identical answers, per-mode access counters
 //! and `RunStats` — across page sizes and cache capacities, with the
 //! physical difference visible only in the cache hit/miss counters.
+//!
+//! Below the algorithms, one access script (sorted, random, direct and
+//! block accesses, tracked and untracked, in and out of bounds, and
+//! resets) runs against every backend list by list: the replies,
+//! counters and best positions must match step for step, and must agree
+//! with a seen-set the test keeps itself.
 
 use bpa_topk::datagen::{DatabaseKind, DatabaseSpec};
 use bpa_topk::distributed::{
@@ -23,6 +29,9 @@ use bpa_topk::distributed::{
 use bpa_topk::lists::Database;
 use bpa_topk::prelude::*;
 use topk_core::examples_paper::{figure1_database, figure2_database};
+
+mod common;
+use common::DefaultBlockPath;
 
 /// (accesses, messages, payload units, rounds) captured from the
 /// original protocol implementations.
@@ -806,6 +815,291 @@ fn sparse_item_ids_are_bit_identical_across_backends() {
                     essence(&reference),
                     "{kind:?} k={k} {label}"
                 );
+            }
+        }
+    }
+}
+
+// --------------------------------------------------------------------
+// One access script over every backend
+// --------------------------------------------------------------------
+
+use bpa_topk::lists::source::{SourceEntry, SourceScore};
+
+/// One step of the access script.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// `sorted_access(position, track)`.
+    Sorted(usize, bool),
+    /// `random_access(item, with_position, track)`.
+    Random(u64, bool, bool),
+    /// `direct_access_next()`.
+    Direct,
+    /// `sorted_block(start, len, track)`.
+    Block(usize, usize, bool),
+    /// `reset()`.
+    Reset,
+}
+
+/// What one step returned.
+#[derive(Debug, PartialEq)]
+enum Reply {
+    Entry(Option<SourceEntry>),
+    Score(Option<SourceScore>),
+    Block(Vec<SourceEntry>),
+    Reset,
+}
+
+/// The script for a list of `n > 4` entries.
+fn access_script(n: usize) -> Vec<Step> {
+    use Step::*;
+    let mut script = vec![
+        Sorted(1, false),
+        Sorted(3, true),
+        Sorted(n, true),
+        Sorted(n + 1, false), // past the end: counted, no entry
+        Sorted(n + 40, true),
+        Random(5, true, true),
+        Random(1, false, false),
+        Random(77, true, true), // absent: counted, no score
+        Random(2, false, true),
+    ];
+    // Direct accesses to exhaustion, plus one uncounted probe past it.
+    script.extend(std::iter::repeat(Direct).take(n + 1));
+    script.extend([
+        Reset,
+        Block(2, 3, true), // no prefix yet: no piggyback
+        Block(3, 5, false),
+        Block(1, 4, true),       // bridges the prefix through position 4
+        Block(n - 2, 99, false), // clipped at the end
+        Block(n + 1, 2, true),   // fully out of bounds
+        Block(6, 0, true),
+        Block(5, n, true), // clipped, moves the best position to n
+        Block(n, 1, true),
+        Reset,
+        Random(9, true, true),
+        Direct,
+        Sorted(2, true),
+        Block(n / 2, 99, true),
+        Direct,
+        Direct,
+    ]);
+    script
+}
+
+fn apply(source: &mut dyn ListSource, step: Step) -> Reply {
+    let at = |p| Position::new(p).unwrap();
+    match step {
+        Step::Sorted(p, track) => Reply::Entry(source.sorted_access(at(p), track)),
+        Step::Random(item, with_position, track) => {
+            Reply::Score(source.random_access(ItemId(item), with_position, track))
+        }
+        Step::Direct => Reply::Entry(source.direct_access_next()),
+        Step::Block(start, len, track) => Reply::Block(source.sorted_block(at(start), len, track)),
+        Step::Reset => {
+            source.reset();
+            Reply::Reset
+        }
+    }
+}
+
+/// The test's own bookkeeping of one list: which positions a tracked
+/// access has seen, and what the counting rules say the counters hold.
+struct Model<'a> {
+    list: &'a SortedList,
+    seen: Vec<bool>,
+    counters: AccessCounters,
+}
+
+impl<'a> Model<'a> {
+    fn new(list: &'a SortedList) -> Self {
+        Model {
+            list,
+            seen: vec![false; list.len()],
+            counters: AccessCounters::default(),
+        }
+    }
+
+    /// The longest seen prefix.
+    fn best(&self) -> Option<Position> {
+        Position::new(self.seen.iter().take_while(|&&s| s).count())
+    }
+
+    /// Checks one reference step: a sorted access is counted even past
+    /// the end, a random access even for an absent item, a direct access
+    /// only when it reads the first unseen position, a block by its
+    /// in-bounds reads; a reply piggybacks the score at the best position
+    /// exactly when the step moved it (a block on its last entry only).
+    fn check(&mut self, step: Step, reply: &Reply) {
+        let before = self.best();
+        let marked = match (step, reply) {
+            (Step::Sorted(p, track), Reply::Entry(entry)) => {
+                self.counters.sorted += 1;
+                assert_eq!(entry.is_some(), p <= self.list.len(), "{step:?}");
+                (track && entry.is_some()).then_some((p, p))
+            }
+            (Step::Random(item, with_position, track), Reply::Score(score)) => {
+                self.counters.random += 1;
+                let position = self.list.position_of(ItemId(item));
+                assert_eq!(score.is_some(), position.is_some(), "{step:?}");
+                let reported = score.and_then(|s| s.position);
+                assert_eq!(reported, position.filter(|_| with_position), "{step:?}");
+                position.filter(|_| track).map(|p| (p.get(), p.get()))
+            }
+            (Step::Direct, Reply::Entry(entry)) => {
+                let first_unseen = before.map_or(1, |bp| bp.get() + 1);
+                match entry {
+                    Some(entry) => {
+                        self.counters.direct += 1;
+                        assert_eq!(entry.position.get(), first_unseen, "{step:?}");
+                        Some((first_unseen, first_unseen))
+                    }
+                    None => {
+                        assert_eq!(first_unseen, self.list.len() + 1, "{step:?}: too early");
+                        None
+                    }
+                }
+            }
+            (Step::Block(start, len, track), Reply::Block(entries)) => {
+                let in_bounds = (start..start + len).filter(|&p| p <= self.list.len());
+                assert_eq!(entries.len(), in_bounds.count(), "{step:?}");
+                self.counters.sorted += entries.len() as u64;
+                let range = entries.first().zip(entries.last());
+                range
+                    .filter(|_| track)
+                    .map(|(first, last)| (first.position.get(), last.position.get()))
+            }
+            (Step::Reset, _) => {
+                self.seen.fill(false);
+                self.counters = AccessCounters::default();
+                None
+            }
+            _ => panic!("{step:?} got {reply:?}"),
+        };
+        if let Some((first, last)) = marked {
+            self.seen[first - 1..last].fill(true);
+        }
+        let after = self.best();
+        let expected = if after != before {
+            after.and_then(|bp| self.list.score_at(bp))
+        } else {
+            None
+        };
+        let reported = match reply {
+            Reply::Entry(entry) => entry.and_then(|e| e.best_position_score),
+            Reply::Score(score) => score.and_then(|s| s.best_position_score),
+            Reply::Block(entries) => {
+                let (last, rest) = entries
+                    .split_last()
+                    .map_or((None, &[][..]), |(l, r)| (Some(l), r));
+                assert!(
+                    rest.iter().all(|e| e.best_position_score.is_none()),
+                    "{step:?}"
+                );
+                last.and_then(|e| e.best_position_score)
+            }
+            Reply::Reset => None,
+        };
+        assert_eq!(reported, expected, "{step:?}: piggyback");
+    }
+}
+
+/// The access core's rules hold on every backend: one script of sorted,
+/// random, direct and block accesses (tracked and untracked, in and out
+/// of bounds) and resets gives identical replies, counters and best
+/// positions after every step — in memory under every tracker, through
+/// the trait's default block path, sharded at 1, 3 and n shards on 1-
+/// and 4-thread pools, paged at 64 B and 4 KiB pages under a 1-page and
+/// an unbounded cache, and at list owners through `ClusterSources`.
+#[test]
+fn one_access_script_gives_identical_replies_on_every_backend() {
+    use bpa_topk::lists::ShardedDatabase;
+
+    let db = Database::from_unsorted_lists(vec![
+        (1..=12u64).map(|i| (i, ((i * 5) % 17) as f64)).collect(),
+        (1..=12u64).map(|i| (i, i as f64)).collect(),
+    ])
+    .unwrap();
+    let n = db.num_items();
+    let pools = [ThreadPool::new(1), ThreadPool::new(4)];
+    let dirs: Vec<(usize, ScratchDir)> = [64, 4096]
+        .into_iter()
+        .map(|page_size| {
+            (
+                page_size,
+                ScratchDir::new(&format!("access-script-{page_size}")),
+            )
+        })
+        .collect();
+    let paged: Vec<(usize, PagedDatabase)> = dirs
+        .iter()
+        .map(|(page_size, dir)| {
+            let layout = PageLayout::with_page_size(*page_size);
+            (
+                *page_size,
+                PagedDatabase::create(dir.path(), &db, layout).unwrap(),
+            )
+        })
+        .collect();
+    let cluster = Cluster::new(&db);
+
+    let mut backends: Vec<(String, Box<dyn SourceSet + '_>)> = Vec::new();
+    for kind in TrackerKind::ALL {
+        let sources = Sources::in_memory_with_tracker(&db, kind);
+        backends.push((format!("in memory ({kind:?})"), Box::new(sources)));
+    }
+    let default_path = db
+        .lists()
+        .map(|list| Box::new(DefaultBlockPath(InMemorySource::new(list))) as Box<dyn ListSource>)
+        .collect();
+    backends.push((
+        "default block path".into(),
+        Box::new(Sources::new(default_path)),
+    ));
+    for shards in [1, 3, n] {
+        let sharded = ShardedDatabase::new(&db, shards);
+        for pool in &pools {
+            let label = format!("{shards} shards, {} threads", pool.num_threads());
+            backends.push((label, Box::new(sharded.sources(pool))));
+        }
+    }
+    for (page_size, paged) in &paged {
+        for capacity in [CacheCapacity::Pages(1), CacheCapacity::Unbounded] {
+            let label = format!("paged, {page_size} B pages, {capacity:?}");
+            backends.push((label, Box::new(paged.sources(capacity).unwrap())));
+        }
+    }
+    backends.push((
+        "list owners".into(),
+        Box::new(ClusterSources::new(&cluster)),
+    ));
+
+    let (reference, others) = backends.split_first_mut().unwrap();
+    for i in 0..db.num_lists() {
+        let list = db.list(i).unwrap();
+        for (label, sources) in others.iter() {
+            let (source, expected) = (sources.source_ref(i), reference.1.source_ref(i));
+            assert_eq!(source.len(), expected.len(), "{label}");
+            assert_eq!(source.tail_score(), expected.tail_score(), "{label}");
+            assert_eq!(source.epoch(), expected.epoch(), "{label}");
+        }
+        let mut model = Model::new(list);
+        for (at, &step) in access_script(list.len()).iter().enumerate() {
+            let expected = apply(reference.1.source(i), step);
+            model.check(step, &expected);
+            let best = reference.1.source_ref(i).best_position();
+            let counters = reference.1.source_ref(i).counters();
+            assert_eq!(
+                (best, counters),
+                (model.best(), model.counters),
+                "step {at}"
+            );
+            for (label, sources) in others.iter_mut() {
+                let reply = apply(sources.source(i), step);
+                let context = format!("{label}, list {i}, step {at} {step:?}");
+                assert_eq!(reply, expected, "{context}");
+                assert_eq!(sources.source_ref(i).counters(), counters, "{context}");
+                assert_eq!(sources.source_ref(i).best_position(), best, "{context}");
             }
         }
     }

@@ -4,18 +4,21 @@
 //! seven algorithms, on the paper's figure databases and on all three
 //! `topk-datagen` families, independent of shard count and pool width.
 //!
-//! Also pins the `InMemorySource::sorted_block` fast path (one slice
-//! walk and one bulk tracker update) to the trait's default per-position
-//! path at the algorithm level, and the batched front door (`QueryBatch`)
+//! Also pins the in-memory block fast path (one slice walk and one bulk
+//! tracker update) to the trait's default per-position path at the
+//! algorithm level, and the batched front door (`QueryBatch`)
 //! to sequential planning.
 
 use bpa_topk::core::batch::QueryBatch;
 use bpa_topk::core::examples_paper::{figure1_database, figure2_database};
 use bpa_topk::core::planner::plan_and_run_on;
 use bpa_topk::datagen::{DatabaseKind, DatabaseSpec};
-use bpa_topk::lists::source::{ListSource, SourceEntry, SourceScore, Sources};
+use bpa_topk::lists::source::{ListSource, Sources};
 use bpa_topk::pool::ThreadPool;
 use bpa_topk::prelude::*;
+
+mod common;
+use common::DefaultBlockPath;
 
 /// Every (name, database) pair the equivalence tests sweep: the paper's
 /// worked examples plus one database per datagen family.
@@ -215,44 +218,6 @@ fn query_batches_match_sequential_planning() {
             plan_and_run_on(&mut Sources::in_memory(&db), &stats, query).unwrap();
         assert_eq!(plan.choice(), alone_plan.choice(), "{query:?}");
         assert_results_identical(result, &alone, &format!("{query:?}"));
-    }
-}
-
-/// Delegating shim that deliberately does NOT override `sorted_block`:
-/// block reads run through the trait's default per-position loop — the
-/// reference path for the fast-path regression test below.
-#[derive(Debug)]
-struct DefaultBlockPath<'a>(InMemorySource<'a>);
-
-impl ListSource for DefaultBlockPath<'_> {
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    fn sorted_access(&mut self, position: Position, track: bool) -> Option<SourceEntry> {
-        self.0.sorted_access(position, track)
-    }
-    fn random_access(
-        &mut self,
-        item: ItemId,
-        with_position: bool,
-        track: bool,
-    ) -> Option<SourceScore> {
-        self.0.random_access(item, with_position, track)
-    }
-    fn direct_access_next(&mut self) -> Option<SourceEntry> {
-        self.0.direct_access_next()
-    }
-    fn best_position(&self) -> Option<Position> {
-        self.0.best_position()
-    }
-    fn tail_score(&self) -> Score {
-        self.0.tail_score()
-    }
-    fn counters(&self) -> AccessCounters {
-        self.0.counters()
-    }
-    fn reset(&mut self) {
-        self.0.reset()
     }
 }
 
