@@ -45,10 +45,10 @@ pub struct MonitoringSystem {
     standing: Option<StandingState>,
 }
 
-/// The long-lived serving state behind standing queries: one sharded copy
-/// of the counts living on the shared pool (mutated in place as updates
-/// arrive, and sampled for planner statistics), and the registered
-/// queries with their cached answers.
+/// The long-lived serving state behind standing queries: one sharded
+/// database of the counts read on the shared pool (mutated in place as
+/// updates arrive, and sampled for planner statistics), and the
+/// registered queries with their cached answers.
 #[derive(Debug, Clone)]
 struct StandingState {
     sharded: ShardedDatabase,

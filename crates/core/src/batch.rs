@@ -12,9 +12,9 @@
 //! caller-supplied factory), so queries never share trackers or counters;
 //! over the sharded backend
 //! ([`ShardedDatabase`](topk_lists::sharded::ShardedDatabase)) the views
-//! are cheap `Arc` clones of one physical copy of the data, and a query's
-//! shard-parallel block scans fan out onto the *same* pool its siblings
-//! run on — the pool's helping `scope_run` makes that nesting
+//! are cheap `Arc` clones of the database's one copy of each list, and a
+//! query's shard-parallel block scans fan out onto the *same* pool its
+//! siblings run on — the pool's helping `scope_run` makes that nesting
 //! deadlock-free. Results return in query order with per-query plans and
 //! [`RunStats`](crate::stats::RunStats), independent of the pool's thread
 //! count.
@@ -32,7 +32,7 @@
 //! ])
 //! .unwrap();
 //!
-//! // One pool + one sharded copy of the data serve the whole batch.
+//! // One pool + one sharded view of the data serve the whole batch.
 //! let pool = ThreadPool::new(2);
 //! let sharded = ShardedDatabase::new(&db, 2);
 //! let stats = DatabaseStats::collect(&db);

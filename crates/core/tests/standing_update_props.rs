@@ -14,12 +14,13 @@
 //!
 //! * all seven algorithms on the live in-memory database return the
 //!   answer a `NaiveScan` computes on a freshly rebuilt database;
-//! * the same holds on the live sharded backend (mutations routed to the
-//!   owning shards, repaired indexes, pool-scanned);
+//! * the same holds on the live sharded backend (the database's own
+//!   mutation path, read in shard ranges derived from the new length,
+//!   pool-scanned);
 //! * a [`StandingQuery`] fed the mutation events serves answers that are
 //!   **bit-identical** to the rebuilt truth — whether it absorbed the
 //!   updates or refreshed;
-//! * the in-memory and sharded mutation paths report identical receipts
+//! * a sharded database and its in-memory twin report identical receipts
 //!   (same positions, same epochs).
 
 use proptest::prelude::*;

@@ -370,10 +370,12 @@ impl ClusterRuntime {
                 tail_score: list.last_entry().score,
                 epoch: list.epoch(),
             });
+            // One copy of the list, shared by every replica's worker.
+            let list = Arc::new(list.clone());
             let mut lanes = Vec::with_capacity(replicas);
             for r in 0..replicas {
                 let (tx, rx) = channel();
-                let list = Arc::new(list.clone());
+                let list = Arc::clone(&list);
                 let handle = std::thread::Builder::new()
                     .name(format!("list-owner-{i}-r{r}"))
                     .spawn(move || worker_loop(list, kind, rx))

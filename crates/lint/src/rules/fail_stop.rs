@@ -18,10 +18,11 @@ use crate::rules::{under_any, Finding, Rule};
 use crate::source::SourceFile;
 
 /// Modules bound to the fail-stop contract: the access core every
-/// backend's reads run through, the paged store, and the distributed
-/// owner, source and runtime layers.
+/// backend's reads run through, the sharded and paged stores, and the
+/// distributed owner, source and runtime layers.
 const SCOPE: &[&str] = &[
     "crates/lists/src/tracked.rs",
+    "crates/lists/src/sharded.rs",
     "crates/storage/src/",
     "crates/distributed/src/owner.rs",
     "crates/distributed/src/source.rs",

@@ -1,5 +1,7 @@
 //! A database: `m` sorted lists over the same set of `n` data items.
 
+use std::sync::Arc;
+
 use crate::error::ListError;
 use crate::item::{ItemId, Position, Score};
 use crate::sorted_list::{ScoreUpdate, SortedList};
@@ -22,9 +24,13 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// Construction validates that invariant, so the algorithms in `topk-core`
 /// can rely on it (e.g. a random access for an item seen in one list never
 /// fails in another list).
+///
+/// The lists are shared copy-on-write: cloning a database, or opening a
+/// sharded view over it, copies no entries, and a mutation copies a list
+/// only while another holder still shares it (`Arc::make_mut`).
 #[derive(Debug, Clone)]
 pub struct Database {
-    lists: Vec<SortedList>,
+    lists: Vec<Arc<SortedList>>,
     /// Number of data items in each list (`n`).
     n: usize,
 }
@@ -61,7 +67,10 @@ impl Database {
                 }
             }
         }
-        Ok(Database { lists, n })
+        Ok(Database {
+            lists: lists.into_iter().map(Arc::new).collect(),
+            n,
+        })
     }
 
     /// Convenience constructor: builds each list with
@@ -96,15 +105,24 @@ impl Database {
     ///
     /// Returns [`ListError::ListIndexOutOfRange`] when `i >= m`.
     pub fn list(&self, i: usize) -> Result<&SortedList, ListError> {
-        self.lists.get(i).ok_or(ListError::ListIndexOutOfRange {
-            index: i,
-            len: self.lists.len(),
-        })
+        self.lists
+            .get(i)
+            .map(Arc::as_ref)
+            .ok_or(ListError::ListIndexOutOfRange {
+                index: i,
+                len: self.lists.len(),
+            })
     }
 
     /// Iterates over the lists in order.
     pub fn lists(&self) -> impl Iterator<Item = &SortedList> + '_ {
-        self.lists.iter()
+        self.lists.iter().map(Arc::as_ref)
+    }
+
+    /// The shared handles of the lists, in order: what a sharded view
+    /// reads without copying the entries.
+    pub(crate) fn shared_lists(&self) -> &[Arc<SortedList>] {
+        &self.lists
     }
 
     /// The per-list mutation epochs, in list order. Observers snapshot this
@@ -131,7 +149,7 @@ impl Database {
             .lists
             .get_mut(list)
             .ok_or(ListError::ListIndexOutOfRange { index: list, len })?;
-        target.update_score(item, score)
+        Arc::make_mut(target).update_score(item, score)
     }
 
     /// Inserts a new item into **every** list, one local score per list.
@@ -157,7 +175,8 @@ impl Database {
             return Err(ListError::DuplicateItem(item));
         }
         for (list, &raw) in self.lists.iter_mut().zip(scores) {
-            list.insert(item, raw)
+            Arc::make_mut(list)
+                .insert(item, raw)
                 .expect("validated: score finite, item absent");
         }
         self.n += 1;
@@ -178,7 +197,8 @@ impl Database {
             return Err(ListError::EmptyList);
         }
         for list in &mut self.lists {
-            list.delete(item)
+            Arc::make_mut(list)
+                .delete(item)
                 .expect("database invariant: item present everywhere, n > 1");
         }
         self.n -= 1;

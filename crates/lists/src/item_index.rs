@@ -1,7 +1,6 @@
-//! The item → (position, score) index behind random access, shared by
-//! [`SortedList`](crate::SortedList) and
-//! [`ShardedList`](crate::ShardedList), plus the fixed hasher the
-//! per-query item maps of the algorithm layer use.
+//! The item → (position, score) index behind random access of a
+//! [`SortedList`](crate::SortedList), plus the fixed hasher the per-query
+//! item maps of the algorithm layer use.
 //!
 //! Random access is the hottest lookup of every algorithm: TA, BPA and
 //! BPA2 issue `m − 1` of them per item they resolve. Two storage shapes

@@ -6,9 +6,9 @@
 //! * [`SortedList`] — a list of `(item, local score)` pairs sorted in
 //!   descending score order, with an item → position index so that *random
 //!   access* (look up a given item) is O(1).
-//! * [`item_index`] — that index, shared with the sharded layout: a dense
-//!   array while item ids are dense, otherwise a hash map on the fixed
-//!   [`ItemHasher`] (whose [`ItemMap`] the algorithms' per-query maps use).
+//! * [`item_index`] — that index: a dense array while item ids are
+//!   dense, otherwise a hash map on the fixed [`ItemHasher`] (whose
+//!   [`ItemMap`] the algorithms' per-query maps use).
 //! * [`Database`] — a set of `m` sorted lists over the same `n` data items
 //!   (the paper's "database").
 //! * [`source`] — the one access model every backend implements:
@@ -26,9 +26,9 @@
 //! * [`bptree`] — the order-configurable B+tree with linked leaves used by
 //!   the B+tree tracker.
 //!
-//! * [`sharded`] — the range-partitioned physical layout: each sorted
-//!   list split into contiguous position-range shards whose block reads
-//!   run in parallel on a shared `topk_pool::ThreadPool`
+//! * [`sharded`] — the range-partitioned read path: each shared sorted
+//!   list read in contiguous position ranges derived from its length,
+//!   whose block reads run in parallel on a shared `topk_pool::ThreadPool`
 //!   ([`ShardedDatabase`]/[`ShardedSource`]).
 //!
 //! The crate's only dependency is the std-only `topk-pool` work-stealing
@@ -69,7 +69,7 @@ pub use database::Database;
 pub use error::ListError;
 pub use item::{ItemId, Position, Score};
 pub use item_index::{ItemHasher, ItemMap};
-pub use sharded::{ShardedDatabase, ShardedList, ShardedSource, ShardedStore};
+pub use sharded::{ShardedDatabase, ShardedSource, ShardedStore};
 pub use sorted_list::{ListDelta, ListEntry, PositionedScore, ScoreUpdate, SortedList};
 pub use source::{
     BatchingSource, CacheCounters, InMemorySource, ListSource, SourceEntry, SourceError,
@@ -86,7 +86,7 @@ pub mod prelude {
     pub use crate::database::Database;
     pub use crate::error::ListError;
     pub use crate::item::{ItemId, Position, Score};
-    pub use crate::sharded::{ShardedDatabase, ShardedList, ShardedSource, ShardedStore};
+    pub use crate::sharded::{ShardedDatabase, ShardedSource, ShardedStore};
     pub use crate::sorted_list::{ListDelta, ListEntry, PositionedScore, ScoreUpdate, SortedList};
     pub use crate::source::{
         BatchingSource, CacheCounters, InMemorySource, ListSource, SourceEntry, SourceError,

@@ -276,11 +276,6 @@ impl SortedList {
         }
     }
 
-    /// The item → index map, shared with the sharded layout of the list.
-    pub(crate) fn index(&self) -> &ItemIndex {
-        &self.index
-    }
-
     /// Number of entries (`n`) in the list.
     #[inline]
     pub fn len(&self) -> usize {

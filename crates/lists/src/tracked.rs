@@ -22,8 +22,8 @@
 //!
 //! * `&SortedList` and `Arc<SortedList>` — in memory ([`InMemorySource`]),
 //!   and the list owners of `topk-distributed`;
-//! * [`ShardedStore`](crate::sharded::ShardedStore) — position-range
-//!   shards whose block reads fan out on a thread pool;
+//! * [`ShardedStore`](crate::sharded::ShardedStore) — a shared list read
+//!   in position-range shards whose block reads fan out on a thread pool;
 //! * `topk_storage::PagedStore` — a paged file read through an LRU page
 //!   cache.
 //!

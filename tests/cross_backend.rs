@@ -1004,6 +1004,41 @@ impl<'a> Model<'a> {
     }
 }
 
+/// Runs the access script over every list of `db` on each backend and
+/// asserts that all of them reply, count and track exactly like the
+/// first, which is itself checked against the `Model`.
+fn assert_script_agrees(db: &Database, backends: &mut [(String, Box<dyn SourceSet + '_>)]) {
+    let (reference, others) = backends.split_first_mut().unwrap();
+    for i in 0..db.num_lists() {
+        let list = db.list(i).unwrap();
+        for (label, sources) in others.iter() {
+            let (source, expected) = (sources.source_ref(i), reference.1.source_ref(i));
+            assert_eq!(source.len(), expected.len(), "{label}");
+            assert_eq!(source.tail_score(), expected.tail_score(), "{label}");
+            assert_eq!(source.epoch(), expected.epoch(), "{label}");
+        }
+        let mut model = Model::new(list);
+        for (at, &step) in access_script(list.len()).iter().enumerate() {
+            let expected = apply(reference.1.source(i), step);
+            model.check(step, &expected);
+            let best = reference.1.source_ref(i).best_position();
+            let counters = reference.1.source_ref(i).counters();
+            assert_eq!(
+                (best, counters),
+                (model.best(), model.counters),
+                "step {at}"
+            );
+            for (label, sources) in others.iter_mut() {
+                let reply = apply(sources.source(i), step);
+                let context = format!("{label}, list {i}, step {at} {step:?}");
+                assert_eq!(reply, expected, "{context}");
+                assert_eq!(sources.source_ref(i).counters(), counters, "{context}");
+                assert_eq!(sources.source_ref(i).best_position(), best, "{context}");
+            }
+        }
+    }
+}
+
 /// The access core's rules hold on every backend: one script of sorted,
 /// random, direct and block accesses (tracked and untracked, in and out
 /// of bounds) and resets gives identical replies, counters and best
@@ -1011,6 +1046,9 @@ impl<'a> Model<'a> {
 /// the trait's default block path, sharded at 1, 3 and n shards on 1-
 /// and 4-thread pools, paged at 64 B and 4 KiB pages under a 1-page and
 /// an unbounded cache, and at list owners through `ClusterSources`.
+/// Sharded at 1, 3 and n shards over a database mutated through
+/// `ShardedDatabase` (score updates, one insert, one delete), the replies
+/// equal the in-memory source's over the same mutated `Database`.
 #[test]
 fn one_access_script_gives_identical_replies_on_every_backend() {
     use bpa_topk::lists::ShardedDatabase;
@@ -1073,34 +1111,22 @@ fn one_access_script_gives_identical_replies_on_every_backend() {
         "list owners".into(),
         Box::new(ClusterSources::new(&cluster)),
     ));
+    assert_script_agrees(&db, &mut backends);
 
-    let (reference, others) = backends.split_first_mut().unwrap();
-    for i in 0..db.num_lists() {
-        let list = db.list(i).unwrap();
-        for (label, sources) in others.iter() {
-            let (source, expected) = (sources.source_ref(i), reference.1.source_ref(i));
-            assert_eq!(source.len(), expected.len(), "{label}");
-            assert_eq!(source.tail_score(), expected.tail_score(), "{label}");
-            assert_eq!(source.epoch(), expected.epoch(), "{label}");
+    for shards in [1, 3, n] {
+        let mut sharded = ShardedDatabase::new(&db, shards);
+        sharded.update_score(0, ItemId(3), 16.5).unwrap();
+        sharded.update_score(1, ItemId(12), 0.5).unwrap();
+        sharded.update_score(0, ItemId(7), 9.0).unwrap();
+        sharded.insert_item(ItemId(40), &[8.0, 6.5]).unwrap();
+        sharded.delete_item(ItemId(5)).unwrap();
+        let mutated = sharded.database();
+        let mut backends: Vec<(String, Box<dyn SourceSet + '_>)> =
+            vec![("in memory".into(), Box::new(Sources::in_memory(mutated)))];
+        for pool in &pools {
+            let label = format!("mutated, {shards} shards, {} threads", pool.num_threads());
+            backends.push((label, Box::new(sharded.sources(pool))));
         }
-        let mut model = Model::new(list);
-        for (at, &step) in access_script(list.len()).iter().enumerate() {
-            let expected = apply(reference.1.source(i), step);
-            model.check(step, &expected);
-            let best = reference.1.source_ref(i).best_position();
-            let counters = reference.1.source_ref(i).counters();
-            assert_eq!(
-                (best, counters),
-                (model.best(), model.counters),
-                "step {at}"
-            );
-            for (label, sources) in others.iter_mut() {
-                let reply = apply(sources.source(i), step);
-                let context = format!("{label}, list {i}, step {at} {step:?}");
-                assert_eq!(reply, expected, "{context}");
-                assert_eq!(sources.source_ref(i).counters(), counters, "{context}");
-                assert_eq!(sources.source_ref(i).best_position(), best, "{context}");
-            }
-        }
+        assert_script_agrees(mutated, &mut backends);
     }
 }
