@@ -137,6 +137,7 @@ fn faulty_sources(
     images: &[Vec<u8>],
     plan: &FaultPlan,
     double: Double,
+    capacity: CacheCapacity,
 ) -> Result<Sources<'static>, StorageError> {
     let mut sources: Vec<Box<dyn ListSource>> = Vec::new();
     for image in images {
@@ -151,7 +152,7 @@ fn faulty_sources(
                 plan: plan.clone(),
             }),
         };
-        let store = PagedStore::from_io(io, CacheCapacity::Unbounded)?;
+        let store = PagedStore::from_io(io, capacity)?;
         sources.push(Box::new(PagedSource::new(store)));
     }
     Ok(Sources::new(sources))
@@ -182,11 +183,14 @@ fn essence(result: &TopKResult) -> Essence {
     )
 }
 
-/// The sweep: for one double, for every algorithm, fail each op of a
-/// full run in turn. Every armed op must yield a typed error (from
-/// `open` or from `run_on`), and when the failure hit mid-query, a
-/// `reset` retry on the *same* sources must succeed bit-identically.
-fn sweep(double: fn() -> Double, stride: u64) {
+/// The sweep: for one double and cache capacity, for every algorithm,
+/// fail each op of a full run in turn. Every armed op must yield a typed
+/// error (from `open` or from `run_on`), and when the failure hit
+/// mid-query, a `reset` retry on the *same* sources must succeed
+/// bit-identically. At `Pages(1)` and `Pages(2)` nearly every read is a
+/// miss that evicts, so the failures land on misses whose buffer was
+/// recycled from an evicted page.
+fn sweep(double: fn() -> Double, stride: u64, capacity: CacheCapacity) {
     let db = database();
     let images = images();
     let query = TopKQuery::top(5);
@@ -199,7 +203,7 @@ fn sweep(double: fn() -> Double, stride: u64) {
         let mut memory = Sources::in_memory(&db);
         let reference = essence(&algorithm.run_on(&mut memory, &query).unwrap());
         let plan = FaultPlan::new();
-        let mut sources = faulty_sources(&images, &plan, double()).unwrap();
+        let mut sources = faulty_sources(&images, &plan, double(), capacity).unwrap();
         let clean = essence(&algorithm.run_on(&mut sources, &query).unwrap());
         assert_eq!(clean, reference, "{kind:?}: disk must match memory");
         let total_ops = plan.reads();
@@ -209,7 +213,7 @@ fn sweep(double: fn() -> Double, stride: u64) {
         for op in (1..=total_ops).step_by(stride as usize) {
             let plan = FaultPlan::new();
             plan.arm(op);
-            match faulty_sources(&images, &plan, double()) {
+            match faulty_sources(&images, &plan, double(), capacity) {
                 // The armed op landed inside `open`: a typed storage
                 // error, before any algorithm ran.
                 Err(StorageError::Io { .. }) => continue,
@@ -251,14 +255,29 @@ fn sweep(double: fn() -> Double, stride: u64) {
 
 #[test]
 fn every_flaky_read_yields_a_typed_error_and_reset_recovers() {
-    sweep(|| Double::Flaky, 1);
+    sweep(|| Double::Flaky, 1, CacheCapacity::Unbounded);
 }
 
 #[test]
 fn short_reads_cannot_poison_the_cache() {
     // Stride 3 keeps the combined suites fast; FlakyIo already sweeps
     // every op, this pass proves torn buffers are never cached.
-    sweep(|| Double::ShortRead, 3);
+    sweep(|| Double::ShortRead, 3, CacheCapacity::Unbounded);
+}
+
+#[test]
+fn every_flaky_read_on_an_evicting_cache_yields_a_typed_error() {
+    for pages in [1, 2] {
+        sweep(|| Double::Flaky, 1, CacheCapacity::Pages(pages));
+    }
+}
+
+#[test]
+fn short_reads_cannot_poison_an_evicting_cache() {
+    // Every op: here the torn bytes land in recycled page buffers.
+    for pages in [1, 2] {
+        sweep(|| Double::ShortRead, 1, CacheCapacity::Pages(pages));
+    }
 }
 
 #[test]

@@ -7,7 +7,7 @@
 //! failure surfaces as a typed error through `run_on` (see `fault.rs`).
 
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 use crate::error::StorageError;
@@ -22,7 +22,9 @@ pub(crate) trait PageIo: std::fmt::Debug + Send {
     fn total_len(&mut self) -> std::io::Result<u64>;
 }
 
-/// The real implementation: a [`File`] with seek + `read_exact`.
+/// The real implementation: a [`File`] read with one positioned read
+/// (`pread`) per page, so a page miss costs a single system call and
+/// leaves the file cursor alone.
 #[derive(Debug)]
 pub(crate) struct FileIo {
     file: File,
@@ -38,8 +40,7 @@ impl FileIo {
 
 impl PageIo for FileIo {
     fn read_exact_at(&mut self, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
-        self.file.seek(SeekFrom::Start(offset))?;
-        self.file.read_exact(buf)
+        FileExt::read_exact_at(&self.file, buf, offset)
     }
 
     fn total_len(&mut self) -> std::io::Result<u64> {
