@@ -1,7 +1,6 @@
 //! The Best Position Algorithm (Section 4).
 
 use topk_lists::source::SourceSet;
-use topk_lists::tracker::{PositionTracker, TrackerKind};
 use topk_lists::{Position, Score};
 
 use crate::algorithms::{collect_stats, TopKAlgorithm};
@@ -14,38 +13,22 @@ use crate::topk_buffer::TopKBuffer;
 ///
 /// BPA scans like TA (sorted access at each position of every list, plus
 /// `m - 1` random accesses per item seen) but it additionally records every
-/// position it sees, under sorted *or* random access, in a per-list
-/// [`PositionTracker`]. Its stopping threshold is the *best positions
-/// overall score* `λ = f(s₁(bp₁), …, s_m(bp_m))`, where `bp_i` is the
-/// greatest position of list `i` such that all positions `1..=bp_i` have
-/// been seen. Because `bp_i` is never smaller than the current sorted-scan
-/// depth, `λ ≤ δ` and BPA stops at least as early as TA (Lemma 1), up to
-/// `m - 1` times earlier (Lemma 3).
+/// position it sees, under sorted *or* random access, with the local score
+/// found there. Its stopping threshold is the *best positions overall
+/// score* `λ = f(s₁(bp₁), …, s_m(bp_m))`, where `bp_i` is the greatest
+/// position of list `i` such that all positions `1..=bp_i` have been seen.
+/// Because `bp_i` is never smaller than the current sorted-scan depth,
+/// `λ ≤ δ` and BPA stops at least as early as TA (Lemma 1), up to `m - 1`
+/// times earlier (Lemma 3).
 ///
-/// The trackers — and the local scores of the seen positions — live at the
-/// *query originator*: BPA's random accesses ask every source for the
-/// item's position, the very communication burden Section 5 criticises and
-/// BPA2 removes by keeping best positions source-side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Bpa {
-    /// Strategy used to maintain the best positions (Section 5.2).
-    pub tracker: TrackerKind,
-}
-
-impl Default for Bpa {
-    fn default() -> Self {
-        Bpa {
-            tracker: TrackerKind::BitArray,
-        }
-    }
-}
-
-impl Bpa {
-    /// BPA with an explicit best-position tracking strategy.
-    pub fn with_tracker(tracker: TrackerKind) -> Self {
-        Bpa { tracker }
-    }
-}
+/// The seen positions — and their local scores — live at the *query
+/// originator*, one row per list that advances `bp_i` with the bit-array
+/// loop of Section 5.2.1. BPA's random accesses ask every source for the
+/// item's position, the very communication burden Section 5 criticises
+/// and BPA2 removes by keeping best positions source-side (where the
+/// tracking strategy is selectable).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Bpa;
 
 impl TopKAlgorithm for Bpa {
     fn name(&self) -> &'static str {
@@ -60,13 +43,10 @@ impl TopKAlgorithm for Bpa {
         let m = sources.num_lists();
         let n = sources.num_items();
 
-        // Originator-side bookkeeping: one tracker and one
-        // position -> local-score store per list. Every score at a marked
-        // position was observed by the access that marked it, so λ can be
-        // recomputed without touching the lists again.
-        let mut trackers: Vec<Box<dyn PositionTracker>> =
-            (0..m).map(|_| self.tracker.create(n)).collect();
-        let mut seen_scores: Vec<SeenScores> = (0..m).map(|_| SeenScores::new(n)).collect();
+        // Originator-side bookkeeping: one seen-score row per list. Every
+        // score at a seen position was observed by the access that saw
+        // it, so λ can be recomputed without touching the lists again.
+        let mut rows: Vec<SeenRow> = (0..m).map(|_| SeenRow::new(n)).collect();
         let mut buffer = TopKBuffer::new(query.k());
         let mut stop_position = n;
         // Scratch rows reused for the whole query: the local scores of the
@@ -82,8 +62,7 @@ impl TopKAlgorithm for Bpa {
                     .source(i)
                     .sorted_access(position, false)
                     .expect("position within list bounds");
-                trackers[i].mark_seen(entry.position);
-                seen_scores[i].record(entry.position, entry.score);
+                rows[i].record(entry.position, entry.score);
 
                 // Like TA's literal accounting, each sorted access triggers
                 // m - 1 random accesses; BPA additionally asks for the
@@ -100,17 +79,14 @@ impl TopKAlgorithm for Bpa {
                         .expect("every item appears in every list");
                     let p = ps.position.expect("position requested");
                     locals[j] = ps.score;
-                    trackers[j].mark_seen(p);
-                    seen_scores[j].record(p, ps.score);
+                    rows[j].record(p, ps.score);
                 }
                 buffer.offer(entry.item, query.combine(&locals));
             }
 
             // Best positions overall score λ, from the originator's own
             // view of the seen positions and their scores.
-            if let Some(lambda) =
-                best_positions_score(&trackers, &seen_scores, query, &mut lambda_scores)
-            {
+            if let Some(lambda) = best_positions_score(&rows, query, &mut lambda_scores) {
                 if buffer.has_k_at_or_above(lambda) {
                     stop_position = pos;
                     break 'rounds;
@@ -128,49 +104,71 @@ impl TopKAlgorithm for Bpa {
         // under sorted access — resolved on the spot — or under a random
         // access issued while resolving another item), so the scores at
         // the final best positions bound every unresolved item's locals.
-        let bounds: Option<Vec<Score>> = trackers
-            .iter()
-            .zip(&seen_scores)
-            .map(|(tracker, scores)| tracker.best_position().map(|bp| scores.at(bp)))
-            .collect();
+        let bounds: Option<Vec<Score>> = rows.iter().map(SeenRow::best_score).collect();
         let (ranked, certificate) = buffer.finish(bounds);
         Ok(TopKResult::new(ranked, stats).with_certificate(certificate))
     }
 }
 
-/// Positions per chunk of a [`SeenScores`] store.
+/// Positions per chunk of a [`SeenRow`].
 const CHUNK: usize = 256;
 
-/// The local scores an originator has seen in one list, by position:
-/// chunks of [`CHUNK`] positions, each allocated when a position in it is
-/// first seen. A scan touches only the chunks its sorted and random
-/// accesses reach, so a short query pays for a few chunks rather than a
-/// zeroed array of all `n` positions.
+/// What the originator has seen of one list: the local score at every
+/// seen position, and the best position `bp`.
+///
+/// Scores live in chunks of [`CHUNK`] positions, each allocated — filled
+/// with NaN, meaning "unseen" — when a position in it is first recorded.
+/// A real score is never NaN ([`Score::new`] rejects it), so one slot
+/// holds both the bit of Section 5.2.1's bit array and the score λ reads.
+/// A scan touches only the chunks its sorted and random accesses reach,
+/// so a short query pays for a few chunks rather than all `n` positions.
 #[derive(Debug)]
-struct SeenScores {
-    chunks: Vec<Option<Box<[Score]>>>,
+struct SeenRow {
+    chunks: Vec<Option<Box<[f64; CHUNK]>>>,
+    /// Length of the seen prefix: positions `1..=bp` are all seen.
+    bp: usize,
 }
 
-impl SeenScores {
+impl SeenRow {
     fn new(n: usize) -> Self {
-        SeenScores {
+        SeenRow {
             chunks: vec![None; n.div_ceil(CHUNK)],
+            bp: 0,
         }
     }
 
+    /// Records the local score seen at `position` (idempotent: a position
+    /// always holds the same score within a query) and advances `bp` over
+    /// the newly contiguous prefix.
+    #[inline]
     fn record(&mut self, position: Position, score: Score) {
-        let i = position.index();
-        let chunk = self.chunks[i / CHUNK]
-            .get_or_insert_with(|| vec![Score::ZERO; CHUNK].into_boxed_slice());
-        chunk[i % CHUNK] = score;
+        let at = position.index();
+        let chunk = self.chunks[at / CHUNK].get_or_insert_with(|| Box::new([f64::NAN; CHUNK]));
+        chunk[at % CHUNK] = score.value();
+        if at == self.bp {
+            self.advance();
+        }
     }
 
-    /// The score recorded at a seen `position`.
-    fn at(&self, position: Position) -> Score {
-        let i = position.index();
-        self.chunks[i / CHUNK]
-            .as_ref()
-            .expect("seen positions have recorded scores")[i % CHUNK]
+    /// The bit-array loop `while B[bp + 1] = 1 do bp := bp + 1`, with a
+    /// score in each slot; stops at the first unseen slot or unallocated
+    /// chunk (past position `n`, slots are never recorded).
+    fn advance(&mut self) {
+        while let Some(chunk) = self.chunks.get(self.bp / CHUNK).and_then(Option::as_deref) {
+            if chunk[self.bp % CHUNK].is_nan() {
+                break;
+            }
+            self.bp += 1;
+        }
+    }
+
+    /// The local score at the best position, or `None` until position 1
+    /// has been seen.
+    fn best_score(&self) -> Option<Score> {
+        let at = self.bp.checked_sub(1)?;
+        self.chunks[at / CHUNK]
+            .as_deref()
+            .map(|chunk| Score::from_f64(chunk[at % CHUNK]))
     }
 }
 
@@ -178,14 +176,13 @@ impl SeenScores {
 /// `None` if some list has no best position yet (i.e. its position 1 has
 /// not been seen).
 fn best_positions_score(
-    trackers: &[Box<dyn PositionTracker>],
-    seen_scores: &[SeenScores],
+    rows: &[SeenRow],
     query: &TopKQuery,
     scores: &mut Vec<Score>,
 ) -> Option<Score> {
     scores.clear();
-    for (tracker, scores_of_list) in trackers.iter().zip(seen_scores) {
-        scores.push(scores_of_list.at(tracker.best_position()?));
+    for row in rows {
+        scores.push(row.best_score()?);
     }
     Some(query.combine(scores))
 }
@@ -196,13 +193,15 @@ mod tests {
     use crate::algorithms::{NaiveScan, Ta};
     use crate::examples_paper::{figure1_database, figure2_database};
     use crate::scoring::{Average, Min};
+    use proptest::prelude::*;
+    use topk_lists::tracker::{BitArrayTracker, PositionTracker};
 
     #[test]
     fn example3_stops_at_position_3_with_the_papers_access_counts() {
         // "BPA stops at position 3 … the number of sorted accesses and
         // random accesses is 3·3 = 9 and 9·2 = 18, respectively."
         let db = figure1_database();
-        let result = Bpa::default().run(&db, &TopKQuery::top(3)).unwrap();
+        let result = Bpa.run(&db, &TopKQuery::top(3)).unwrap();
         let stats = result.stats();
         assert_eq!(stats.stop_position, Some(3));
         assert_eq!(stats.accesses.sorted, 9);
@@ -216,7 +215,7 @@ mod tests {
         // "If we apply BPA on this example, it stops at position 7, so it
         // does 7·3 sorted accesses and 7·3·2 random accesses … 63."
         let db = figure2_database();
-        let result = Bpa::default().run(&db, &TopKQuery::top(3)).unwrap();
+        let result = Bpa.run(&db, &TopKQuery::top(3)).unwrap();
         let stats = result.stats();
         assert_eq!(stats.stop_position, Some(7));
         assert_eq!(stats.accesses.sorted, 21);
@@ -229,7 +228,7 @@ mod tests {
         for db in [figure1_database(), figure2_database()] {
             for k in 1..=12 {
                 let query = TopKQuery::top(k);
-                let bpa = Bpa::default().run(&db, &query).unwrap();
+                let bpa = Bpa.run(&db, &query).unwrap();
                 let ta = Ta::literal().run(&db, &query).unwrap();
                 assert!(
                     bpa.stats().stop_position.unwrap() <= ta.stats().stop_position.unwrap(),
@@ -243,24 +242,11 @@ mod tests {
     }
 
     #[test]
-    fn all_tracker_kinds_produce_identical_runs() {
-        let db = figure1_database();
-        let query = TopKQuery::top(3);
-        let baseline = Bpa::default().run(&db, &query).unwrap();
-        for kind in TrackerKind::ALL {
-            let run = Bpa::with_tracker(kind).run(&db, &query).unwrap();
-            assert_eq!(run.stats().accesses, baseline.stats().accesses, "{kind:?}");
-            assert_eq!(run.stats().stop_position, baseline.stats().stop_position);
-            assert!(run.scores_match(&baseline, 1e-9));
-        }
-    }
-
-    #[test]
     fn agrees_with_the_naive_scan_under_other_functions() {
         let db = figure2_database();
         for k in [1, 4, 9] {
             for query in [TopKQuery::new(k, Min), TopKQuery::new(k, Average)] {
-                let bpa = Bpa::default().run(&db, &query).unwrap();
+                let bpa = Bpa.run(&db, &query).unwrap();
                 let naive = NaiveScan.run(&db, &query).unwrap();
                 assert!(bpa.scores_match(&naive, 1e-9), "k = {k}");
             }
@@ -270,7 +256,7 @@ mod tests {
     #[test]
     fn random_access_count_is_m_minus_one_per_sorted_access() {
         let db = figure2_database();
-        let result = Bpa::default().run(&db, &TopKQuery::top(2)).unwrap();
+        let result = Bpa.run(&db, &TopKQuery::top(2)).unwrap();
         assert_eq!(
             result.stats().accesses.random,
             result.stats().accesses.sorted * 2
@@ -280,6 +266,89 @@ mod tests {
     #[test]
     fn invalid_k_is_rejected() {
         let db = figure1_database();
-        assert!(Bpa::default().run(&db, &TopKQuery::top(0)).is_err());
+        assert!(Bpa.run(&db, &TopKQuery::top(0)).is_err());
+    }
+
+    /// The score a test script finds at `p` in a list of `n` items: fixed
+    /// per position, descending, and `0.0` at the last position (a score
+    /// a zero-filled store could not tell from "unseen").
+    fn score_at(n: usize, p: usize) -> Score {
+        Score::from_f64((n - p) as f64 * 0.5)
+    }
+
+    /// Turns a raw script into positions of a list of `n` items: the next
+    /// 1 to 32 positions of a sorted scan (wrapping at `n`), a uniform
+    /// position, a position beside a chunk edge, or a repeat of the
+    /// previous one.
+    fn positions(n: usize, script: &[(usize, usize)]) -> Vec<usize> {
+        let mut scan = 0;
+        let mut out = vec![];
+        for &(op, raw) in script {
+            match op {
+                0 => {
+                    for _ in 0..=raw % 32 {
+                        scan = scan % n + 1;
+                        out.push(scan);
+                    }
+                }
+                1 => out.push(raw % n + 1),
+                2 => {
+                    let edge = CHUNK * (raw % (n / CHUNK + 1));
+                    out.push((edge + raw / 7 % 4).clamp(2, n + 1) - 1);
+                }
+                _ => out.push(out.last().copied().unwrap_or(1)),
+            }
+        }
+        out
+    }
+
+    /// Records the same positions in a [`SeenRow`] and in the reference
+    /// [`BitArrayTracker`]; after every record both report the same best
+    /// position, the row's best score is the one recorded there, and the
+    /// allocated chunks are exactly the chunks touched so far.
+    fn check_row_against_tracker(n: usize, positions: &[usize]) {
+        let mut row = SeenRow::new(n);
+        let mut tracker = BitArrayTracker::new(n);
+        let mut touched = vec![false; n.div_ceil(CHUNK)];
+        for &p in positions {
+            let position = Position::new(p).unwrap();
+            row.record(position, score_at(n, p));
+            tracker.mark_seen(position);
+            touched[position.index() / CHUNK] = true;
+            let bp = tracker.best_position();
+            assert_eq!(Position::new(row.bp), bp, "n = {n}, after {p}");
+            assert_eq!(row.best_score(), bp.map(|bp| score_at(n, bp.get())));
+            let allocated: Vec<bool> = row.chunks.iter().map(Option::is_some).collect();
+            assert_eq!(allocated, touched, "n = {n}, after {p}");
+        }
+    }
+
+    #[test]
+    fn seen_row_advances_across_chunk_edges() {
+        check_row_against_tracker(1, &[1, 1]);
+        // Out of order across the first chunk edge, then a prefix fill.
+        let mut script = vec![257, 256, 258, 1000];
+        script.extend(1..=255);
+        script.extend([255, 259]);
+        check_row_against_tracker(1000, &script);
+        check_row_against_tracker(257, &(1..=257).rev().collect::<Vec<_>>());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Seeded position scripts — sorted-scan steps, uniform and
+        /// chunk-edge positions, repeats — at list sizes on both sides
+        /// of a chunk: the row tracks exactly what the bit array does.
+        #[test]
+        fn seen_row_matches_the_bit_array_tracker(
+            (size, script) in (
+                0usize..5,
+                proptest::collection::vec((0usize..4, 0usize..2000), 0..=300),
+            ),
+        ) {
+            let n = [1, 255, 256, 257, 1000][size];
+            check_row_against_tracker(n, &positions(n, &script));
+        }
     }
 }

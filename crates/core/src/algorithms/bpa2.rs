@@ -175,7 +175,7 @@ mod tests {
         assert_eq!(stats.total_accesses(), 36);
         assert_eq!(stats.rounds, 4);
 
-        let bpa = Bpa::default().run(&db, &query).unwrap();
+        let bpa = Bpa.run(&db, &query).unwrap();
         assert_eq!(bpa.stats().total_accesses(), 63);
         assert!(bpa2.scores_match(&bpa, 1e-9));
     }
@@ -186,7 +186,7 @@ mod tests {
         for k in 1..=12 {
             let query = TopKQuery::top(k);
             let bpa2 = Bpa2::default().run(&db, &query).unwrap();
-            let bpa = Bpa::default().run(&db, &query).unwrap();
+            let bpa = Bpa.run(&db, &query).unwrap();
             assert!(
                 bpa2.stats().total_accesses() <= bpa.stats().total_accesses(),
                 "Theorem 7 violated at k = {k}"

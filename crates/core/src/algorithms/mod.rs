@@ -167,7 +167,7 @@ impl AlgorithmKind {
             AlgorithmKind::Fa => Box::new(Fa),
             AlgorithmKind::Ta => Box::new(Ta::literal()),
             AlgorithmKind::TaCached => Box::new(Ta::memoizing()),
-            AlgorithmKind::Bpa => Box::new(Bpa::default()),
+            AlgorithmKind::Bpa => Box::new(Bpa),
             AlgorithmKind::Bpa2 => Box::new(Bpa2::default()),
             AlgorithmKind::Tput => Box::new(Tput),
         }

@@ -32,7 +32,7 @@
 //! let query = TopKQuery::top(3); // top-3 by sum of local scores
 //!
 //! let ta = Ta::literal().run(&db, &query).unwrap();
-//! let bpa = Bpa::default().run(&db, &query).unwrap();
+//! let bpa = Bpa.run(&db, &query).unwrap();
 //!
 //! // Same answers...
 //! assert!(bpa.scores_match(&ta, 1e-9));

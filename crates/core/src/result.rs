@@ -1,7 +1,7 @@
 //! Query results: the top-k items with their overall scores plus run
 //! statistics.
 
-use topk_lists::{ItemId, Score};
+use topk_lists::{ItemId, ItemMap, Score};
 
 use crate::stats::RunStats;
 
@@ -32,24 +32,21 @@ pub struct RunCertificate {
     /// or `None` when the algorithm offers no such bound (e.g. TPUT's
     /// phased thresholds do not map onto per-list prefixes).
     pub bounds: Option<Vec<Score>>,
-    /// Every `(item, overall score)` pair the run resolved, sorted by
-    /// ascending item id (binary-searchable).
-    pub resolved: Vec<(ItemId, Score)>,
+    /// The overall score of every item the run resolved, keyed by item.
+    /// Its iteration order is hash order: look items up, or sort before
+    /// walking it where order is observable.
+    pub resolved: ItemMap<Score>,
 }
 
 impl RunCertificate {
-    /// Assembles a certificate, sorting the resolved pairs by item id.
-    pub fn new(bounds: Option<Vec<Score>>, mut resolved: Vec<(ItemId, Score)>) -> Self {
-        resolved.sort_by_key(|&(item, _)| item);
+    /// Assembles a certificate from the bounds and the resolved map.
+    pub fn new(bounds: Option<Vec<Score>>, resolved: ItemMap<Score>) -> Self {
         RunCertificate { bounds, resolved }
     }
 
     /// The overall score the run resolved for `item`, if any.
     pub fn resolved_score(&self, item: ItemId) -> Option<Score> {
-        self.resolved
-            .binary_search_by_key(&item, |&(i, _)| i)
-            .ok()
-            .map(|at| self.resolved[at].1)
+        self.resolved.get(&item).copied()
     }
 }
 
@@ -211,15 +208,17 @@ mod tests {
         assert!(bare.certificate().is_none());
         let certificate = RunCertificate::new(
             Some(vec![Score::from_f64(4.0)]),
-            vec![
+            [
                 (ItemId(9), Score::from_f64(2.0)),
                 (ItemId(1), Score::from_f64(5.0)),
-            ],
+            ]
+            .into_iter()
+            .collect(),
         );
         let with = bare.with_certificate(certificate);
         let cert = with.certificate().unwrap();
-        // Sorted by item id regardless of insertion order.
-        assert_eq!(cert.resolved[0].0, ItemId(1));
+        assert_eq!(cert.resolved.len(), 2);
+        assert_eq!(cert.resolved_score(ItemId(1)), Some(Score::from_f64(5.0)));
         assert_eq!(cert.resolved_score(ItemId(9)), Some(Score::from_f64(2.0)));
         assert_eq!(cert.resolved_score(ItemId(3)), None);
         assert_eq!(cert.bounds.as_ref().unwrap()[0].value(), 4.0);

@@ -43,10 +43,8 @@
 //! * inserts carry their full score vector, so the comparison is exact;
 //!   deletes of non-answer items absorb outright.
 
-use std::collections::HashMap;
-
 use topk_lists::source::SourceSet;
-use topk_lists::{ItemId, Score, ScoreUpdate};
+use topk_lists::{ItemId, ItemMap, Score, ScoreUpdate};
 
 use crate::algorithms::AlgorithmKind;
 use crate::error::TopKError;
@@ -148,10 +146,10 @@ struct CacheEntry {
     /// Upper bounds on the overall scores of items the run resolved
     /// (exact at refresh time; kept as sound upper bounds as decreases
     /// are absorbed).
-    resolved: HashMap<ItemId, Score>,
+    resolved: ItemMap<Score>,
     /// Exactly-known local scores learned from absorbed events (inserted
     /// items know every coordinate; updated items know the updated ones).
-    known_locals: HashMap<ItemId, Vec<Option<Score>>>,
+    known_locals: ItemMap<Vec<Option<Score>>>,
     /// Current number of items per list (maintained across absorbed
     /// inserts/deletes).
     num_items: usize,
@@ -332,16 +330,14 @@ impl StandingQuery {
             .expect("a validated top-k answer holds k >= 1 items");
         let certificate = result.certificate();
         let bounds = certificate.and_then(|c| c.bounds.clone());
-        let resolved: HashMap<ItemId, Score> = certificate
-            .map(|c| c.resolved.iter().copied().collect())
-            .unwrap_or_default();
+        let resolved = certificate.map(|c| c.resolved.clone()).unwrap_or_default();
         self.cache = Some(CacheEntry {
             algorithm,
             epochs: sources.epochs(),
             kth,
             bounds,
             resolved,
-            known_locals: HashMap::new(),
+            known_locals: ItemMap::default(),
             num_items: sources.num_items(),
             result,
         });
@@ -506,7 +502,7 @@ fn beats(upper: Score, item: ItemId, kth: RankedItem) -> bool {
 
 /// Records one exactly-known local score in the side-book.
 fn known_coordinate(
-    known_locals: &mut HashMap<ItemId, Vec<Option<Score>>>,
+    known_locals: &mut ItemMap<Vec<Option<Score>>>,
     item: ItemId,
     list: usize,
     m: usize,

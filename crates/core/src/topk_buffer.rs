@@ -110,10 +110,10 @@ impl TopKBuffer {
     }
 
     /// Consumes the buffer and returns the answers together with the
-    /// run's certificate: the given per-list `bounds` and every offered
-    /// `(item, overall score)` pair.
+    /// run's certificate: the given per-list `bounds` and the map of every
+    /// offered item to its overall score, moved in as it is.
     pub fn finish(self, bounds: Option<Vec<Score>>) -> (Vec<RankedItem>, RunCertificate) {
-        let certificate = RunCertificate::new(bounds, self.offered.into_iter().collect());
+        let certificate = RunCertificate::new(bounds, self.offered);
         (Self::ranked(self.heap), certificate)
     }
 
@@ -201,9 +201,10 @@ mod tests {
         let (ranked, certificate) = buf.finish(Some(vec![s(1.0)]));
         assert_eq!(ranked.len(), 1);
         assert_eq!(ranked[0].item, ItemId(2));
-        let ids: Vec<u64> = certificate.resolved.iter().map(|(i, _)| i.0).collect();
-        assert_eq!(ids, vec![2, 4, 9]);
+        assert_eq!(certificate.resolved.len(), 3);
         assert_eq!(certificate.resolved_score(ItemId(9)), Some(s(3.0)));
+        assert_eq!(certificate.resolved_score(ItemId(4)), Some(s(1.0)));
+        assert_eq!(certificate.resolved_score(ItemId(7)), None);
         assert_eq!(certificate.bounds, Some(vec![s(1.0)]));
     }
 

@@ -24,8 +24,6 @@
 //! determinism:
 //!
 //! * it sorts (`sort*` anywhere on the statement chain), or
-//! * it feeds a known sorting sink (`RunCertificate::new` sorts its
-//!   resolved pairs), or
 //! * it ends in an order-insensitive reduction (`min`/`max`/`sum`/
 //!   `count`/`len`/`all`/`any`/`is_empty` — note `min_by_key` and friends
 //!   are *not* recognised: their tie-break is iteration order), or
@@ -52,8 +50,8 @@ const SCOPE: &[&str] = &[
     // Statistics collection issues counted accesses, and the paged
     // backend's LRU counters observe their order.
     "crates/core/src/stats.rs",
-    // The answer buffer owns the resolved-item map and drains it into
-    // the run certificate.
+    // The answer buffer owns the resolved-item map and moves it, unsorted,
+    // into the run certificate.
     "crates/core/src/topk_buffer.rs",
     "crates/lists/src/",
     "crates/storage/src/",
@@ -77,17 +75,7 @@ const ITER_METHODS: &[&str] = &[
 /// Identifiers that, somewhere on the statement chain, restore a
 /// deterministic order (or make order unobservable).
 const CHAIN_SUPPRESSORS: &[&str] = &[
-    "RunCertificate", // sorts its resolved pairs on construction
-    "min",
-    "max",
-    "sum",
-    "count",
-    "len",
-    "all",
-    "any",
-    "is_empty",
-    "BTreeMap",
-    "BTreeSet",
+    "min", "max", "sum", "count", "len", "all", "any", "is_empty", "BTreeMap", "BTreeSet",
 ];
 
 pub struct DeterministicIteration;

@@ -1,6 +1,7 @@
 // lint-fixture-path: crates/core/src/topk_buffer.rs
-// Draining an alias-typed map into `RunCertificate::new`, which sorts its
-// resolved pairs by item id, restores a deterministic order.
+// Draining an alias-typed map into a `Vec` for a constructor, with no
+// sort on the way: the pairs arrive in hash order. No constructor is
+// trusted to sort them, `RunCertificate::new` included.
 
 use topk_lists::{ItemMap, Score};
 

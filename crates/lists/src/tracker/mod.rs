@@ -31,7 +31,8 @@ use crate::item::Position;
 ///
 /// Every backend keeps one tracker per list: the access core
 /// ([`TrackedSource`](crate::tracked::TrackedSource)) owns it, whatever
-/// the storage format. BPA keeps one per list at the originator.
+/// the storage format. BPA's originator keeps its own bit-array-style
+/// row per list, with the seen score in each slot, instead of a tracker.
 pub trait PositionTracker: std::fmt::Debug {
     /// Marks a position as seen (idempotent). Returns `true` if the
     /// position was newly marked.

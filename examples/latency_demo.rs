@@ -37,7 +37,7 @@ fn main() {
 
     let runs: Vec<(&str, Box<dyn TopKAlgorithm>)> = vec![
         ("ta", Box::new(Ta::literal())),
-        ("bpa", Box::new(Bpa::default())),
+        ("bpa", Box::new(Bpa)),
         ("bpa2", Box::new(Bpa2::default())),
     ];
     let mut networks: Vec<(&str, NetworkStats)> = Vec::new();

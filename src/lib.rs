@@ -22,8 +22,7 @@
 //!     vec![(1u64, 8.0), (0, 6.0), (2, 2.0)],
 //! ];
 //! let db = Database::from_unsorted_lists(lists).unwrap();
-//! let result = Bpa::default()
-//!     .run(&db, &TopKQuery::new(1, Sum)).unwrap();
+//! let result = Bpa.run(&db, &TopKQuery::new(1, Sum)).unwrap();
 //! assert_eq!(result.items()[0].item, ItemId(0)); // 10 + 6 = 16
 //! ```
 

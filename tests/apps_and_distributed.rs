@@ -114,7 +114,7 @@ fn end_to_end_cost_ordering_on_a_paper_shaped_workload() {
     let model = CostModel::paper_default(db.num_items());
 
     let ta = Ta::literal().run(&db, &query).unwrap();
-    let bpa = Bpa::default().run(&db, &query).unwrap();
+    let bpa = Bpa.run(&db, &query).unwrap();
     let bpa2 = Bpa2::default().run(&db, &query).unwrap();
 
     let ta_cost = ta.stats().execution_cost(&model);
@@ -149,7 +149,7 @@ fn tracker_choice_does_not_change_any_observable_behaviour() {
             "{kind:?}"
         );
         assert!(bpa2.scores_match(&reference, 1e-9));
-        let bpa = Bpa::with_tracker(kind).run(&db, &query).unwrap();
-        assert!(bpa.scores_match(&reference, 1e-9));
     }
+    let bpa = Bpa.run(&db, &query).unwrap();
+    assert!(bpa.scores_match(&reference, 1e-9));
 }

@@ -29,7 +29,7 @@ fn figure1_walkthrough_matches_the_paper() {
 
     let fa = Fa.run(&db, &query).unwrap();
     let ta = Ta::literal().run(&db, &query).unwrap();
-    let bpa = Bpa::default().run(&db, &query).unwrap();
+    let bpa = Bpa.run(&db, &query).unwrap();
 
     // Example 1: FA stops at position 8.
     assert_eq!(fa.stats().stop_position, Some(8));
@@ -54,7 +54,7 @@ fn figure2_walkthrough_matches_the_paper() {
     let db = figure2_database();
     let query = TopKQuery::top(3);
 
-    let bpa = Bpa::default().run(&db, &query).unwrap();
+    let bpa = Bpa.run(&db, &query).unwrap();
     let bpa2 = Bpa2::default().run(&db, &query).unwrap();
 
     // Theorem 8's example: BPA does 63 accesses, BPA2 does 36 (≈ 1/(m-1)).
@@ -63,20 +63,61 @@ fn figure2_walkthrough_matches_the_paper() {
     assert!(bpa2.scores_match(&bpa, 1e-9));
 }
 
+/// Every algorithm returns the naive scan's scores. TA, BPA and BPA2 also
+/// certify exactly the items they scored, each with the naive scan's
+/// overall score to the bit. BPA's bounds (from its own seen-score rows)
+/// and BPA2's (piggybacked by the sources) both follow one rule: in each
+/// list, the score at the end of the longest prefix whose items were all
+/// resolved — the best position, since both algorithms see exactly the
+/// positions of the items they resolve.
 #[test]
 fn all_algorithms_agree_on_generated_databases() {
     for spec in specs(4) {
         for &seed in &SEEDS {
             let db = spec.generate(seed);
-            let query = TopKQuery::top(10);
-            let naive = NaiveScan.run(&db, &query).unwrap();
-            for kind in AlgorithmKind::ALL {
-                let result = kind.create().run(&db, &query).unwrap();
-                assert!(
-                    result.scores_match(&naive, 1e-9),
-                    "{kind:?} disagrees with the naive scan on {:?} seed {seed}",
-                    spec.kind
-                );
+            for k in [1, 10, 50] {
+                let query = TopKQuery::top(k);
+                let naive = NaiveScan.run(&db, &query).unwrap();
+                let overall = &naive.certificate().unwrap().resolved;
+                assert_eq!(overall.len(), db.num_items());
+                for kind in AlgorithmKind::ALL {
+                    let result = kind.create().run(&db, &query).unwrap();
+                    let case = format!("{kind:?} on {:?} seed {seed} k {k}", spec.kind);
+                    assert!(
+                        result.scores_match(&naive, 1e-9),
+                        "{case} disagrees with the naive scan"
+                    );
+                    if !AlgorithmKind::EVALUATED.contains(&kind) {
+                        continue;
+                    }
+                    let certificate = result.certificate().unwrap();
+                    let resolved = certificate.resolved.len();
+                    assert_eq!(resolved, result.stats().items_scored, "{case}");
+                    let mut found = 0;
+                    for (&item, &score) in overall {
+                        if let Some(certified) = certificate.resolved_score(item) {
+                            assert_eq!(certified.value().to_bits(), score.value().to_bits());
+                            found += 1;
+                        }
+                    }
+                    assert_eq!(found, resolved, "{case}");
+                    if kind == AlgorithmKind::Ta {
+                        continue;
+                    }
+                    let bounds = certificate.bounds.as_ref().unwrap();
+                    for (i, list) in db.lists().enumerate() {
+                        let prefix = list
+                            .items()
+                            .take_while(|&item| certificate.resolved_score(item).is_some())
+                            .count();
+                        let at_best = list.score_at(Position::from_index(prefix - 1)).unwrap();
+                        assert_eq!(
+                            bounds[i].value().to_bits(),
+                            at_best.value().to_bits(),
+                            "{case}, list {i}"
+                        );
+                    }
+                }
             }
         }
     }
@@ -90,7 +131,7 @@ fn lemma_1_and_2_bpa_never_does_more_accesses_than_ta() {
             for k in [1, 20] {
                 let query = TopKQuery::top(k);
                 let ta = Ta::literal().run(&db, &query).unwrap();
-                let bpa = Bpa::default().run(&db, &query).unwrap();
+                let bpa = Bpa.run(&db, &query).unwrap();
                 assert!(
                     bpa.stats().accesses.sorted <= ta.stats().accesses.sorted,
                     "Lemma 1 violated on {:?} seed {seed} k {k}",
@@ -113,7 +154,7 @@ fn theorem_2_bpa_execution_cost_never_exceeds_ta() {
         let db = spec.generate(11);
         let query = TopKQuery::top(20);
         let ta = Ta::literal().run(&db, &query).unwrap();
-        let bpa = Bpa::default().run(&db, &query).unwrap();
+        let bpa = Bpa.run(&db, &query).unwrap();
         assert!(bpa.stats().execution_cost(&model) <= ta.stats().execution_cost(&model));
     }
 }
@@ -124,7 +165,7 @@ fn theorem_7_bpa2_never_does_more_accesses_than_bpa() {
         for &seed in &SEEDS {
             let db = spec.generate(seed);
             let query = TopKQuery::top(20);
-            let bpa = Bpa::default().run(&db, &query).unwrap();
+            let bpa = Bpa.run(&db, &query).unwrap();
             let bpa2 = Bpa2::default().run(&db, &query).unwrap();
             assert!(
                 bpa2.stats().total_accesses() <= bpa.stats().total_accesses(),

@@ -75,7 +75,7 @@ proptest! {
         let db = build(lists);
         let query = TopKQuery::top(k);
         let ta = Ta::literal().run(&db, &query).unwrap();
-        let bpa = Bpa::default().run(&db, &query).unwrap();
+        let bpa = Bpa.run(&db, &query).unwrap();
         prop_assert!(bpa.stats().accesses.sorted <= ta.stats().accesses.sorted);
         prop_assert!(bpa.stats().accesses.random <= ta.stats().accesses.random);
         prop_assert!(bpa.stats().stop_position <= ta.stats().stop_position);
@@ -89,7 +89,7 @@ proptest! {
     fn bpa2_access_bounds((lists, k) in arb_database_and_k()) {
         let db = build(lists);
         let query = TopKQuery::top(k);
-        let bpa = Bpa::default().run(&db, &query).unwrap();
+        let bpa = Bpa.run(&db, &query).unwrap();
         let bpa2 = Bpa2::default().run(&db, &query).unwrap();
         prop_assert!(bpa2.stats().total_accesses() <= bpa.stats().total_accesses());
         for per_list in &bpa2.stats().per_list {
