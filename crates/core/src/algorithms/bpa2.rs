@@ -1,7 +1,6 @@
 //! BPA2 (Section 5).
 
 use topk_lists::source::SourceSet;
-use topk_lists::tracker::TrackerKind;
 use topk_lists::Score;
 
 use crate::algorithms::{collect_stats, TopKAlgorithm};
@@ -29,35 +28,16 @@ use crate::topk_buffer::TopKBuffer;
 /// the revealed positions; rounds process the lists sequentially, so a
 /// position revealed by a random access earlier in the same round is
 /// never targeted again.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Bpa2 {
-    /// Strategy used by the sources (list owners) to maintain their best
-    /// positions (Section 5.2).
-    pub tracker: TrackerKind,
-}
-
-impl Default for Bpa2 {
-    fn default() -> Self {
-        Bpa2 {
-            tracker: TrackerKind::BitArray,
-        }
-    }
-}
-
-impl Bpa2 {
-    /// BPA2 with an explicit best-position tracking strategy.
-    pub fn with_tracker(tracker: TrackerKind) -> Self {
-        Bpa2 { tracker }
-    }
-}
+///
+/// Each source picks its best-position tracker (Section 5.2) when it is
+/// opened, see [`TrackerKind::source`](topk_lists::TrackerKind::source);
+/// BPA2 only reads the best positions the sources report.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Bpa2;
 
 impl TopKAlgorithm for Bpa2 {
     fn name(&self) -> &'static str {
         "bpa2"
-    }
-
-    fn preferred_tracker(&self) -> TrackerKind {
-        self.tracker
     }
 
     fn execute(
@@ -159,6 +139,8 @@ mod tests {
     use crate::algorithms::{Bpa, NaiveScan};
     use crate::examples_paper::{figure1_database, figure2_database};
     use crate::scoring::Min;
+    use topk_lists::source::Sources;
+    use topk_lists::TrackerKind;
 
     #[test]
     fn figure2_does_36_accesses_versus_bpa_63() {
@@ -167,7 +149,7 @@ mod tests {
         // accesses … 36. Therefore nbpa ≈ 2·nbpa2."
         let db = figure2_database();
         let query = TopKQuery::top(3);
-        let bpa2 = Bpa2::default().run(&db, &query).unwrap();
+        let bpa2 = Bpa2.run(&db, &query).unwrap();
         let stats = bpa2.stats();
         assert_eq!(stats.accesses.direct, 12);
         assert_eq!(stats.accesses.random, 24);
@@ -185,7 +167,7 @@ mod tests {
         let db = figure1_database();
         for k in 1..=12 {
             let query = TopKQuery::top(k);
-            let bpa2 = Bpa2::default().run(&db, &query).unwrap();
+            let bpa2 = Bpa2.run(&db, &query).unwrap();
             let bpa = Bpa.run(&db, &query).unwrap();
             assert!(
                 bpa2.stats().total_accesses() <= bpa.stats().total_accesses(),
@@ -200,7 +182,7 @@ mod tests {
         // Theorem 5, checked structurally: the total number of accesses to
         // each list cannot exceed n if every access targets a fresh position.
         let db = figure2_database();
-        let result = Bpa2::default().run(&db, &TopKQuery::top(3)).unwrap();
+        let result = Bpa2.run(&db, &TopKQuery::top(3)).unwrap();
         for per_list in &result.stats().per_list {
             assert!(per_list.total() <= db.num_items() as u64);
         }
@@ -212,7 +194,7 @@ mod tests {
         // at the same (best) position."
         let db = figure2_database();
         let query = TopKQuery::top(3);
-        let bpa2 = Bpa2::default().run(&db, &query).unwrap();
+        let bpa2 = Bpa2.run(&db, &query).unwrap();
         // On Figure 2 both algorithms have seen every position when they
         // stop, so the final best position is n = 12.
         assert_eq!(bpa2.stats().stop_position, Some(12));
@@ -223,7 +205,7 @@ mod tests {
         for db in [figure1_database(), figure2_database()] {
             for k in [1, 3, 7, 12] {
                 let query = TopKQuery::top(k);
-                let bpa2 = Bpa2::default().run(&db, &query).unwrap();
+                let bpa2 = Bpa2.run(&db, &query).unwrap();
                 let naive = NaiveScan.run(&db, &query).unwrap();
                 assert!(bpa2.scores_match(&naive, 1e-9), "k = {k}");
             }
@@ -234,11 +216,10 @@ mod tests {
     fn all_tracker_kinds_produce_identical_runs() {
         let db = figure2_database();
         let query = TopKQuery::top(3);
-        let baseline = Bpa2::default().run(&db, &query).unwrap();
+        let baseline = Bpa2.run(&db, &query).unwrap();
         for kind in TrackerKind::ALL {
-            let algorithm = Bpa2::with_tracker(kind);
-            assert_eq!(algorithm.preferred_tracker(), kind);
-            let run = algorithm.run(&db, &query).unwrap();
+            let mut sources = Sources::in_memory_with_tracker(&db, kind);
+            let run = Bpa2.run_on(&mut sources, &query).unwrap();
             assert_eq!(run.stats().accesses, baseline.stats().accesses, "{kind:?}");
             assert!(run.scores_match(&baseline, 1e-9));
         }
@@ -248,7 +229,7 @@ mod tests {
     fn supports_other_monotone_functions() {
         let db = figure1_database();
         let query = TopKQuery::new(2, Min);
-        let bpa2 = Bpa2::default().run(&db, &query).unwrap();
+        let bpa2 = Bpa2.run(&db, &query).unwrap();
         let naive = NaiveScan.run(&db, &query).unwrap();
         assert!(bpa2.scores_match(&naive, 1e-9));
     }
@@ -256,7 +237,7 @@ mod tests {
     #[test]
     fn invalid_k_is_rejected() {
         let db = figure1_database();
-        assert!(Bpa2::default().run(&db, &TopKQuery::top(0)).is_err());
-        assert!(Bpa2::default().run(&db, &TopKQuery::top(999)).is_err());
+        assert!(Bpa2.run(&db, &TopKQuery::top(0)).is_err());
+        assert!(Bpa2.run(&db, &TopKQuery::top(999)).is_err());
     }
 }

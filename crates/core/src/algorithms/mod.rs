@@ -60,10 +60,10 @@ pub trait TopKAlgorithm {
     /// Short identifier used in reports and benchmark tables.
     fn name(&self) -> &'static str;
 
-    /// The best-position tracking strategy the in-memory backend should
-    /// install source-side (Section 5.2). Only algorithms that issue
-    /// tracked accesses (BPA2) care; the default is the paper's bit
-    /// array.
+    /// The best-position tracking strategy for the sources (Section 5.2):
+    /// always the paper's bit array. Kept because the benchmark harness
+    /// opens its sources with it; the tracker ablation picks a kind with
+    /// [`Sources::in_memory_with_tracker`] instead.
     fn preferred_tracker(&self) -> TrackerKind {
         TrackerKind::BitArray
     }
@@ -128,11 +128,10 @@ pub trait TopKAlgorithm {
     }
 
     /// Convenience entry point for the in-memory backend: opens
-    /// [`Sources::in_memory`] over the database (with this algorithm's
-    /// [`preferred_tracker`](TopKAlgorithm::preferred_tracker)) and
-    /// executes through [`run_on`](TopKAlgorithm::run_on).
+    /// [`Sources::in_memory`] over the database and executes through
+    /// [`run_on`](TopKAlgorithm::run_on).
     fn run(&self, database: &Database, query: &TopKQuery) -> Result<TopKResult, TopKError> {
-        let mut sources = Sources::in_memory_with_tracker(database, self.preferred_tracker());
+        let mut sources = Sources::in_memory(database);
         self.run_on(&mut sources, query)
     }
 }
@@ -168,7 +167,7 @@ impl AlgorithmKind {
             AlgorithmKind::Ta => Box::new(Ta::literal()),
             AlgorithmKind::TaCached => Box::new(Ta::memoizing()),
             AlgorithmKind::Bpa => Box::new(Bpa),
-            AlgorithmKind::Bpa2 => Box::new(Bpa2::default()),
+            AlgorithmKind::Bpa2 => Box::new(Bpa2),
             AlgorithmKind::Tput => Box::new(Tput),
         }
     }

@@ -391,7 +391,7 @@ mod tests {
         let query = TopKQuery::top(k);
 
         let tput = Tput.run(&db, &query).unwrap();
-        let bpa2 = Bpa2::default().run(&db, &query).unwrap();
+        let bpa2 = Bpa2.run(&db, &query).unwrap();
         let naive = NaiveScan.run(&db, &query).unwrap();
 
         // Both are correct (top-2 = d0 with 14.9, d1 with 13.8)...

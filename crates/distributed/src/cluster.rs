@@ -203,17 +203,17 @@ impl Cluster {
     /// bit-array best-position tracker and a zero (free-network) latency
     /// model.
     pub fn new(database: &Database) -> Self {
-        Self::with_tracker(database, TrackerKind::BitArray)
-    }
-
-    /// As [`Cluster::new`] with an explicit tracker strategy for the owners.
-    pub fn with_tracker(database: &Database, kind: TrackerKind) -> Self {
         let m = database.num_lists();
-        Self::with_latency(database, kind, LatencyModel::zero(m))
+        Self::with_latency(database, TrackerKind::BitArray, LatencyModel::zero(m))
     }
 
-    /// As [`Cluster::with_tracker`] with an explicit latency model, so the
-    /// per-round [`RoundStats`] carry non-zero simulated timings.
+    /// As [`Cluster::new`] with an explicit tracker strategy for the owners
+    /// and an explicit latency model, so the per-round [`RoundStats`]
+    /// carry non-zero simulated timings. It takes a [`TrackerKind`] to stay
+    /// parallel to [`ClusterRuntime::with_latency`], whose kind argument
+    /// the benchmark harness passes.
+    ///
+    /// [`ClusterRuntime::with_latency`]: crate::ClusterRuntime::with_latency
     ///
     /// # Panics
     ///
@@ -418,7 +418,7 @@ mod tests {
     fn owners_can_use_any_tracker() {
         let db = figure1_database();
         for kind in TrackerKind::ALL {
-            let cluster = Cluster::with_tracker(&db, kind);
+            let cluster = Cluster::with_latency(&db, kind, LatencyModel::zero(db.num_lists()));
             cluster.send(1, Request::DirectAccessNext);
             assert_eq!(cluster.owner(1).best_position(), Position::new(1));
         }

@@ -48,7 +48,7 @@
 //!
 //! let db = figure2_database();
 //! let cluster = Cluster::new(&db);
-//! let result = Bpa2::default()
+//! let result = Bpa2
 //!     .run_on(&mut ClusterSources::new(&cluster), &TopKQuery::top(3))
 //!     .unwrap();
 //! assert_eq!(result.len(), 3);

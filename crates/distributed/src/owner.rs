@@ -1,14 +1,15 @@
 //! List-owner nodes: one sorted list behind the wire protocol.
 //!
-//! An owner is the access core ([`TrackedSource`]) over its list, so it
-//! counts, tracks and piggybacks by exactly the rules every other backend
-//! follows. [`ListOwner::handle`] only translates one [`Request`] into
-//! the matching [`ListSource`] call and its reply into a [`Response`].
+//! An owner is the access core
+//! ([`TrackedSource`](topk_lists::tracked::TrackedSource)) over its list,
+//! built by [`TrackerKind::source`], so it counts, tracks and piggybacks
+//! by exactly the rules every other backend follows. [`ListOwner::handle`]
+//! only translates one [`Request`] into the matching [`ListSource`] call
+//! and its reply into a [`Response`].
 
 use std::sync::Arc;
 
 use topk_lists::source::{ListSource, SourceEntry};
-use topk_lists::tracked::TrackedSource;
 use topk_lists::tracker::TrackerKind;
 use topk_lists::{Position, Score, SortedList};
 
@@ -19,7 +20,7 @@ use crate::message::{Request, Response};
 /// managed by the list owners").
 #[derive(Debug)]
 pub struct ListOwner {
-    source: TrackedSource<Arc<SortedList>>,
+    source: Box<dyn ListSource>,
 }
 
 impl ListOwner {
@@ -33,7 +34,7 @@ impl ListOwner {
     /// Owners of one shared `Arc<SortedList>` share its entries.
     pub fn with_tracker(list: impl Into<Arc<SortedList>>, kind: TrackerKind) -> Self {
         ListOwner {
-            source: TrackedSource::with_tracker(list.into(), kind),
+            source: kind.source(list.into()),
         }
     }
 

@@ -282,7 +282,7 @@ impl SessionOptions {
 ///     LatencyModel::lan(db.num_lists(), 42),
 /// );
 /// let mut sources = runtime.connect();
-/// let result = Bpa2::default().run_on(&mut sources, &TopKQuery::top(3)).unwrap();
+/// let result = Bpa2.run_on(&mut sources, &TopKQuery::top(3)).unwrap();
 /// assert_eq!(result.len(), 3);
 ///
 /// let network = sources.network();
@@ -306,7 +306,8 @@ impl ClusterRuntime {
     /// default bit-array trackers and a zero (free-network) latency
     /// model.
     pub fn spawn(database: &Database) -> Self {
-        Self::with_tracker(database, TrackerKind::BitArray)
+        let m = database.num_lists();
+        Self::with_latency(database, TrackerKind::BitArray, LatencyModel::zero(m))
     }
 
     /// As [`ClusterRuntime::spawn`], hosting every list on `replicas`
@@ -320,14 +321,11 @@ impl ClusterRuntime {
         )
     }
 
-    /// As [`ClusterRuntime::spawn`] with an explicit tracker strategy.
-    pub fn with_tracker(database: &Database, kind: TrackerKind) -> Self {
-        let m = database.num_lists();
-        Self::with_latency(database, kind, LatencyModel::zero(m))
-    }
-
-    /// As [`ClusterRuntime::with_tracker`] with an explicit latency
-    /// model, so sessions report non-zero simulated timings.
+    /// As [`ClusterRuntime::spawn`] with an explicit tracker strategy for
+    /// the owners and an explicit latency model, so sessions report
+    /// non-zero simulated timings. The kind argument stays because the
+    /// benchmark harness passes it; it is resolved once per owner, by
+    /// [`TrackerKind::source`].
     ///
     /// # Panics
     ///
@@ -337,7 +335,8 @@ impl ClusterRuntime {
     }
 
     /// The fully general constructor: tracker strategy, latency model
-    /// and replication factor.
+    /// and replication factor. It takes a [`TrackerKind`] because
+    /// [`ClusterRuntime::with_latency`] forwards one.
     ///
     /// # Panics
     ///
@@ -674,7 +673,7 @@ impl OwnerLink for AsyncOwnerLink<'_> {
 ///
 /// let db = figure2_database();
 /// let query = TopKQuery::top(3);
-/// let bpa2 = Bpa2::default();
+/// let bpa2 = Bpa2;
 ///
 /// let cluster = Cluster::new(&db);
 /// let sync = bpa2.run_on(&mut ClusterSources::new(&cluster), &query).unwrap();
@@ -907,11 +906,11 @@ mod tests {
 
         let cluster = Cluster::with_latency(&db, TrackerKind::BitArray, latency.clone());
         let mut sync = ClusterSources::new(&cluster);
-        let reference = Bpa2::default().run_on(&mut sync, &query).unwrap();
+        let reference = Bpa2.run_on(&mut sync, &query).unwrap();
 
         let runtime = ClusterRuntime::with_latency(&db, TrackerKind::BitArray, latency);
         let mut session = runtime.connect();
-        let result = Bpa2::default().run_on(&mut session, &query).unwrap();
+        let result = Bpa2.run_on(&mut session, &query).unwrap();
 
         assert!(result.scores_match(&reference, 1e-9));
         assert_eq!(result.stats().accesses, reference.stats().accesses);
@@ -938,8 +937,8 @@ mod tests {
 
         // …a second session still sees a fresh cluster.
         let mut second = runtime.connect();
-        let result = Bpa2::default().run_on(&mut second, &query).unwrap();
-        let expected = Bpa2::default().run(&db, &query).unwrap();
+        let result = Bpa2.run_on(&mut second, &query).unwrap();
+        let expected = Bpa2.run(&db, &query).unwrap();
         assert!(result.scores_match(&expected, 1e-9));
         assert_eq!(result.stats().accesses, expected.stats().accesses);
         assert_eq!(first.network().messages, 6);
@@ -951,11 +950,11 @@ mod tests {
         let runtime = ClusterRuntime::spawn(&db);
         let mut session = runtime.connect();
         let query = TopKQuery::top(3);
-        let first = Bpa2::default().run_on(&mut session, &query).unwrap();
+        let first = Bpa2.run_on(&mut session, &query).unwrap();
         session.reset();
         assert_eq!(session.network(), NetworkStats::default());
         assert_eq!(session.accesses_served(), 0);
-        let second = Bpa2::default().run_on(&mut session, &query).unwrap();
+        let second = Bpa2.run_on(&mut session, &query).unwrap();
         assert!(second.scores_match(&first, 1e-9));
         assert_eq!(second.stats().accesses, first.stats().accesses);
     }
@@ -1011,9 +1010,7 @@ mod tests {
             ..SessionOptions::default()
         });
         runtime.kill_owner(1, 0);
-        let err = Bpa2::default()
-            .run_on(&mut session, &TopKQuery::top(3))
-            .unwrap_err();
+        let err = Bpa2.run_on(&mut session, &TopKQuery::top(3)).unwrap_err();
         match err {
             TopKError::Source(source) => {
                 assert_eq!(source.kind, SourceErrorKind::Unreachable);
@@ -1027,7 +1024,7 @@ mod tests {
     fn a_killed_replica_fails_over_to_an_identical_answer() {
         let db = figure2_database();
         let query = TopKQuery::top(3);
-        let expected = Bpa2::default().run(&db, &query).unwrap();
+        let expected = Bpa2.run(&db, &query).unwrap();
 
         let runtime = ClusterRuntime::spawn_replicated(&db, 2);
         assert_eq!(runtime.replicas(), 2);
@@ -1036,7 +1033,7 @@ mod tests {
         session.source(0).direct_access_next().unwrap();
         runtime.kill_owner(0, 0);
         session.reset();
-        let result = Bpa2::default().run_on(&mut session, &query).unwrap();
+        let result = Bpa2.run_on(&mut session, &query).unwrap();
         assert!(result.scores_match(&expected, 1e-9));
         assert!(session.fault_stats().failovers >= 1);
     }
@@ -1045,12 +1042,12 @@ mod tests {
     fn injected_crash_with_a_replica_keeps_answers_bit_identical() {
         let db = figure2_database();
         let query = TopKQuery::top(3);
-        let expected = Bpa2::default().run(&db, &query).unwrap();
+        let expected = Bpa2.run(&db, &query).unwrap();
         let runtime = ClusterRuntime::spawn_replicated(&db, 2);
         let plan = FaultPlan::new();
         plan.arm(5, FaultKind::Crash);
         let mut session = runtime.connect_with(SessionOptions::with_faults(plan));
-        let result = Bpa2::default().run_on(&mut session, &query).unwrap();
+        let result = Bpa2.run_on(&mut session, &query).unwrap();
         assert!(result.scores_match(&expected, 1e-9));
         let stats = session.fault_stats();
         assert_eq!(stats.injected, 1);
@@ -1065,13 +1062,9 @@ mod tests {
         let mut surviving = runtime.connect_surviving(&[2]);
         assert_eq!(surviving.num_lists(), 2);
         let outage = runtime.outage(2);
-        let answer = topk_core::run_on_degraded(
-            &Bpa2::default(),
-            &mut surviving,
-            &TopKQuery::top(3),
-            &[outage],
-        )
-        .unwrap();
+        let answer =
+            topk_core::run_on_degraded(&Bpa2, &mut surviving, &TopKQuery::top(3), &[outage])
+                .unwrap();
         assert_eq!(answer.items.len(), 3);
         // Every true overall score (full database) is inside its bracket.
         for (ranked, interval) in answer.items.iter().zip(&answer.intervals) {
@@ -1118,9 +1111,7 @@ mod tests {
         runtime.kill_owner(1, 0);
         // BPA2's first resolution posts to lists 1 and 2, then fails
         // collecting list 1's reply while list 2's is still pending.
-        let err = Bpa2::default()
-            .run_on(&mut session, &TopKQuery::top(3))
-            .unwrap_err();
+        let err = Bpa2.run_on(&mut session, &TopKQuery::top(3)).unwrap_err();
         assert!(
             matches!(&err, TopKError::Source(source) if source.list == Some(1)),
             "{err:?}"

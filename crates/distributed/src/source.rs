@@ -328,7 +328,7 @@ impl ListSource for ClusterSource<'_> {
 ///
 /// let db = figure2_database();
 /// let query = TopKQuery::top(3);
-/// let bpa2 = Bpa2::default();
+/// let bpa2 = Bpa2;
 ///
 /// // The same algorithm value, over both backends:
 /// let local = bpa2.run(&db, &query).unwrap();

@@ -57,7 +57,7 @@ use crate::database::Database;
 use crate::error::ListError;
 use crate::item::{ItemId, Position, Score};
 use crate::sorted_list::{PositionedScore, ScoreUpdate, SortedList};
-use crate::source::{ListSource, SourceEntry, Sources};
+use crate::source::{SourceEntry, Sources};
 use crate::tracked::{ListStore, TrackedSource};
 use crate::tracker::TrackerKind;
 
@@ -245,7 +245,7 @@ impl ShardedDatabase {
                 .iter()
                 .map(|list| {
                     let store = ShardedStore::new(Arc::clone(list), self.shards_per_list, pool);
-                    Box::new(ShardedSource::with_tracker(store, kind)) as Box<dyn ListSource>
+                    kind.source(store)
                 })
                 .collect(),
         )
@@ -298,7 +298,7 @@ impl ShardedDatabase {
 mod tests {
     use super::*;
     use crate::access::AccessCounters;
-    use crate::source::SourceSet;
+    use crate::source::{ListSource, SourceSet};
 
     fn db() -> Database {
         // 2 lists x 10 items with distinct scores.

@@ -603,16 +603,11 @@ impl<'a> Sources<'a> {
         Self::in_memory_with_tracker(database, TrackerKind::BitArray)
     }
 
-    /// The in-memory backend with an explicit tracking strategy.
+    /// The in-memory backend with an explicit tracking strategy, resolved
+    /// by [`TrackerKind::source`]. The tracker ablation uses it to compare
+    /// the §5.2 strategies; the benchmark harness opens its sources here.
     pub fn in_memory_with_tracker(database: &'a Database, kind: TrackerKind) -> Self {
-        Self::new(
-            database
-                .lists()
-                .map(|list| {
-                    Box::new(InMemorySource::with_tracker(list, kind)) as Box<dyn ListSource>
-                })
-                .collect(),
-        )
+        Self::new(database.lists().map(|list| kind.source(list)).collect())
     }
 
     /// Wraps every source in a [`BatchingSource`] with the given block
@@ -679,6 +674,7 @@ mod tests {
     use crate::access::AccessMode;
     use crate::sorted_list::SortedList;
     use crate::tracked::{ListStore, TrackedSource};
+    use crate::tracker::{BPlusTreeTracker, BitArrayTracker, NaiveSetTracker, PositionTracker};
 
     fn db() -> Database {
         Database::from_unsorted_lists(vec![
@@ -896,52 +892,57 @@ mod tests {
     /// entry-by-entry block read — same entries, same counters, same
     /// tracker state, same block-level piggyback — across tracked and
     /// untracked blocks interleaved with the other access modes.
+    fn check_fast_block_path<T: PositionTracker>() {
+        let db = twelve_entry_db();
+        let name = std::any::type_name::<T>();
+        let mut fast = TrackedSource::<_, T>::from_store(db.list(0).unwrap());
+        let mut slow = TrackedSource::<_, T>::from_store(EntryByEntry(db.list(0).unwrap()));
+
+        // (start, len, track) patterns: head block, mid overlap, exact
+        // tail, past-the-end clip, fully out of bounds, single entry.
+        let blocks = [
+            (1, 4, true),
+            (3, 5, false),
+            (5, 8, true),
+            (12, 1, true),
+            (9, 99, false),
+            (13, 3, true),
+            (2, 1, false),
+        ];
+        for &(start, len, track) in &blocks {
+            let start = Position::new(start).unwrap();
+            assert_eq!(
+                fast.sorted_block(start, len, track),
+                slow.sorted_block(start, len, track),
+                "{name} block at {start} x {len} (track: {track})"
+            );
+            assert_eq!(fast.counters(), slow.counters(), "{name}");
+            assert_eq!(fast.best_position(), slow.best_position(), "{name}");
+
+            // Interleave the other access modes so later blocks start
+            // from non-trivial tracker state.
+            assert_eq!(
+                fast.random_access(ItemId(7), true, true),
+                slow.random_access(ItemId(7), true, true)
+            );
+            assert_eq!(fast.direct_access_next(), slow.direct_access_next());
+        }
+
+        fast.reset();
+        slow.reset();
+        assert_eq!(fast.counters(), AccessCounters::default());
+        assert_eq!(
+            fast.sorted_block(Position::FIRST, 12, true),
+            slow.sorted_block(Position::FIRST, 12, true),
+            "{name} after reset"
+        );
+    }
+
     #[test]
     fn fast_block_path_matches_the_default_path() {
-        let db = twelve_entry_db();
-        for kind in TrackerKind::ALL {
-            let mut fast = InMemorySource::with_tracker(db.list(0).unwrap(), kind);
-            let mut slow = TrackedSource::with_tracker(EntryByEntry(db.list(0).unwrap()), kind);
-
-            // (start, len, track) patterns: head block, mid overlap, exact
-            // tail, past-the-end clip, fully out of bounds, single entry.
-            let blocks = [
-                (1, 4, true),
-                (3, 5, false),
-                (5, 8, true),
-                (12, 1, true),
-                (9, 99, false),
-                (13, 3, true),
-                (2, 1, false),
-            ];
-            for &(start, len, track) in &blocks {
-                let start = Position::new(start).unwrap();
-                assert_eq!(
-                    fast.sorted_block(start, len, track),
-                    slow.sorted_block(start, len, track),
-                    "{kind:?} block at {start} x {len} (track: {track})"
-                );
-                assert_eq!(fast.counters(), slow.counters(), "{kind:?}");
-                assert_eq!(fast.best_position(), slow.best_position(), "{kind:?}");
-
-                // Interleave the other access modes so later blocks start
-                // from non-trivial tracker state.
-                assert_eq!(
-                    fast.random_access(ItemId(7), true, true),
-                    slow.random_access(ItemId(7), true, true)
-                );
-                assert_eq!(fast.direct_access_next(), slow.direct_access_next());
-            }
-
-            fast.reset();
-            slow.reset();
-            assert_eq!(fast.counters(), AccessCounters::default());
-            assert_eq!(
-                fast.sorted_block(Position::FIRST, 12, true),
-                slow.sorted_block(Position::FIRST, 12, true),
-                "{kind:?} after reset"
-            );
-        }
+        check_fast_block_path::<BitArrayTracker>();
+        check_fast_block_path::<BPlusTreeTracker>();
+        check_fast_block_path::<NaiveSetTracker>();
     }
 
     #[test]

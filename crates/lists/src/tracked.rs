@@ -27,8 +27,12 @@
 //! * `topk_storage::PagedStore` — a paged file read through an LRU page
 //!   cache.
 //!
-//! The core is generic over its store, so every access is statically
-//! dispatched to the store's read.
+//! The core is generic over its store and its tracker, so every access is
+//! statically dispatched to the store's read and the tracker's update. The
+//! tracker is held by value and defaults to the paper's bit array
+//! ([`BitArrayTracker`], §5.2.1);
+//! [`TrackerKind::source`](crate::tracker::TrackerKind::source) is the one
+//! place a tracker kind chosen at run time becomes a tracker type.
 //!
 //! ```
 //! use topk_lists::prelude::*;
@@ -48,7 +52,7 @@ use crate::access::AccessCounters;
 use crate::item::{ItemId, Position, Score};
 use crate::sorted_list::{PositionedScore, SortedList};
 use crate::source::{CacheCounters, ListSource, SourceEntry, SourceScore};
-use crate::tracker::{PositionTracker, TrackerKind};
+use crate::tracker::{BitArrayTracker, PositionTracker};
 
 /// The storage format behind a [`TrackedSource`]: raw, uncounted reads of
 /// one sorted list. Counting and tracking are the core's business.
@@ -161,26 +165,29 @@ pub type InMemorySource<'a> = TrackedSource<&'a SortedList>;
 
 /// One list served through the paper's access modes: a [`ListStore`]
 /// plus per-mode [`AccessCounters`] and a source-side
-/// [`PositionTracker`]. See the [module docs](self) for the rules.
+/// [`PositionTracker`] of type `T`. See the [module docs](self) for the
+/// rules.
 #[derive(Debug)]
-pub struct TrackedSource<S> {
+pub struct TrackedSource<S, T = BitArrayTracker> {
     store: S,
-    tracker: Box<dyn PositionTracker>,
+    tracker: T,
     counters: AccessCounters,
 }
 
 impl<S: ListStore> TrackedSource<S> {
-    /// Serves `store` with the default bit-array tracker.
+    /// Serves `store` with the bit-array tracker.
     pub fn new(store: S) -> Self {
-        Self::with_tracker(store, TrackerKind::BitArray)
+        Self::from_store(store)
     }
+}
 
-    /// Serves `store` with an explicit best-position tracking strategy.
-    pub fn with_tracker(store: S, kind: TrackerKind) -> Self {
-        let tracker = kind.create(store.len());
+impl<S: ListStore, T: PositionTracker> TrackedSource<S, T> {
+    /// Serves `store` with a tracker of type `T`, named by the caller:
+    /// `TrackedSource::<_, BPlusTreeTracker>::from_store(store)`.
+    pub fn from_store(store: S) -> Self {
         TrackedSource {
+            tracker: T::new(store.len()),
             store,
-            tracker,
             counters: AccessCounters::default(),
         }
     }
@@ -209,7 +216,7 @@ impl<S: ListStore> TrackedSource<S> {
     }
 }
 
-impl<S: ListStore> ListSource for TrackedSource<S> {
+impl<S: ListStore, T: PositionTracker> ListSource for TrackedSource<S, T> {
     fn len(&self) -> usize {
         self.store.len()
     }

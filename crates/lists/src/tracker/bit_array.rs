@@ -26,16 +26,6 @@ pub struct BitArrayTracker {
 }
 
 impl BitArrayTracker {
-    /// Creates a tracker for a list of `n` items with no position seen.
-    pub fn new(n: usize) -> Self {
-        BitArrayTracker {
-            words: vec![0u64; n.div_ceil(64)],
-            n,
-            bp: 0,
-            seen: 0,
-        }
-    }
-
     #[inline]
     fn bit(&self, position_value: usize) -> bool {
         let idx = position_value - 1;
@@ -54,6 +44,15 @@ impl BitArrayTracker {
 }
 
 impl PositionTracker for BitArrayTracker {
+    fn new(n: usize) -> Self {
+        BitArrayTracker {
+            words: vec![0u64; n.div_ceil(64)],
+            n,
+            bp: 0,
+            seen: 0,
+        }
+    }
+
     fn mark_seen(&mut self, position: Position) -> bool {
         let p = position.get();
         assert!(

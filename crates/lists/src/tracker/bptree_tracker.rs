@@ -32,15 +32,6 @@ pub struct BPlusTreeTracker {
 }
 
 impl BPlusTreeTracker {
-    /// Creates a tracker for a list of `n` items with no position seen.
-    pub fn new(n: usize) -> Self {
-        BPlusTreeTracker {
-            seen: BPlusTree::new(),
-            n,
-            bp: 0,
-        }
-    }
-
     /// Read-only view of the underlying B+tree (used by tests and the
     /// tracker ablation bench).
     pub fn tree(&self) -> &BPlusTree {
@@ -49,6 +40,14 @@ impl BPlusTreeTracker {
 }
 
 impl PositionTracker for BPlusTreeTracker {
+    fn new(n: usize) -> Self {
+        BPlusTreeTracker {
+            seen: BPlusTree::new(),
+            n,
+            bp: 0,
+        }
+    }
+
     fn mark_seen(&mut self, position: Position) -> bool {
         let p = position.get();
         assert!(

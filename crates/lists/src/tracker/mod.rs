@@ -13,7 +13,10 @@
 //!   `bp` — O(log u) per access ([`BPlusTreeTracker`], §5.2.2).
 //!
 //! All three implement [`PositionTracker`] and are interchangeable from the
-//! algorithms' point of view; `topk-bench` contains an ablation comparing
+//! algorithms' point of view. The access core holds its tracker by value,
+//! as a type parameter defaulting to the bit array; a [`TrackerKind`]
+//! picked at run time becomes a tracker type only in
+//! [`TrackerKind::source`]. `topk-bench` contains an ablation comparing
 //! them.
 
 mod bit_array;
@@ -25,15 +28,22 @@ pub use bptree_tracker::BPlusTreeTracker;
 pub use naive::NaiveSetTracker;
 
 use crate::item::Position;
+use crate::source::ListSource;
+use crate::tracked::{ListStore, TrackedSource};
 
 /// Records the positions of one list that have been seen during query
 /// execution and maintains the list's best position.
 ///
 /// Every backend keeps one tracker per list: the access core
-/// ([`TrackedSource`](crate::tracked::TrackedSource)) owns it, whatever
+/// ([`TrackedSource`]) holds it by value, as a type parameter, whatever
 /// the storage format. BPA's originator keeps its own bit-array-style
 /// row per list, with the seen score in each slot, instead of a tracker.
 pub trait PositionTracker: std::fmt::Debug {
+    /// Creates a tracker for a list of `n` items with no position seen.
+    fn new(n: usize) -> Self
+    where
+        Self: Sized;
+
     /// Marks a position as seen (idempotent). Returns `true` if the
     /// position was newly marked.
     fn mark_seen(&mut self, position: Position) -> bool;
@@ -79,8 +89,7 @@ pub trait PositionTracker: std::fmt::Debug {
     fn clear_resize(&mut self, capacity: usize);
 }
 
-/// The available tracker implementations, used to select one at run time
-/// (e.g. from benchmark configuration).
+/// The available tracker implementations, used to select one at run time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TrackerKind {
     /// Bit array of `n` bits (§5.2.1). Default, as in the paper's own
@@ -95,12 +104,18 @@ pub enum TrackerKind {
 }
 
 impl TrackerKind {
-    /// Creates a tracker of this kind for a list of `n` items.
-    pub fn create(self, n: usize) -> Box<dyn PositionTracker> {
+    /// Serves `store` through the access core with a tracker of this
+    /// kind. The kind is matched once, here; every access of the returned
+    /// source is statically dispatched to that tracker type.
+    pub fn source<'a, S: ListStore + 'a>(self, store: S) -> Box<dyn ListSource + 'a> {
         match self {
-            TrackerKind::BitArray => Box::new(BitArrayTracker::new(n)),
-            TrackerKind::BPlusTree => Box::new(BPlusTreeTracker::new(n)),
-            TrackerKind::NaiveSet => Box::new(NaiveSetTracker::new(n)),
+            TrackerKind::BitArray => Box::new(TrackedSource::new(store)),
+            TrackerKind::BPlusTree => {
+                Box::new(TrackedSource::<_, BPlusTreeTracker>::from_store(store))
+            }
+            TrackerKind::NaiveSet => {
+                Box::new(TrackedSource::<_, NaiveSetTracker>::from_store(store))
+            }
         }
     }
 
@@ -114,10 +129,13 @@ impl TrackerKind {
 
 #[cfg(test)]
 mod tests {
+    use std::any::type_name;
+
     use super::*;
 
-    /// Exercises the common tracker contract against every implementation.
-    fn check_contract(mut tracker: Box<dyn PositionTracker>) {
+    /// Exercises the common tracker contract against one implementation.
+    fn check_contract<T: PositionTracker>() {
+        let mut tracker = T::new(10);
         assert_eq!(tracker.best_position(), None);
         assert_eq!(tracker.first_unseen(), Position::FIRST);
         assert_eq!(tracker.seen_count(), 0);
@@ -156,51 +174,56 @@ mod tests {
 
     #[test]
     fn all_trackers_satisfy_contract() {
-        for kind in TrackerKind::ALL {
-            check_contract(kind.create(10));
-        }
+        check_contract::<BitArrayTracker>();
+        check_contract::<BPlusTreeTracker>();
+        check_contract::<NaiveSetTracker>();
     }
 
     /// `mark_range_seen` (overridden or default) must leave the tracker in
     /// exactly the state that marking every position individually leaves
     /// it in — the invariant the bulk block-scan path relies on.
-    #[test]
-    fn range_marking_matches_individual_marking() {
+    fn check_range_marking<T: PositionTracker>() {
+        let name = type_name::<T>();
         let ranges: [(usize, usize); 6] = [(3, 9), (1, 1), (60, 70), (64, 64), (10, 130), (2, 5)];
-        for kind in TrackerKind::ALL {
-            let mut bulk = kind.create(130);
-            let mut one_by_one = kind.create(130);
-            for &(lo, hi) in &ranges {
-                bulk.mark_range_seen(Position::new(lo).unwrap(), Position::new(hi).unwrap());
-                for p in lo..=hi {
-                    one_by_one.mark_seen(Position::new(p).unwrap());
-                }
-                assert_eq!(
-                    bulk.best_position(),
-                    one_by_one.best_position(),
-                    "{kind:?} after [{lo}, {hi}]"
-                );
-                assert_eq!(bulk.seen_count(), one_by_one.seen_count(), "{kind:?}");
+        let mut bulk = T::new(130);
+        let mut one_by_one = T::new(130);
+        for &(lo, hi) in &ranges {
+            bulk.mark_range_seen(Position::new(lo).unwrap(), Position::new(hi).unwrap());
+            for p in lo..=hi {
+                one_by_one.mark_seen(Position::new(p).unwrap());
             }
-            for p in 1..=130 {
-                let pos = Position::new(p).unwrap();
-                assert_eq!(
-                    bulk.is_seen(pos),
-                    one_by_one.is_seen(pos),
-                    "{kind:?} at {p}"
-                );
-            }
+            assert_eq!(
+                bulk.best_position(),
+                one_by_one.best_position(),
+                "{name} after [{lo}, {hi}]"
+            );
+            assert_eq!(bulk.seen_count(), one_by_one.seen_count(), "{name}");
+        }
+        for p in 1..=130 {
+            let pos = Position::new(p).unwrap();
+            assert_eq!(bulk.is_seen(pos), one_by_one.is_seen(pos), "{name} at {p}");
         }
     }
 
     #[test]
+    fn range_marking_matches_individual_marking() {
+        check_range_marking::<BitArrayTracker>();
+        check_range_marking::<BPlusTreeTracker>();
+        check_range_marking::<NaiveSetTracker>();
+    }
+
+    fn check_empty_range<T: PositionTracker>() {
+        let mut tracker = T::new(16);
+        tracker.mark_range_seen(Position::new(5).unwrap(), Position::new(4).unwrap());
+        assert_eq!(tracker.seen_count(), 0);
+        assert_eq!(tracker.best_position(), None);
+    }
+
+    #[test]
     fn empty_range_is_a_no_op() {
-        for kind in TrackerKind::ALL {
-            let mut tracker = kind.create(16);
-            tracker.mark_range_seen(Position::new(5).unwrap(), Position::new(4).unwrap());
-            assert_eq!(tracker.seen_count(), 0);
-            assert_eq!(tracker.best_position(), None);
-        }
+        check_empty_range::<BitArrayTracker>();
+        check_empty_range::<BPlusTreeTracker>();
+        check_empty_range::<NaiveSetTracker>();
     }
 
     #[test]
@@ -208,10 +231,36 @@ mod tests {
         assert_eq!(TrackerKind::default(), TrackerKind::BitArray);
     }
 
+    /// Each kind resolves to its own tracker type, and the source it
+    /// builds tracks through that type.
+    #[test]
+    fn each_kind_resolves_to_its_tracker_type() {
+        let list = crate::SortedList::from_unsorted(
+            (1..=8u64).map(|i| (crate::ItemId(i), i as f64)).collect(),
+        )
+        .unwrap();
+        let names = ["BitArrayTracker", "BPlusTreeTracker", "NaiveSetTracker"];
+        for (kind, name) in TrackerKind::ALL.into_iter().zip(names) {
+            let mut source = kind.source(&list);
+            assert!(format!("{source:?}").contains(name), "{kind:?}");
+            source.direct_access_next().unwrap();
+            source
+                .sorted_access(Position::new(3).unwrap(), true)
+                .unwrap();
+            source
+                .sorted_access(Position::new(2).unwrap(), true)
+                .unwrap();
+            assert_eq!(source.best_position(), Position::new(3), "{kind:?}");
+        }
+    }
+
     #[test]
     fn trackers_agree_on_interleaved_pattern() {
-        let mut trackers: Vec<Box<dyn PositionTracker>> =
-            TrackerKind::ALL.iter().map(|k| k.create(64)).collect();
+        let mut trackers: Vec<Box<dyn PositionTracker>> = vec![
+            Box::new(BitArrayTracker::new(64)),
+            Box::new(BPlusTreeTracker::new(64)),
+            Box::new(NaiveSetTracker::new(64)),
+        ];
         // Mark a scattered pattern: odd positions first, then even.
         for p in (1..=63usize).step_by(2).chain((2..=64usize).step_by(2)) {
             let pos = Position::new(p).unwrap();

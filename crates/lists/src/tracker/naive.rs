@@ -18,17 +18,14 @@ pub struct NaiveSetTracker {
     n: usize,
 }
 
-impl NaiveSetTracker {
-    /// Creates a tracker for a list of `n` items with no position seen.
-    pub fn new(n: usize) -> Self {
+impl PositionTracker for NaiveSetTracker {
+    fn new(n: usize) -> Self {
         NaiveSetTracker {
             seen: HashSet::new(),
             n,
         }
     }
-}
 
-impl PositionTracker for NaiveSetTracker {
     fn mark_seen(&mut self, position: Position) -> bool {
         let p = position.get();
         assert!(

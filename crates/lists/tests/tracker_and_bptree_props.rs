@@ -12,7 +12,7 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use topk_lists::bptree::BPlusTree;
-use topk_lists::tracker::TrackerKind;
+use topk_lists::tracker::{BPlusTreeTracker, BitArrayTracker, NaiveSetTracker, PositionTracker};
 use topk_lists::Position;
 
 fn position(value: usize) -> Position {
@@ -20,11 +20,12 @@ fn position(value: usize) -> Position {
 }
 
 /// Applies the same ranges to a bulk tracker and a mark-one-at-a-time
-/// tracker of the same kind and asserts the full observable state —
+/// tracker of the same type and asserts the full observable state —
 /// best position, seen count and every per-position bit — is identical.
-fn check_ranges_against_reference(kind: TrackerKind, n: usize, ranges: &[(usize, usize)]) {
-    let mut bulk = kind.create(n);
-    let mut one_by_one = kind.create(n);
+fn check_ranges_against_reference<T: PositionTracker>(n: usize, ranges: &[(usize, usize)]) {
+    let kind = std::any::type_name::<T>();
+    let mut bulk = T::new(n);
+    let mut one_by_one = T::new(n);
     for &(from, to) in ranges {
         bulk.mark_range_seen(position(from), position(to));
         for p in from..=to.min(n) {
@@ -33,16 +34,16 @@ fn check_ranges_against_reference(kind: TrackerKind, n: usize, ranges: &[(usize,
         assert_eq!(
             bulk.best_position(),
             one_by_one.best_position(),
-            "{kind:?} n={n} after [{from}, {to}]"
+            "{kind} n={n} after [{from}, {to}]"
         );
-        assert_eq!(bulk.seen_count(), one_by_one.seen_count(), "{kind:?} n={n}");
-        assert_eq!(bulk.first_unseen(), one_by_one.first_unseen(), "{kind:?}");
+        assert_eq!(bulk.seen_count(), one_by_one.seen_count(), "{kind} n={n}");
+        assert_eq!(bulk.first_unseen(), one_by_one.first_unseen(), "{kind}");
     }
     for p in 1..=n {
         assert_eq!(
             bulk.is_seen(position(p)),
             one_by_one.is_seen(position(p)),
-            "{kind:?} n={n} at {p}"
+            "{kind} n={n} at {p}"
         );
     }
 }
@@ -117,9 +118,9 @@ proptest! {
             )
         })
     ) {
-        for kind in TrackerKind::ALL {
-            check_ranges_against_reference(kind, n, &ranges);
-        }
+        check_ranges_against_reference::<BitArrayTracker>(n, &ranges);
+        check_ranges_against_reference::<BPlusTreeTracker>(n, &ranges);
+        check_ranges_against_reference::<NaiveSetTracker>(n, &ranges);
     }
 }
 
@@ -138,12 +139,16 @@ fn word_boundary_range_ends_are_exact() {
         (63, 66),   // crosses with partial words on both sides
         (128, 128), // end of the list, top of word 1
     ];
-    for kind in TrackerKind::ALL {
-        check_ranges_against_reference(kind, 128, &boundary_ranges);
-        // And each range alone, against a fresh tracker.
-        for &(from, to) in &boundary_ranges {
-            check_ranges_against_reference(kind, 128, &[(from, to)]);
-        }
+    check_word_boundaries::<BitArrayTracker>(&boundary_ranges);
+    check_word_boundaries::<BPlusTreeTracker>(&boundary_ranges);
+    check_word_boundaries::<NaiveSetTracker>(&boundary_ranges);
+}
+
+fn check_word_boundaries<T: PositionTracker>(boundary_ranges: &[(usize, usize)]) {
+    check_ranges_against_reference::<T>(128, boundary_ranges);
+    // And each range alone, against a fresh tracker.
+    for &(from, to) in boundary_ranges {
+        check_ranges_against_reference::<T>(128, &[(from, to)]);
     }
 }
 
@@ -151,30 +156,40 @@ fn word_boundary_range_ends_are_exact() {
 /// either empty or the whole list.
 #[test]
 fn single_entry_lists_track_correctly() {
-    for kind in TrackerKind::ALL {
-        let mut tracker = kind.create(1);
-        tracker.mark_range_seen(position(1), position(1));
-        assert_eq!(tracker.best_position(), Some(position(1)), "{kind:?}");
-        assert_eq!(tracker.seen_count(), 1, "{kind:?}");
-        assert_eq!(tracker.first_unseen(), position(2), "{kind:?}");
-        check_ranges_against_reference(kind, 1, &[(1, 1), (1, 1)]);
-    }
+    check_single_entry::<BitArrayTracker>();
+    check_single_entry::<BPlusTreeTracker>();
+    check_single_entry::<NaiveSetTracker>();
+}
+
+fn check_single_entry<T: PositionTracker>() {
+    let kind = std::any::type_name::<T>();
+    let mut tracker = T::new(1);
+    tracker.mark_range_seen(position(1), position(1));
+    assert_eq!(tracker.best_position(), Some(position(1)), "{kind}");
+    assert_eq!(tracker.seen_count(), 1, "{kind}");
+    assert_eq!(tracker.first_unseen(), position(2), "{kind}");
+    check_ranges_against_reference::<T>(1, &[(1, 1), (1, 1)]);
 }
 
 /// Empty ranges (`from > to`) are no-ops in any state, including when
 /// the reversed bounds straddle a word boundary.
 #[test]
 fn empty_ranges_are_no_ops_in_any_state() {
-    for kind in TrackerKind::ALL {
-        let mut tracker = kind.create(130);
-        tracker.mark_range_seen(position(10), position(9));
-        assert_eq!(tracker.seen_count(), 0, "{kind:?}: empty range on empty");
-        tracker.mark_range_seen(position(1), position(70));
-        let best = tracker.best_position();
-        let seen = tracker.seen_count();
-        tracker.mark_range_seen(position(65), position(64)); // reversed, on the boundary
-        tracker.mark_range_seen(position(130), position(1)); // reversed, whole list
-        assert_eq!(tracker.best_position(), best, "{kind:?}");
-        assert_eq!(tracker.seen_count(), seen, "{kind:?}");
-    }
+    check_empty_ranges::<BitArrayTracker>();
+    check_empty_ranges::<BPlusTreeTracker>();
+    check_empty_ranges::<NaiveSetTracker>();
+}
+
+fn check_empty_ranges<T: PositionTracker>() {
+    let kind = std::any::type_name::<T>();
+    let mut tracker = T::new(130);
+    tracker.mark_range_seen(position(10), position(9));
+    assert_eq!(tracker.seen_count(), 0, "{kind}: empty range on empty");
+    tracker.mark_range_seen(position(1), position(70));
+    let best = tracker.best_position();
+    let seen = tracker.seen_count();
+    tracker.mark_range_seen(position(65), position(64)); // reversed, on the boundary
+    tracker.mark_range_seen(position(130), position(1)); // reversed, whole list
+    assert_eq!(tracker.best_position(), best, "{kind}");
+    assert_eq!(tracker.seen_count(), seen, "{kind}");
 }

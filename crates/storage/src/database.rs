@@ -6,7 +6,6 @@ use std::path::{Path, PathBuf};
 
 use topk_lists::source::{ListSource, Sources};
 use topk_lists::tracked::ListStore;
-use topk_lists::tracker::TrackerKind;
 use topk_lists::Database;
 
 use crate::cache::CacheCapacity;
@@ -111,20 +110,10 @@ impl PagedDatabase {
     /// Opens one [`PagedSource`] per list with the default bit-array
     /// trackers, each with its own page cache of `capacity`.
     pub fn sources(&self, capacity: CacheCapacity) -> Result<Sources<'static>, StorageError> {
-        self.sources_with_tracker(capacity, TrackerKind::BitArray)
-    }
-
-    /// As [`sources`](PagedDatabase::sources), with an explicit
-    /// best-position tracking strategy.
-    pub fn sources_with_tracker(
-        &self,
-        capacity: CacheCapacity,
-        kind: TrackerKind,
-    ) -> Result<Sources<'static>, StorageError> {
         let mut sources: Vec<Box<dyn ListSource>> = Vec::with_capacity(self.files.len());
         for path in &self.files {
             let store = PagedStore::open(path, capacity)?;
-            sources.push(Box::new(PagedSource::with_tracker(store, kind)));
+            sources.push(Box::new(PagedSource::new(store)));
         }
         Ok(Sources::new(sources))
     }

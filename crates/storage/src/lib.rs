@@ -49,13 +49,13 @@
 //!
 //! // Query time: at most 2 pages of each list are ever resident.
 //! let mut sources = paged.sources(CacheCapacity::Pages(2)).unwrap();
-//! let result = Bpa2::default().run_on(&mut sources, &TopKQuery::top(5)).unwrap();
+//! let result = Bpa2.run_on(&mut sources, &TopKQuery::top(5)).unwrap();
 //! assert_eq!(result.len(), 5);
 //!
 //! // Identical answers and access counts to the in-memory backend —
 //! // only the page cache knows the difference, and the cost model can
 //! // price its misses as physical reads.
-//! let in_memory = Bpa2::default().run(&db, &TopKQuery::top(5)).unwrap();
+//! let in_memory = Bpa2.run(&db, &TopKQuery::top(5)).unwrap();
 //! assert!(result.scores_match(&in_memory, 0.0));
 //! assert_eq!(result.stats().accesses, in_memory.stats().accesses);
 //! let cache = sources.total_cache_counters();

@@ -38,7 +38,7 @@ fn main() {
     let runs: Vec<(&str, Box<dyn TopKAlgorithm>)> = vec![
         ("ta", Box::new(Ta::literal())),
         ("bpa", Box::new(Bpa)),
-        ("bpa2", Box::new(Bpa2::default())),
+        ("bpa2", Box::new(Bpa2)),
     ];
     let mut networks: Vec<(&str, NetworkStats)> = Vec::new();
     for (name, algorithm) in runs {

@@ -115,7 +115,7 @@ fn end_to_end_cost_ordering_on_a_paper_shaped_workload() {
 
     let ta = Ta::literal().run(&db, &query).unwrap();
     let bpa = Bpa.run(&db, &query).unwrap();
-    let bpa2 = Bpa2::default().run(&db, &query).unwrap();
+    let bpa2 = Bpa2.run(&db, &query).unwrap();
 
     let ta_cost = ta.stats().execution_cost(&model);
     let bpa_cost = bpa.stats().execution_cost(&model);
@@ -137,12 +137,13 @@ fn end_to_end_cost_ordering_on_a_paper_shaped_workload() {
 
 #[test]
 fn tracker_choice_does_not_change_any_observable_behaviour() {
-    use bpa_topk::lists::TrackerKind;
+    use bpa_topk::lists::{Sources, TrackerKind};
     let db = DatabaseSpec::new(DatabaseKind::Gaussian, 5, 2_000).generate(5);
     let query = TopKQuery::top(15);
-    let reference = Bpa2::default().run(&db, &query).unwrap();
+    let reference = Bpa2.run(&db, &query).unwrap();
     for kind in TrackerKind::ALL {
-        let bpa2 = Bpa2::with_tracker(kind).run(&db, &query).unwrap();
+        let mut sources = Sources::in_memory_with_tracker(&db, kind);
+        let bpa2 = Bpa2.run_on(&mut sources, &query).unwrap();
         assert_eq!(
             bpa2.stats().accesses,
             reference.stats().accesses,

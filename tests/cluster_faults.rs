@@ -165,9 +165,7 @@ fn a_killed_owner_never_hangs_a_session() {
         ..SessionOptions::default()
     });
     runtime.kill_owner(2, 0);
-    let err = Bpa2::default()
-        .run_on(&mut session, &query_top3())
-        .unwrap_err();
+    let err = Bpa2.run_on(&mut session, &query_top3()).unwrap_err();
     match err {
         TopKError::Source(source) => {
             assert_eq!(source.kind, SourceErrorKind::Unreachable);
@@ -178,13 +176,8 @@ fn a_killed_owner_never_hangs_a_session() {
     // The runtime itself survives: fresh sessions over the remaining
     // owners still serve certified degraded answers.
     let mut surviving = runtime.connect_surviving(&[2]);
-    let answer = run_on_degraded(
-        &Bpa2::default(),
-        &mut surviving,
-        &query_top3(),
-        &[runtime.outage(2)],
-    )
-    .unwrap();
+    let answer =
+        run_on_degraded(&Bpa2, &mut surviving, &query_top3(), &[runtime.outage(2)]).unwrap();
     assert_eq!(answer.items.len(), 3);
 }
 
@@ -201,7 +194,7 @@ fn a_killed_replica_mid_session_fails_over_exactly() {
     let runtime = ClusterRuntime::spawn_replicated(&db, 2);
     let expected = {
         let mut clean = runtime.connect();
-        fingerprint(&Bpa2::default().run_on(&mut clean, &query).unwrap())
+        fingerprint(&Bpa2.run_on(&mut clean, &query).unwrap())
     };
 
     let mut session = runtime.connect_with(SessionOptions {
@@ -220,7 +213,7 @@ fn a_killed_replica_mid_session_fails_over_exactly() {
         .unwrap();
     runtime.kill_owner(0, 0);
     session.reset();
-    let result = Bpa2::default().run_on(&mut session, &query).unwrap();
+    let result = Bpa2.run_on(&mut session, &query).unwrap();
     assert_eq!(fingerprint(&result), expected);
     assert!(session.fault_stats().failovers >= 1);
 }

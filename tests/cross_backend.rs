@@ -596,7 +596,7 @@ fn paged_cache_counters_are_deterministic_and_monotone() {
         CacheCapacity::Unbounded,
     ] {
         let mut sources = paged.sources(capacity).unwrap();
-        Bpa2::default().run_on(&mut sources, &query).unwrap();
+        Bpa2.run_on(&mut sources, &query).unwrap();
         let first = sources.total_cache_counters();
         assert!(first.misses > 0, "{capacity:?}: the data came off disk");
 
@@ -611,7 +611,7 @@ fn paged_cache_counters_are_deterministic_and_monotone() {
 
         sources.reset();
         assert_eq!(sources.total_cache_counters(), CacheCounters::default());
-        Bpa2::default().run_on(&mut sources, &query).unwrap();
+        Bpa2.run_on(&mut sources, &query).unwrap();
         assert_eq!(
             sources.total_cache_counters(),
             first,
@@ -1045,7 +1045,9 @@ fn assert_script_agrees(db: &Database, backends: &mut [(String, Box<dyn SourceSe
 /// positions after every step — in memory under every tracker, through
 /// the trait's default block path, sharded at 1, 3 and n shards on 1-
 /// and 4-thread pools, paged at 64 B and 4 KiB pages under a 1-page and
-/// an unbounded cache, and at list owners through `ClusterSources`.
+/// an unbounded cache, at list owners through `ClusterSources`, and
+/// sharded and at owner threads (`ClusterRuntime`) under the B+tree and
+/// naive-set trackers.
 /// Sharded at 1, 3 and n shards over a database mutated through
 /// `ShardedDatabase` (score updates, one insert, one delete), the replies
 /// equal the in-memory source's over the same mutated `Database`.
@@ -1080,11 +1082,25 @@ fn one_access_script_gives_identical_replies_on_every_backend() {
         })
         .collect();
     let cluster = Cluster::new(&db);
+    let other_trackers = [TrackerKind::BPlusTree, TrackerKind::NaiveSet];
+    let runtimes = other_trackers.map(|kind| {
+        let runtime = ClusterRuntime::with_latency(&db, kind, LatencyModel::zero(db.num_lists()));
+        (kind, runtime)
+    });
 
     let mut backends: Vec<(String, Box<dyn SourceSet + '_>)> = Vec::new();
     for kind in TrackerKind::ALL {
         let sources = Sources::in_memory_with_tracker(&db, kind);
         backends.push((format!("in memory ({kind:?})"), Box::new(sources)));
+    }
+    for (kind, runtime) in &runtimes {
+        let sharded = ShardedDatabase::new(&db, 3);
+        let sources = sharded.sources_with_tracker(&pools[1], *kind);
+        backends.push((format!("3 shards, 4 threads ({kind:?})"), Box::new(sources)));
+        backends.push((
+            format!("owner threads ({kind:?})"),
+            Box::new(runtime.connect()),
+        ));
     }
     let default_path = db
         .lists()

@@ -55,7 +55,7 @@ fn figure2_walkthrough_matches_the_paper() {
     let query = TopKQuery::top(3);
 
     let bpa = Bpa.run(&db, &query).unwrap();
-    let bpa2 = Bpa2::default().run(&db, &query).unwrap();
+    let bpa2 = Bpa2.run(&db, &query).unwrap();
 
     // Theorem 8's example: BPA does 63 accesses, BPA2 does 36 (≈ 1/(m-1)).
     assert_eq!(bpa.stats().total_accesses(), 63);
@@ -166,7 +166,7 @@ fn theorem_7_bpa2_never_does_more_accesses_than_bpa() {
             let db = spec.generate(seed);
             let query = TopKQuery::top(20);
             let bpa = Bpa.run(&db, &query).unwrap();
-            let bpa2 = Bpa2::default().run(&db, &query).unwrap();
+            let bpa2 = Bpa2.run(&db, &query).unwrap();
             assert!(
                 bpa2.stats().total_accesses() <= bpa.stats().total_accesses(),
                 "Theorem 7 violated on {:?} seed {seed}",
@@ -180,7 +180,7 @@ fn theorem_7_bpa2_never_does_more_accesses_than_bpa() {
 fn theorem_5_bpa2_accesses_each_list_at_most_n_times() {
     for spec in specs(4) {
         let db = spec.generate(3);
-        let result = Bpa2::default().run(&db, &TopKQuery::top(20)).unwrap();
+        let result = Bpa2.run(&db, &TopKQuery::top(20)).unwrap();
         for (i, per_list) in result.stats().per_list.iter().enumerate() {
             assert!(
                 per_list.total() <= N as u64,

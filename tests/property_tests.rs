@@ -90,7 +90,7 @@ proptest! {
         let db = build(lists);
         let query = TopKQuery::top(k);
         let bpa = Bpa.run(&db, &query).unwrap();
-        let bpa2 = Bpa2::default().run(&db, &query).unwrap();
+        let bpa2 = Bpa2.run(&db, &query).unwrap();
         prop_assert!(bpa2.stats().total_accesses() <= bpa.stats().total_accesses());
         for per_list in &bpa2.stats().per_list {
             prop_assert!(per_list.total() <= db.num_items() as u64);

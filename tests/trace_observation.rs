@@ -196,7 +196,7 @@ fn traced_workload() -> Trace {
     let mut memory = Sources::in_memory(&db).traced();
     plan_and_run_on(&mut memory, &stats, &query).unwrap();
     let mut disk = paged.sources(CacheCapacity::Pages(2)).unwrap().traced();
-    Bpa2::default().run_on(&mut disk, &query).unwrap();
+    Bpa2.run_on(&mut disk, &query).unwrap();
     // A batched scan over sharded sources spans shards, so the pool
     // fan-out (scope/job lanes) is part of the exported trace.
     let mut fanned = sharded.sources(&pool).traced().batched(128);
@@ -232,22 +232,16 @@ fn faulted_workload() -> Trace {
     let flaky_plan = FaultPlan::new();
     flaky_plan.arm(4, FaultKind::Flake(2));
     let mut flaky = runtime.connect_with(SessionOptions::with_faults(flaky_plan));
-    Bpa2::default().run_on(&mut flaky, &query).unwrap();
+    Bpa2.run_on(&mut flaky, &query).unwrap();
 
     let replicated = ClusterRuntime::spawn_replicated(&db, 2);
     let crash_plan = FaultPlan::new();
     crash_plan.arm(6, FaultKind::Crash);
     let mut crashing = replicated.connect_with(SessionOptions::with_faults(crash_plan));
-    Bpa2::default().run_on(&mut crashing, &query).unwrap();
+    Bpa2.run_on(&mut crashing, &query).unwrap();
 
     let mut surviving = runtime.connect_surviving(&[2]);
-    run_on_degraded(
-        &Bpa2::default(),
-        &mut surviving,
-        &query,
-        &[runtime.outage(2)],
-    )
-    .unwrap();
+    run_on_degraded(&Bpa2, &mut surviving, &query, &[runtime.outage(2)]).unwrap();
 
     session.finish()
 }
