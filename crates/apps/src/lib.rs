@@ -24,8 +24,8 @@
 //! query once and opens in-memory
 //! [`Sources`](topk_lists::source::Sources) over the built database;
 //! front-ends never touch list storage directly, so moving a workload
-//! onto another backend (e.g. `topk_distributed::ClusterSources`) changes
-//! no front-end code.
+//! onto another backend (e.g. a `topk_distributed::ClusterRuntime`
+//! session) changes no front-end code.
 //!
 //! ```
 //! use topk_apps::Table;

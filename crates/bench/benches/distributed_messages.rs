@@ -10,7 +10,7 @@ use topk_bench::config::BENCH_SEED;
 use topk_bench::BenchScale;
 use topk_core::{AlgorithmKind, TopKQuery};
 use topk_datagen::{DatabaseKind, DatabaseSpec};
-use topk_distributed::{Cluster, ClusterSources};
+use topk_distributed::ClusterRuntime;
 
 fn main() {
     let scale = BenchScale::from_env();
@@ -31,10 +31,10 @@ fn main() {
         "protocol", "accesses", "messages", "payload (units)", "rounds", "peak round msgs"
     );
 
-    // The naive baseline runs over the same ClusterSources backend as the
-    // threshold family, so distributed sweeps have the baseline the local
-    // sweeps have.
-    let cluster = Cluster::new(&database);
+    // The naive baseline runs over the same runtime as the threshold
+    // family, so distributed sweeps have the baseline the local sweeps
+    // have.
+    let runtime = ClusterRuntime::spawn(&database);
     for kind in [
         AlgorithmKind::Naive,
         AlgorithmKind::Ta,
@@ -42,14 +42,13 @@ fn main() {
         AlgorithmKind::Bpa2,
     ] {
         let algorithm = kind.create();
-        let result = algorithm
-            .run_on(&mut ClusterSources::new(&cluster), &query)
-            .expect("valid query");
-        let network = cluster.network();
+        let mut session = runtime.connect();
+        let result = algorithm.run_on(&mut session, &query).expect("valid query");
+        let network = session.network();
         println!(
             "{:>20}{:>14}{:>14}{:>18}{:>12}{:>16}",
             format!("distributed-{}", algorithm.name()),
-            cluster.accesses_served(),
+            session.accesses_served(),
             network.messages,
             network.payload_units,
             result.stats().rounds,

@@ -20,8 +20,7 @@
 //! runs over the
 //! in-memory backend ([`TopKAlgorithm::run`], which opens
 //! [`Sources::in_memory`](topk_lists::source::Sources::in_memory)), over
-//! a simulated cluster (`topk_distributed::ClusterSources`), over one
-//! session of the asynchronous message-passing runtime
+//! one session of the simulated cluster's message-passing runtime
 //! (`topk_distributed::AsyncClusterSources` — worker threads behind
 //! request/reply channels), or over a batching decorator — with
 //! identical answers, because the paper's algorithms only ever speak

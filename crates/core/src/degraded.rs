@@ -129,7 +129,9 @@ impl DegradedAnswer {
 /// ([`ScoringFunction::supports_partial_sums`](crate::scoring::ScoringFunction::supports_partial_sums)) —
 /// interval addition is unsound for anything else — and at least one
 /// outage (with none, call
-/// [`run_on`](crate::algorithms::TopKAlgorithm::run_on)).
+/// [`run_on`](crate::algorithms::TopKAlgorithm::run_on)), each naming a
+/// different list: a repeated list would add its bracket twice, and the
+/// lower bound could then exceed the true score.
 pub fn run_on_degraded(
     algorithm: &dyn TopKAlgorithm,
     sources: &mut dyn SourceSet,
@@ -139,6 +141,12 @@ pub fn run_on_degraded(
     assert!(
         !outages.is_empty(),
         "no outages: run the query through run_on instead"
+    );
+    let distinct: std::collections::BTreeSet<usize> = outages.iter().map(|o| o.list).collect();
+    assert_eq!(
+        distinct.len(),
+        outages.len(),
+        "an outage names a list twice: its bracket would be added twice"
     );
     if !query.scoring().supports_partial_sums() {
         return Err(TopKError::UnsupportedScoring {
@@ -292,6 +300,20 @@ mod tests {
         let full = db();
         let mut sources = Sources::in_memory(&full);
         let _ = run_on_degraded(&NaiveScan, &mut sources, &TopKQuery::top(1), &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "names a list twice")]
+    fn repeated_outages_are_a_caller_bug() {
+        let full = db();
+        let (alive, outage) = surviving(&full, 2);
+        let mut sources = Sources::in_memory(&alive);
+        let _ = run_on_degraded(
+            &NaiveScan,
+            &mut sources,
+            &TopKQuery::top(1),
+            &[outage, outage],
+        );
     }
 
     #[test]

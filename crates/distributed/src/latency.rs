@@ -70,10 +70,9 @@ use crate::message::{Request, Response};
 /// Prices one request/response exchange in simulated nanoseconds: a
 /// per-link round-trip time plus a per-payload-unit bandwidth cost.
 ///
-/// Models are cheap to build and immutable; the same model value drives
-/// both the synchronous [`Cluster`](crate::Cluster) and the asynchronous
-/// [`ClusterRuntime`](crate::ClusterRuntime), which therefore report
-/// bit-identical simulated timings.
+/// Models are cheap to build and immutable; a
+/// [`ClusterRuntime`](crate::ClusterRuntime) holds one and prices every
+/// exchange of every session with it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyModel {
     /// Round-trip time of the originator ↔ owner `i` link, in nanoseconds.
@@ -93,8 +92,9 @@ const WAN_PER_UNIT: u64 = 640;
 
 impl LatencyModel {
     /// A model where every exchange is free. This is the default of
-    /// [`Cluster::new`](crate::Cluster::new), so existing message/payload
-    /// accounting is unchanged unless a model is asked for.
+    /// [`ClusterRuntime::spawn`](crate::ClusterRuntime::spawn), so
+    /// message/payload accounting carries no timings unless a model is
+    /// asked for.
     pub fn zero(num_links: usize) -> Self {
         Self::uniform(num_links, 0, 0)
     }

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use topk_lists::source::{ListSource, SourceEntry};
 use topk_lists::tracker::TrackerKind;
-use topk_lists::{Position, Score, SortedList};
+use topk_lists::{Position, SortedList};
 
 use crate::message::{Request, Response};
 
@@ -42,22 +42,6 @@ impl ListOwner {
     /// owner can serve a fresh query over its unchanged list.
     pub fn reset(&mut self) {
         self.source.reset();
-    }
-
-    /// The score of the list's last entry — catalog metadata known at list
-    /// registration time, not an access.
-    pub fn tail_score(&self) -> Score {
-        self.source.tail_score()
-    }
-
-    /// Number of items in the owned list.
-    pub fn len(&self) -> usize {
-        self.source.len()
-    }
-
-    /// Whether the owned list is empty (never true for validated databases).
-    pub fn is_empty(&self) -> bool {
-        self.source.is_empty()
     }
 
     /// Number of list accesses this owner has served (sorted + random +
@@ -119,7 +103,7 @@ fn entry_reply(entry: Option<SourceEntry>) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use topk_lists::ItemId;
+    use topk_lists::{ItemId, Score};
 
     fn owner() -> ListOwner {
         let list = SortedList::from_unsorted(vec![
@@ -343,7 +327,6 @@ mod tests {
         o.reset();
         assert_eq!(o.accesses_served(), 0);
         assert_eq!(o.best_position(), None);
-        assert_eq!(o.tail_score().value(), 10.0);
         // Direct access starts over from position 1.
         match o.handle(Request::DirectAccessNext) {
             Response::Entry { position, .. } => assert_eq!(position, pos(1)),

@@ -1,9 +1,6 @@
-//! The asynchronous message-passing runtime: one worker thread per list
-//! owner, reached through request/reply channels.
-//!
-//! The synchronous [`Cluster`](crate::Cluster) handles every request in
-//! the caller's thread; this module replaces that with the architecture
-//! the ROADMAP's async item asks for (channels first, sockets later):
+//! The message-passing runtime, the one distributed backend: one worker
+//! thread per list owner, reached through request/reply channels
+//! (channels first, sockets later):
 //!
 //! * [`ClusterRuntime::spawn`] starts one OS thread per list (`m` worker
 //!   threads). Each worker owns its [`SortedList`] and serves typed
@@ -24,12 +21,11 @@
 //! * [`AsyncClusterSources`] is the session's
 //!   [`SourceSet`] view, so all seven
 //!   `topk_core` algorithms run over the runtime **unmodified** — it
-//!   reuses the exact wire mapping of
-//!   [`ClusterSource`] (one trait call, one
-//!   exchange) and the exact accounting of the synchronous backend, so
-//!   answers, message/payload/round counts *and simulated timings* are
-//!   bit-identical to a [`Cluster`](crate::Cluster) run with the same
-//!   [`LatencyModel`] (pinned by `tests/cross_backend.rs`).
+//!   speaks the wire mapping of [`crate::source`] (one trait call, one
+//!   exchange), so answers and access counters are those of the
+//!   in-memory backend, and message/payload/round counts match the
+//!   figures of the original hand-written protocols (pinned by
+//!   `tests/cross_backend.rs`).
 //!
 //! # Fault tolerance
 //!
@@ -286,7 +282,7 @@ impl SessionOptions {
 /// assert_eq!(result.len(), 3);
 ///
 /// let network = sources.network();
-/// assert_eq!(network.messages, 72); // same wire behaviour as `Cluster`
+/// assert_eq!(network.messages, 72); // one request + one response per access
 /// // Overlapping the in-round requests beats the serialized schedule.
 /// assert!(network.makespan_nanos() < network.serialized_nanos());
 /// ```
@@ -464,11 +460,6 @@ impl ClusterRuntime {
     /// As [`ClusterRuntime::connect`] with explicit per-session options
     /// (batching, retry policy, fault injection).
     pub fn connect_with(&self, options: SessionOptions) -> AsyncClusterSources<'_> {
-        if topk_trace::active() {
-            topk_trace::record(topk_trace::TraceEvent::SessionOpen {
-                owners: self.workers.len() as u64,
-            });
-        }
         AsyncClusterSources::build(self, options, &[])
     }
 
@@ -478,11 +469,6 @@ impl ClusterRuntime {
     /// order); pair it with [`ClusterRuntime::outage`] brackets and
     /// `topk_core::run_on_degraded`.
     pub fn connect_surviving(&self, dead: &[usize]) -> AsyncClusterSources<'_> {
-        if topk_trace::active() {
-            topk_trace::record(topk_trace::TraceEvent::SessionOpen {
-                owners: (self.workers.len() - dead.len()) as u64,
-            });
-        }
         AsyncClusterSources::build(self, SessionOptions::default(), dead)
     }
 
@@ -655,13 +641,12 @@ impl OwnerLink for AsyncOwnerLink<'_> {
     }
 }
 
-/// One session's [`SourceSet`] over a [`ClusterRuntime`]: the asynchronous
-/// counterpart of [`ClusterSources`](crate::ClusterSources).
+/// One session's [`SourceSet`] over a [`ClusterRuntime`].
 ///
 /// Every trait call is one request/reply exchange with the owning worker
-/// thread, through the same wire mapping as the synchronous backend —
-/// so every `topk_core` algorithm runs over it unmodified, with identical
-/// answers and identical network accounting. Each owner is reached
+/// thread, through the wire mapping of [`crate::source`] — so every
+/// `topk_core` algorithm runs over it unmodified, with the answers and
+/// access counters of the in-memory backend. Each owner is reached
 /// through a resilient link (retry, backoff, replica failover — see
 /// [`crate::fault`]); fault-free the wrapper is a transparent
 /// pass-through, so the pins below hold bit-for-bit.
@@ -669,21 +654,23 @@ impl OwnerLink for AsyncOwnerLink<'_> {
 /// ```
 /// use topk_core::examples_paper::figure2_database;
 /// use topk_core::{Bpa2, TopKAlgorithm, TopKQuery};
-/// use topk_distributed::{Cluster, ClusterRuntime, ClusterSources};
+/// use topk_distributed::ClusterRuntime;
 ///
 /// let db = figure2_database();
 /// let query = TopKQuery::top(3);
 /// let bpa2 = Bpa2;
 ///
-/// let cluster = Cluster::new(&db);
-/// let sync = bpa2.run_on(&mut ClusterSources::new(&cluster), &query).unwrap();
-///
+/// // The same algorithm value, in memory and over the owner threads:
+/// let local = bpa2.run(&db, &query).unwrap();
 /// let runtime = ClusterRuntime::spawn(&db);
 /// let mut session = runtime.connect();
-/// let along = bpa2.run_on(&mut session, &query).unwrap();
+/// let remote = bpa2.run_on(&mut session, &query).unwrap();
 ///
-/// assert!(along.scores_match(&sync, 1e-9));
-/// assert_eq!(session.network(), cluster.network());
+/// assert!(remote.scores_match(&local, 1e-9));
+/// assert_eq!(remote.stats().accesses, local.stats().accesses);
+/// // 36 accesses -> 72 messages: one request + one response each.
+/// assert_eq!(session.network().messages, 72);
+/// assert_eq!(session.accesses_served(), 36);
 /// ```
 #[derive(Debug)]
 pub struct AsyncClusterSources<'a> {
@@ -698,26 +685,18 @@ pub struct AsyncClusterSources<'a> {
 }
 
 impl<'a> AsyncClusterSources<'a> {
-    /// Opens a session with one plain per-owner source (equivalent to
-    /// [`ClusterRuntime::connect`]).
-    pub fn new(runtime: &'a ClusterRuntime) -> Self {
-        Self::build(runtime, SessionOptions::default(), &[])
-    }
-
-    /// As [`AsyncClusterSources::new`], with every source wrapped in a
+    /// As [`ClusterRuntime::connect`], with every source wrapped in a
     /// [`BatchingSource`] so sequential sorted scans travel as
     /// `SortedBlock` messages of `block_len` entries.
     pub fn batched(runtime: &'a ClusterRuntime, block_len: usize) -> Self {
-        Self::build(
-            runtime,
-            SessionOptions {
-                block_len: Some(block_len),
-                ..SessionOptions::default()
-            },
-            &[],
-        )
+        runtime.connect_with(SessionOptions {
+            block_len: Some(block_len),
+            ..SessionOptions::default()
+        })
     }
 
+    /// Opens a session over every list not in `dead` and records its
+    /// `session_open` trace event: the one place a session starts.
     fn build(runtime: &'a ClusterRuntime, options: SessionOptions, dead: &[usize]) -> Self {
         let session = runtime.open_session();
         let recorder = Rc::new(RefCell::new(NetworkRecorder::new(
@@ -763,11 +742,15 @@ impl<'a> AsyncClusterSources<'a> {
                 )) as Rc<dyn OwnerLink + 'a>
             })
             .collect();
+        if topk_trace::active() {
+            topk_trace::record(topk_trace::TraceEvent::SessionOpen {
+                owners: links.len() as u64,
+            });
+        }
         let sources = links
             .iter()
             .map(|link| {
-                let source =
-                    Box::new(ClusterSource::from_link(Rc::clone(link))) as Box<dyn ListSource>;
+                let source = Box::new(ClusterSource::new(Rc::clone(link))) as Box<dyn ListSource>;
                 match options.block_len {
                     None => source,
                     Some(len) => Box::new(BatchingSource::new(source, len)) as Box<dyn ListSource>,
@@ -884,9 +867,34 @@ mod tests {
     use topk_core::{AlgorithmKind, Bpa2, NaiveScan, TopKAlgorithm, TopKError, TopKQuery, Tput};
     use topk_lists::SourceErrorKind;
 
-    use crate::cluster::Cluster;
     use crate::fault::FaultKind;
-    use crate::source::ClusterSources;
+
+    /// A session that sends nothing ahead: it forwards every call except
+    /// `prefetch_random`, so the trait's no-op default applies and each
+    /// access is one exchange, made when the access is.
+    struct Serial<'r>(AsyncClusterSources<'r>);
+
+    impl SourceSet for Serial<'_> {
+        fn num_lists(&self) -> usize {
+            self.0.num_lists()
+        }
+
+        fn source(&mut self, i: usize) -> &mut dyn ListSource {
+            self.0.source(i)
+        }
+
+        fn source_ref(&self, i: usize) -> &dyn ListSource {
+            self.0.source_ref(i)
+        }
+
+        fn begin_round(&mut self) {
+            self.0.begin_round();
+        }
+
+        fn reset(&mut self) {
+            self.0.reset();
+        }
+    }
 
     #[test]
     fn runtime_mirrors_database_dimensions() {
@@ -899,16 +907,26 @@ mod tests {
     }
 
     #[test]
-    fn a_session_matches_the_synchronous_cluster_exactly() {
+    fn owners_can_use_any_tracker() {
+        let db = figure1_database();
+        for kind in TrackerKind::ALL {
+            let runtime = ClusterRuntime::with_latency(&db, kind, LatencyModel::zero(3));
+            let mut session = runtime.connect();
+            session.source(1).direct_access_next().unwrap();
+            assert_eq!(session.source_ref(1).best_position(), Position::new(1));
+        }
+    }
+
+    #[test]
+    fn a_session_matches_a_serial_session_exactly() {
         let db = figure2_database();
         let query = TopKQuery::top(3);
-        let latency = LatencyModel::lan(3, 7);
+        let reference = Bpa2.run(&db, &query).unwrap();
 
-        let cluster = Cluster::with_latency(&db, TrackerKind::BitArray, latency.clone());
-        let mut sync = ClusterSources::new(&cluster);
-        let reference = Bpa2.run_on(&mut sync, &query).unwrap();
-
-        let runtime = ClusterRuntime::with_latency(&db, TrackerKind::BitArray, latency);
+        let runtime =
+            ClusterRuntime::with_latency(&db, TrackerKind::BitArray, LatencyModel::lan(3, 7));
+        let mut serial = Serial(runtime.connect());
+        Bpa2.run_on(&mut serial, &query).unwrap();
         let mut session = runtime.connect();
         let result = Bpa2.run_on(&mut session, &query).unwrap();
 
@@ -916,11 +934,11 @@ mod tests {
         assert_eq!(result.stats().accesses, reference.stats().accesses);
         assert_eq!(
             session.network(),
-            cluster.network(),
+            serial.0.network(),
             "messages, payload, rounds and simulated timings must be bit-identical"
         );
-        assert_eq!(session.accesses_served(), cluster.accesses_served());
-        assert_eq!(session.fault_stats(), crate::fault::FaultStats::default());
+        assert_eq!(session.accesses_served(), serial.0.accesses_served());
+        assert_eq!(session.fault_stats(), FaultStats::default());
     }
 
     #[test]
@@ -1137,7 +1155,7 @@ mod tests {
 
         // The caller announces a resolution, then scans position 1 of
         // every list instead of making the announced random accesses.
-        let runtime = ClusterRuntime::with_latency(&db, TrackerKind::BitArray, latency.clone());
+        let runtime = ClusterRuntime::with_latency(&db, TrackerKind::BitArray, latency);
         let mut session = runtime.connect();
         session.prefetch_random(item, 0, false, false);
         for i in 0..3 {
@@ -1152,15 +1170,14 @@ mod tests {
         // Each posted request was served, so the network and the owners
         // account for it where it was settled: before the next exchange
         // on its list. The originator counts only the accesses it made.
-        let cluster = Cluster::with_latency(&db, TrackerKind::BitArray, latency);
-        let mut serial = ClusterSources::new(&cluster);
+        let mut serial = Serial(runtime.connect());
         serial.source(0).sorted_access(Position::FIRST, false);
         for i in 1..3 {
             serial.source(i).random_access(item, false, false);
             serial.source(i).sorted_access(Position::FIRST, false);
         }
-        assert_eq!(session.network(), cluster.network());
-        assert_eq!(session.accesses_served(), cluster.accesses_served());
+        assert_eq!(session.network(), serial.0.network());
+        assert_eq!(session.accesses_served(), serial.0.accesses_served());
         let counted = session.total_counters();
         assert_eq!((counted.sorted, counted.random), (3, 0));
     }
@@ -1170,10 +1187,11 @@ mod tests {
         let db = four_list_database();
         let latency = LatencyModel::lan(4, 5);
         let query = TopKQuery::top(5);
+        let fault_free = ClusterRuntime::with_latency(&db, TrackerKind::BitArray, latency.clone());
         for kind in [AlgorithmKind::Ta, AlgorithmKind::Bpa, AlgorithmKind::Bpa2] {
-            let cluster = Cluster::with_latency(&db, TrackerKind::BitArray, latency.clone());
-            let mut serial = ClusterSources::new(&cluster);
-            let reference = kind.create().run_on(&mut serial, &query).unwrap();
+            let reference = kind.create().run(&db, &query).unwrap();
+            let mut serial = Serial(fault_free.connect());
+            kind.create().run_on(&mut serial, &query).unwrap();
             for dead in 0..4 {
                 let runtime = ClusterRuntime::with_latency_replicated(
                     &db,
@@ -1191,8 +1209,8 @@ mod tests {
                     reference.stats().accesses,
                     "{kind:?} {dead}"
                 );
-                assert_eq!(session.network(), cluster.network(), "{kind:?} {dead}");
-                assert_eq!(session.accesses_served(), cluster.accesses_served());
+                assert_eq!(session.network(), serial.0.network(), "{kind:?} {dead}");
+                assert_eq!(session.accesses_served(), serial.0.accesses_served());
                 assert_eq!(session.fault_stats().failovers, 1, "{kind:?} {dead}");
             }
         }

@@ -1,16 +1,16 @@
-//! The distributed execution backend: [`ClusterSource`] maps the
-//! backend-generic [`ListSource`] calls onto the typed [`Request`] /
+//! The wire mapping of the distributed backend: `ClusterSource` maps
+//! the backend-generic [`ListSource`] calls onto the typed [`Request`] /
 //! [`Response`] messages of the wire protocol, so the *core* algorithms
-//! (`topk_core::Ta`, `Bpa`, `Bpa2`, …) run unmodified against a
-//! [`Cluster`] of list owners.
+//! (`topk_core::Ta`, `Bpa`, `Bpa2`, …) run unmodified against the list
+//! owners of a [`ClusterRuntime`](crate::ClusterRuntime).
 //!
-//! A distributed protocol is *one line* — a core algorithm plus
-//! `ClusterSources::new(&cluster)` — so local/distributed drift bugs are
-//! impossible by construction. The mapping is exact: each trait call
-//! sends exactly the message the original hand-written protocols sent,
-//! with the same `track` / `with_position` flags, so message counts and
-//! payload sizes are unchanged (the cross-backend equivalence suite pins
-//! those figures).
+//! A distributed protocol is *one line* — a core algorithm run over
+//! `runtime.connect()` — so local/distributed drift bugs are impossible
+//! by construction. The mapping is exact: each trait call sends exactly
+//! the message the original hand-written protocols sent, with the same
+//! `track` / `with_position` flags, so message counts and payload sizes
+//! are unchanged (the cross-backend equivalence suite pins those
+//! figures).
 //!
 //! | [`ListSource`] call | [`Request`] |
 //! |---|---|
@@ -29,18 +29,17 @@
 //! stopping logic uses the piggybacked best scores, as Section 5.1
 //! prescribes), the latter is catalog metadata known at registration.
 //!
-//! The request/response *transport* is abstracted behind the crate-private
-//! `OwnerLink` trait: the synchronous backend routes through
-//! [`Cluster::send`] in the caller's thread, the asynchronous backend
-//! ([`crate::runtime`]) through a worker thread's channels. Both reuse
-//! this exact mapping, so the two backends cannot drift apart.
+//! The request/response *transport* sits behind the crate-private
+//! `OwnerLink` trait. A runtime session reaches each owner's worker
+//! thread through its channels ([`crate::runtime`]), wrapped in the
+//! fault-injection and resilience links of [`crate::fault`]; a socket
+//! transport would be one more `OwnerLink`, under this same mapping.
 
 use std::rc::Rc;
 
-use topk_lists::source::{ListSource, SourceEntry, SourceScore, SourceSet};
-use topk_lists::{AccessCounters, BatchingSource, ItemId, Position, Score};
+use topk_lists::source::{ListSource, SourceEntry, SourceScore};
+use topk_lists::{AccessCounters, ItemId, Position, Score};
 
-use crate::cluster::Cluster;
 use crate::fault::LinkFault;
 use crate::message::{Request, Response};
 
@@ -56,10 +55,10 @@ use crate::message::{Request, Response};
 /// and `complete` does the whole exchange.
 ///
 /// Exchanges are fallible: a transport may report a [`LinkFault`]
-/// instead of a response. The synchronous in-thread transport never
-/// fails; the asynchronous transport surfaces dead workers and timeouts,
-/// and the resilience decorators (`crate::fault`) consume the transient
-/// variants so that only terminal faults reach the source adapter.
+/// instead of a response. The channel transport surfaces dead workers
+/// and timeouts, and the resilience decorators (`crate::fault`) consume
+/// the transient variants so that only terminal faults reach the source
+/// adapter.
 pub(crate) trait OwnerLink: std::fmt::Debug {
     /// Sends one request to the owner and waits for its response.
     ///
@@ -91,10 +90,8 @@ pub(crate) trait OwnerLink: std::fmt::Debug {
     fn tail_score(&self) -> Score;
 
     /// The owner's list epoch (catalog metadata; failover targets must
-    /// agree). Transports without update tracking report 0.
-    fn epoch(&self) -> u64 {
-        0
-    }
+    /// agree).
+    fn epoch(&self) -> u64;
 
     /// The owner's current best position (uncounted introspection).
     fn best_position(&self) -> Result<Option<Position>, LinkFault>;
@@ -103,64 +100,23 @@ pub(crate) trait OwnerLink: std::fmt::Debug {
     fn reset_owner(&self) -> Result<(), LinkFault>;
 }
 
-/// The synchronous transport: requests are handled by [`Cluster::send`]
-/// in the caller's thread.
-#[derive(Debug)]
-struct SyncOwnerLink<'a> {
-    cluster: &'a Cluster,
-    index: usize,
-}
-
-impl OwnerLink for SyncOwnerLink<'_> {
-    fn exchange(&self, request: Request, _attempt: u32) -> Result<Response, LinkFault> {
-        Ok(self.cluster.send(self.index, request))
-    }
-
-    fn owner_index(&self) -> usize {
-        self.index
-    }
-
-    fn len(&self) -> usize {
-        self.cluster.owner(self.index).len()
-    }
-
-    fn tail_score(&self) -> Score {
-        self.cluster.tail_score(self.index)
-    }
-
-    fn best_position(&self) -> Result<Option<Position>, LinkFault> {
-        Ok(self.cluster.owner(self.index).best_position())
-    }
-
-    fn reset_owner(&self) -> Result<(), LinkFault> {
-        self.cluster.owner_reset(self.index);
-        Ok(())
-    }
-}
-
-/// One remote list, reached through an owner transport (synchronously via
-/// [`Cluster::send`], or via a [`crate::runtime::ClusterRuntime`] worker's
-/// channels).
+/// One remote list, reached through an owner transport (a
+/// [`ClusterRuntime`](crate::ClusterRuntime) worker's channels, behind
+/// the session's resilience link).
 ///
 /// Accesses are mirrored into originator-side [`AccessCounters`] (the
 /// owner only keeps a total), so [`RunStats`](topk_core::RunStats) report
 /// the same per-mode counts over this backend as over the in-memory one.
 #[derive(Debug)]
-pub struct ClusterSource<'a> {
+pub(crate) struct ClusterSource<'a> {
     /// Shared with the session, which may post random accesses ahead.
     link: Rc<dyn OwnerLink + 'a>,
     counters: AccessCounters,
 }
 
 impl<'a> ClusterSource<'a> {
-    /// A source for owner `index` of the cluster.
-    pub fn new(cluster: &'a Cluster, index: usize) -> Self {
-        assert!(index < cluster.num_owners(), "owner index out of range");
-        Self::from_link(Rc::new(SyncOwnerLink { cluster, index }))
-    }
-
     /// A source speaking the wire mapping over any transport.
-    pub(crate) fn from_link(link: Rc<dyn OwnerLink + 'a>) -> Self {
+    pub(crate) fn new(link: Rc<dyn OwnerLink + 'a>) -> Self {
         ClusterSource {
             link,
             counters: AccessCounters::default(),
@@ -317,105 +273,19 @@ impl ListSource for ClusterSource<'_> {
     }
 }
 
-/// The [`SourceSet`] over a [`Cluster`]: one [`ClusterSource`] per owner,
-/// with round demarcation forwarded into the cluster's per-round network
-/// accounting.
-///
-/// ```
-/// use topk_core::examples_paper::figure2_database;
-/// use topk_core::{Bpa2, TopKAlgorithm, TopKQuery};
-/// use topk_distributed::{Cluster, ClusterSources};
-///
-/// let db = figure2_database();
-/// let query = TopKQuery::top(3);
-/// let bpa2 = Bpa2;
-///
-/// // The same algorithm value, over both backends:
-/// let local = bpa2.run(&db, &query).unwrap();
-/// let cluster = Cluster::new(&db);
-/// let remote = bpa2.run_on(&mut ClusterSources::new(&cluster), &query).unwrap();
-///
-/// assert!(remote.scores_match(&local, 1e-9));
-/// assert_eq!(remote.stats().accesses, local.stats().accesses);
-/// // 36 accesses -> 72 messages: one request + one response each.
-/// assert_eq!(cluster.network().messages, 72);
-/// ```
-#[derive(Debug)]
-pub struct ClusterSources<'a> {
-    cluster: &'a Cluster,
-    sources: Vec<Box<dyn ListSource + 'a>>,
-}
-
-impl<'a> ClusterSources<'a> {
-    /// One plain [`ClusterSource`] per owner. The cluster is
-    /// [`reset`](Cluster::reset) first — owner trackers, served-access
-    /// counts and network tallies — so, like a runtime session, every set
-    /// starts a fresh query and one cluster serves any number of them.
-    pub fn new(cluster: &'a Cluster) -> Self {
-        cluster.reset();
-        ClusterSources {
-            cluster,
-            sources: (0..cluster.num_owners())
-                .map(|i| Box::new(ClusterSource::new(cluster, i)) as Box<dyn ListSource>)
-                .collect(),
-        }
-    }
-
-    /// As [`ClusterSources::new`], with every source wrapped in a
-    /// [`BatchingSource`] so sequential sorted scans travel as
-    /// `SortedBlock` messages of `block_len` entries — one round trip per
-    /// block instead of one per position.
-    pub fn batched(cluster: &'a Cluster, block_len: usize) -> Self {
-        let plain = Self::new(cluster);
-        ClusterSources {
-            cluster,
-            sources: plain
-                .sources
-                .into_iter()
-                .map(|inner| Box::new(BatchingSource::new(inner, block_len)) as Box<dyn ListSource>)
-                .collect(),
-        }
-    }
-}
-
-impl SourceSet for ClusterSources<'_> {
-    fn num_lists(&self) -> usize {
-        self.sources.len()
-    }
-
-    fn source(&mut self, i: usize) -> &mut dyn ListSource {
-        self.sources[i].as_mut()
-    }
-
-    fn source_ref(&self, i: usize) -> &dyn ListSource {
-        self.sources[i].as_ref()
-    }
-
-    fn begin_round(&mut self) {
-        self.cluster.begin_round();
-        for source in &mut self.sources {
-            source.begin_round();
-        }
-    }
-
-    fn reset(&mut self) {
-        self.cluster.reset_network();
-        for source in &mut self.sources {
-            source.reset();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use topk_core::examples_paper::figure1_database;
+    use topk_lists::source::SourceSet;
+
+    use crate::ClusterRuntime;
 
     #[test]
     fn trait_calls_map_onto_the_wire_protocol_one_to_one() {
         let db = figure1_database();
-        let cluster = Cluster::new(&db);
-        let mut sources = ClusterSources::new(&cluster);
+        let runtime = ClusterRuntime::spawn(&db);
+        let mut sources = runtime.connect();
         assert_eq!(sources.num_lists(), 3);
         assert_eq!(sources.num_items(), 12);
 
@@ -433,8 +303,8 @@ mod tests {
         assert_eq!(direct.position, Position::FIRST);
 
         // One request + one response per access.
-        assert_eq!(cluster.network().messages, 6);
-        assert_eq!(cluster.accesses_served(), 3);
+        assert_eq!(sources.network().messages, 6);
+        assert_eq!(sources.accesses_served(), 3);
         // Originator-side counters mirror the owners, per mode.
         let totals = sources.total_counters();
         assert_eq!(totals.sorted, 1);
@@ -445,12 +315,12 @@ mod tests {
     #[test]
     fn exhausted_probes_are_messages_but_not_accesses() {
         let db = figure1_database();
-        let cluster = Cluster::new(&db);
-        let mut sources = ClusterSources::new(&cluster);
+        let runtime = ClusterRuntime::spawn(&db);
+        let mut sources = runtime.connect();
         // Drain list 0 through direct accesses…
         while sources.source(0).direct_access_next().is_some() {}
-        let served = cluster.accesses_served();
-        let messages = cluster.network().messages;
+        let served = sources.accesses_served();
+        let messages = sources.network().messages;
         // …the draining loop's final (exhausted) probe exchanged messages
         // without serving an access.
         assert_eq!(served, 12);
@@ -462,12 +332,12 @@ mod tests {
     #[test]
     fn a_sorted_block_is_one_round_trip() {
         let db = figure1_database();
-        let cluster = Cluster::new(&db);
-        let mut sources = ClusterSources::new(&cluster);
+        let runtime = ClusterRuntime::spawn(&db);
+        let mut sources = runtime.connect();
         let entries = sources.source(0).sorted_block(Position::FIRST, 5, false);
         assert_eq!(entries.len(), 5);
-        assert_eq!(cluster.network().messages, 2, "five entries, one exchange");
-        assert_eq!(cluster.accesses_served(), 5);
+        assert_eq!(sources.network().messages, 2, "five entries, one exchange");
+        assert_eq!(sources.accesses_served(), 5);
         assert_eq!(sources.source_ref(0).counters().sorted, 5);
         for (j, entry) in entries.iter().enumerate() {
             assert_eq!(entry.position.get(), j + 1);
@@ -477,8 +347,8 @@ mod tests {
     #[test]
     fn reset_clears_counters_owners_and_network() {
         let db = figure1_database();
-        let cluster = Cluster::new(&db);
-        let mut sources = ClusterSources::new(&cluster);
+        let runtime = ClusterRuntime::spawn(&db);
+        let mut sources = runtime.connect();
         sources.source(0).direct_access_next().unwrap();
         sources
             .source(1)
@@ -486,8 +356,8 @@ mod tests {
             .unwrap();
         sources.reset();
         assert_eq!(sources.total_counters(), AccessCounters::default());
-        assert_eq!(cluster.network().messages, 0);
-        assert_eq!(cluster.accesses_served(), 0);
+        assert_eq!(sources.network().messages, 0);
+        assert_eq!(sources.accesses_served(), 0);
         assert_eq!(sources.source_ref(0).best_position(), None);
         assert_eq!(sources.source_ref(1).best_position(), None);
     }
@@ -495,14 +365,14 @@ mod tests {
     #[test]
     fn tail_scores_come_from_the_catalog_not_the_wire() {
         let db = figure1_database();
-        let cluster = Cluster::new(&db);
-        let sources = ClusterSources::new(&cluster);
+        let runtime = ClusterRuntime::spawn(&db);
+        let sources = runtime.connect();
         for i in 0..3 {
             assert_eq!(
                 sources.source_ref(i).tail_score(),
                 db.list(i).unwrap().last_entry().score
             );
         }
-        assert_eq!(cluster.network().messages, 0);
+        assert_eq!(sources.network().messages, 0);
     }
 }

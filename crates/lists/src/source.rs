@@ -27,7 +27,8 @@
 //!   fewer round trips.
 //!
 //! Algorithms live in `topk-core` and receive `&mut dyn SourceSet`; the
-//! distributed backend (`ClusterSources`) lives in `topk-distributed`.
+//! distributed backend (`AsyncClusterSources`, a `ClusterRuntime`
+//! session) lives in `topk-distributed`.
 //!
 //! ```
 //! use topk_lists::prelude::*;
@@ -349,7 +350,7 @@ pub trait ListSource: std::fmt::Debug {
 ///
 /// This is the execution backend of `topk_core::TopKAlgorithm`: the
 /// in-memory backend is [`Sources::in_memory`], the distributed one is
-/// `topk_distributed::ClusterSources`, and decorators such as
+/// `topk_distributed::AsyncClusterSources`, and decorators such as
 /// [`BatchingSource`] compose with either.
 pub trait SourceSet {
     /// Number of lists (`m`).

@@ -2,18 +2,19 @@
 //! list lives at a different node and the dominant cost is the number (and
 //! size) of messages between the query originator and the list owners.
 //!
-//! Every protocol is the corresponding *core* algorithm running over the
-//! `ClusterSources` backend — there is no second implementation. The
-//! comparison reports accesses, messages, shipped payload and the
-//! per-round traffic breakdown, then shows the batching decorator
-//! coalescing a full scan into block messages.
+//! Every protocol is the corresponding *core* algorithm running over a
+//! session of the `ClusterRuntime` (one worker thread per list owner) —
+//! there is no second implementation. The comparison reports accesses,
+//! messages, shipped payload and the per-round traffic breakdown, then
+//! shows the batching decorator coalescing a full scan into block
+//! messages.
 //!
 //! ```sh
 //! cargo run --release --example distributed_query
 //! ```
 
 use bpa_topk::datagen::{DatabaseGenerator, UniformGenerator};
-use bpa_topk::distributed::{Cluster, ClusterSources};
+use bpa_topk::distributed::{AsyncClusterSources, ClusterRuntime};
 use bpa_topk::prelude::*;
 
 fn main() {
@@ -36,7 +37,7 @@ fn main() {
         "peak round msgs"
     );
 
-    let cluster = Cluster::new(&database);
+    let runtime = ClusterRuntime::spawn(&database);
     let mut reference: Option<Vec<Score>> = None;
     for kind in [
         AlgorithmKind::Naive,
@@ -45,14 +46,13 @@ fn main() {
         AlgorithmKind::Bpa2,
     ] {
         let algorithm = kind.create();
-        let result = algorithm
-            .run_on(&mut ClusterSources::new(&cluster), &query)
-            .expect("valid query");
-        let network = cluster.network();
+        let mut session = runtime.connect();
+        let result = algorithm.run_on(&mut session, &query).expect("valid query");
+        let network = session.network();
         println!(
             "{:>20}{:>12}{:>12}{:>18}{:>10}{:>18}{:>18}",
             format!("distributed-{}", algorithm.name()),
-            cluster.accesses_served(),
+            session.accesses_served(),
             network.messages,
             network.payload_units,
             result.stats().rounds,
@@ -79,27 +79,26 @@ fn main() {
     // The batching decorator: the same naive scan, with sequential sorted
     // accesses coalesced into SortedBlock messages of 256 entries.
     println!();
-    println!("Batching (BatchingSource over ClusterSources), naive full scan:");
+    println!("Batching (BatchingSource over a runtime session), naive full scan:");
     for (label, block) in [("per-position", 1), ("blocks of 256", 256)] {
-        let cluster = Cluster::new(&database);
-        let mut sources = if block == 1 {
-            ClusterSources::new(&cluster)
+        let mut session = if block == 1 {
+            runtime.connect()
         } else {
-            ClusterSources::batched(&cluster, block)
+            AsyncClusterSources::batched(&runtime, block)
         };
-        let result = NaiveScan.run_on(&mut sources, &query).expect("valid query");
-        let network = cluster.network();
+        let result = NaiveScan.run_on(&mut session, &query).expect("valid query");
+        let network = session.network();
         println!(
             "{:>20}{:>12}{:>12}{:>18}   top score {:.4}",
             label,
-            cluster.accesses_served(),
+            session.accesses_served(),
             network.messages,
             network.payload_units,
             result.scores()[0].value(),
         );
     }
     println!(
-        "Same answers, ~256x fewer messages. For the async runtime (worker threads, channels) \
-         and simulated LAN/WAN timings of these protocols, run the latency_demo example."
+        "Same answers, ~256x fewer messages. For simulated LAN/WAN timings of these protocols, \
+         run the latency_demo example."
     );
 }

@@ -3,7 +3,7 @@
 
 use bpa_topk::apps::{InvertedIndex, MonitoringSystem, Table};
 use bpa_topk::datagen::{DatabaseGenerator, DatabaseKind, DatabaseSpec, UniformGenerator};
-use bpa_topk::distributed::{Cluster, ClusterSources};
+use bpa_topk::distributed::ClusterRuntime;
 use bpa_topk::prelude::*;
 
 #[test]
@@ -78,18 +78,16 @@ fn distributed_protocols_match_centralized_runs_on_generated_data() {
         let db = DatabaseSpec::new(kind, 4, 1_500).generate(99);
         let query = TopKQuery::top(10);
 
-        let cluster = Cluster::new(&db);
+        let runtime = ClusterRuntime::spawn(&db);
         let run = |kind: AlgorithmKind| {
-            let result = kind
-                .create()
-                .run_on(&mut ClusterSources::new(&cluster), &query)
-                .unwrap();
+            let mut session = runtime.connect();
+            let result = kind.create().run_on(&mut session, &query).unwrap();
             let centralized = kind.create().run(&db, &query).unwrap();
-            let accesses = cluster.accesses_served();
+            let accesses = session.accesses_served();
             assert_eq!(accesses, centralized.stats().total_accesses(), "{kind:?}");
             // Messages are two per access for every protocol.
-            assert_eq!(cluster.network().messages, 2 * accesses, "{kind:?}");
-            (result, cluster.network())
+            assert_eq!(session.network().messages, 2 * accesses, "{kind:?}");
+            (result, session.network())
         };
         let (d_ta, ta_net) = run(AlgorithmKind::Ta);
         let (d_bpa, bpa_net) = run(AlgorithmKind::Bpa);

@@ -5,10 +5,11 @@
 //!
 //! The message/payload figures asserted here were captured from the
 //! original hand-written protocols (which re-implemented TA/BPA/BPA2
-//! against `Cluster`), so this suite pins the backend-generic execution
-//! to the old wire behaviour: same answers, same access counts, same
-//! message counts, same payload units — on the paper's figure databases
-//! and on all three `topk-datagen` families.
+//! against a synchronous in-thread cluster), so this suite pins the
+//! backend-generic execution over `ClusterRuntime` sessions to the old
+//! wire behaviour: same answers, same access counts, same message counts,
+//! same payload units — on the paper's figure databases and on all three
+//! `topk-datagen` families.
 
 //! The disk-backed paged backend is pinned the same way (see the
 //! "paged" tests at the bottom): `PagedSource` must be indistinguishable
@@ -24,7 +25,7 @@
 
 use bpa_topk::datagen::{DatabaseKind, DatabaseSpec};
 use bpa_topk::distributed::{
-    AsyncClusterSources, Cluster, ClusterRuntime, ClusterSources, FaultStats, LatencyModel,
+    AsyncClusterSources, ClusterRuntime, FaultStats, LatencyModel, SessionOptions,
 };
 use bpa_topk::lists::Database;
 use bpa_topk::prelude::*;
@@ -40,27 +41,51 @@ type Baseline = (u64, u64, u64, u64);
 /// The algorithms the paper distributes (Section 5).
 const PROTOCOLS: [AlgorithmKind; 3] = [AlgorithmKind::Ta, AlgorithmKind::Bpa, AlgorithmKind::Bpa2];
 
-fn check_equivalence(db: &Database, k: usize, kind: AlgorithmKind) {
+/// A runtime session that sends nothing ahead: it forwards every call
+/// except `prefetch_random`, so the trait's no-op default applies and
+/// each access is one exchange, made when the access is.
+struct Serial<'r>(AsyncClusterSources<'r>);
+
+impl SourceSet for Serial<'_> {
+    fn num_lists(&self) -> usize {
+        self.0.num_lists()
+    }
+
+    fn source(&mut self, i: usize) -> &mut dyn ListSource {
+        self.0.source(i)
+    }
+
+    fn source_ref(&self, i: usize) -> &dyn ListSource {
+        self.0.source_ref(i)
+    }
+
+    fn begin_round(&mut self) {
+        self.0.begin_round();
+    }
+
+    fn reset(&mut self) {
+        self.0.reset();
+    }
+}
+
+fn check_equivalence(db: &Database, runtime: &ClusterRuntime, k: usize, kind: AlgorithmKind) {
     let query = TopKQuery::top(k);
     let local = kind.create().run(db, &query).unwrap();
-    let cluster = Cluster::new(db);
-    let remote = kind
-        .create()
-        .run_on(&mut ClusterSources::new(&cluster), &query)
-        .unwrap();
+    let mut session = runtime.connect();
+    let remote = kind.create().run_on(&mut session, &query).unwrap();
 
     // Identical answers, in identical order.
     assert_eq!(remote.scores(), local.scores(), "{kind:?} k={k}");
     assert_eq!(remote.item_ids(), local.item_ids(), "{kind:?} k={k}");
 
-    // Identical access counts and rounds: the cluster serves exactly the
+    // Identical access counts and rounds: the owners serve exactly the
     // accesses the in-memory backend counts.
-    let served = (cluster.accesses_served(), remote.stats().rounds);
+    let served = (session.accesses_served(), remote.stats().rounds);
     let counted = (local.stats().total_accesses(), local.stats().rounds);
     assert_eq!(served, counted, "{kind:?} k={k}");
 
     // Per-round network accounting is exhaustive.
-    let network = cluster.network();
+    let network = session.network();
     let per_round_messages: u64 = network.per_round.iter().map(|r| r.messages).sum();
     assert_eq!(per_round_messages, network.messages);
 }
@@ -76,19 +101,20 @@ fn protocols_match_local_algorithms_on_all_datagen_families() {
         DatabaseKind::Correlated { alpha: 0.05 },
     ] {
         let db = DatabaseSpec::new(kind, 4, 800).generate(42);
+        let runtime = ClusterRuntime::spawn(&db);
         for protocol in PROTOCOLS {
             for k in [1, 5, 25] {
-                check_equivalence(&db, k, protocol);
+                check_equivalence(&db, &runtime, k, protocol);
             }
         }
         // The naive baseline runs over the same backend.
-        check_equivalence(&db, 5, AlgorithmKind::Naive);
+        check_equivalence(&db, &runtime, 5, AlgorithmKind::Naive);
     }
 }
 
 /// The exact figures of the original protocol implementations, on the
 /// paper's figure databases and the three generated families: the core
-/// algorithms over `ClusterSources` must reproduce them to the message.
+/// algorithms over runtime sessions must reproduce them to the message.
 #[test]
 fn network_figures_match_the_pre_refactor_implementations() {
     let cases: Vec<(Database, usize, [Baseline; 3])> = vec![
@@ -131,17 +157,18 @@ fn network_figures_match_the_pre_refactor_implementations() {
         ),
     ];
 
-    // One cluster per database serves all three protocols in turn.
+    // One runtime per database serves all three protocols, a session each.
     for (db, k, baselines) in &cases {
-        let cluster = Cluster::new(db);
+        let runtime = ClusterRuntime::spawn(db);
         for (protocol, &(accesses, messages, payload, rounds)) in PROTOCOLS.iter().zip(baselines) {
+            let mut session = runtime.connect();
             let result = protocol
                 .create()
-                .run_on(&mut ClusterSources::new(&cluster), &TopKQuery::top(*k))
+                .run_on(&mut session, &TopKQuery::top(*k))
                 .unwrap();
-            let network = cluster.network();
+            let network = session.network();
             let label = format!("{protocol:?} (n={}, k={k})", db.num_items());
-            assert_eq!(cluster.accesses_served(), accesses, "accesses of {label}");
+            assert_eq!(session.accesses_served(), accesses, "accesses of {label}");
             assert_eq!(network.messages, messages, "messages of {label}");
             assert_eq!(network.payload_units, payload, "payload of {label}");
             assert_eq!(result.stats().rounds, rounds, "rounds of {label}");
@@ -161,11 +188,11 @@ fn every_algorithm_is_backend_agnostic() {
     ] {
         let db = DatabaseSpec::new(kind, 3, 300).generate(7);
         let query = TopKQuery::top(8);
+        let runtime = ClusterRuntime::spawn(&db);
         for algorithm in AlgorithmKind::ALL {
             let local = algorithm.create().run(&db, &query).unwrap();
-            let cluster = Cluster::new(&db);
-            let mut sources = ClusterSources::new(&cluster);
-            let remote = algorithm.create().run_on(&mut sources, &query).unwrap();
+            let mut session = runtime.connect();
+            let remote = algorithm.create().run_on(&mut session, &query).unwrap();
             assert!(
                 remote.scores_match(&local, 1e-9),
                 "{algorithm:?} answers diverge over the cluster backend"
@@ -186,17 +213,16 @@ fn batched_cluster_scans_cut_messages_without_changing_answers() {
     let db = DatabaseSpec::new(DatabaseKind::Uniform, 3, 400).generate(11);
     let query = TopKQuery::top(10);
 
-    let unbatched_cluster = Cluster::new(&db);
-    let mut unbatched = ClusterSources::new(&unbatched_cluster);
+    let runtime = ClusterRuntime::spawn(&db);
+    let mut unbatched = runtime.connect();
     let reference = NaiveScan.run_on(&mut unbatched, &query).unwrap();
 
-    let batched_cluster = Cluster::new(&db);
-    let mut batched = ClusterSources::batched(&batched_cluster, 64);
+    let mut batched = AsyncClusterSources::batched(&runtime, 64);
     let result = NaiveScan.run_on(&mut batched, &query).unwrap();
 
     assert!(result.scores_match(&reference, 1e-9));
-    let full = unbatched_cluster.network();
-    let coalesced = batched_cluster.network();
+    let full = unbatched.network();
+    let coalesced = batched.network();
     // 400 per-position exchanges per list become ceil(400/64) = 7 blocks.
     assert_eq!(full.messages, 2 * 3 * 400);
     assert_eq!(coalesced.messages, 2 * 3 * 7);
@@ -213,8 +239,8 @@ fn tracked_sorted_blocks_agree_across_backends() {
 
     let db = figure1_database();
     let mut in_memory = Sources::in_memory(&db);
-    let cluster = Cluster::new(&db);
-    let mut remote = ClusterSources::new(&cluster);
+    let runtime = ClusterRuntime::spawn(&db);
+    let mut remote = runtime.connect();
 
     for (start, len) in [(1, 4), (5, 3), (8, 99)] {
         let start = Position::new(start).unwrap();
@@ -232,16 +258,16 @@ fn tracked_sorted_blocks_agree_across_backends() {
     );
 }
 
-/// `run_all` over a cluster backend: the shared `SourceSet` is reset
-/// between algorithms, so each run reports the same counts as a dedicated
-/// cluster would.
+/// `run_all` over a session on a replicated cluster: the shared
+/// `SourceSet` is reset between algorithms, through every replica's link,
+/// so each run reports the same counts as a fresh in-memory run.
 #[test]
 fn run_all_over_a_cluster_resets_between_algorithms() {
     let db = figure1_database();
     let query = TopKQuery::top(3);
-    let cluster = Cluster::new(&db);
-    let mut sources = ClusterSources::new(&cluster);
-    let results = run_all(&AlgorithmKind::EVALUATED, &mut sources, &query).unwrap();
+    let runtime = ClusterRuntime::spawn_replicated(&db, 2);
+    let mut session = runtime.connect();
+    let results = run_all(&AlgorithmKind::EVALUATED, &mut session, &query).unwrap();
     for (kind, result) in &results {
         let fresh = kind.create().run(&db, &query).unwrap();
         assert_eq!(result.stats().accesses, fresh.stats().accesses, "{kind:?}");
@@ -266,17 +292,17 @@ fn run_all_over_a_runtime_session_resets_between_algorithms() {
     }
 }
 
-/// The async runtime is pinned to the synchronous `Cluster`: every one of
-/// the seven algorithms, on the paper's figure databases and all three
-/// datagen families, returns identical answers with identical access
-/// counters AND an identical `NetworkStats` — same messages, same payload,
-/// same rounds, same simulated serialized/overlapped timings — when both
-/// backends use the same latency model. The pin also covers the
-/// benchmark's cluster shape (uniform, m = 4, n = 2 000, k ∈ {10, 20, 50}),
-/// plain and batched, where TA, BPA and BPA2 keep each item's m − 1
-/// random-access requests in flight together.
+/// Requests in flight change nothing observable: every one of the seven
+/// algorithms, on the paper's figure databases and all three datagen
+/// families, returns over a runtime session the answers and per-mode
+/// access counters of the in-memory backend, AND the `NetworkStats` of a
+/// serial session of the same runtime — same messages, same payload,
+/// same rounds, same simulated serialized/overlapped timings. The pin
+/// also covers the benchmark's cluster shape (uniform, m = 4,
+/// n = 2 000, k ∈ {10, 20, 50}), plain and batched, where TA, BPA and
+/// BPA2 keep each item's m − 1 random-access requests in flight together.
 #[test]
-fn async_runtime_matches_the_synchronous_cluster_everywhere() {
+fn prefetching_sessions_match_serial_sessions_everywhere() {
     let mut databases = vec![figure1_database(), figure2_database()];
     for kind in [
         DatabaseKind::Uniform,
@@ -287,61 +313,58 @@ fn async_runtime_matches_the_synchronous_cluster_everywhere() {
     }
     for db in &databases {
         let k = 3.min(db.num_items());
-        assert_async_matches_sync(db, &[k], None);
+        assert_session_matches_serial(db, &[k], None);
     }
 
     let workload = DatabaseSpec::new(DatabaseKind::Uniform, 4, 2_000).generate(7);
-    assert_async_matches_sync(&workload, &[10, 20, 50], None);
-    assert_async_matches_sync(&workload, &[10, 20, 50], Some(16));
+    assert_session_matches_serial(&workload, &[10, 20, 50], None);
+    assert_session_matches_serial(&workload, &[10, 20, 50], Some(16));
 }
 
-/// Runs every algorithm for every `k` over a fresh synchronous cluster
-/// and a fresh runtime session (both batched when `block_len` is set)
-/// under one latency model, and asserts they agree exactly.
-fn assert_async_matches_sync(db: &Database, ks: &[usize], block_len: Option<usize>) {
-    let m = db.num_lists();
-    let latency = LatencyModel::lan(m, 2007);
-    let runtime = ClusterRuntime::with_latency(db, TrackerKind::BitArray, latency.clone());
+/// Runs every algorithm for every `k` in memory, over a serial session
+/// and over a plain session of one runtime (all three batched when
+/// `block_len` is set), and asserts they agree exactly.
+fn assert_session_matches_serial(db: &Database, ks: &[usize], block_len: Option<usize>) {
+    let latency = LatencyModel::lan(db.num_lists(), 2007);
+    let runtime = ClusterRuntime::with_latency(db, TrackerKind::BitArray, latency);
+    let options = || SessionOptions {
+        block_len,
+        ..SessionOptions::default()
+    };
     for &k in ks {
         let query = TopKQuery::top(k);
         for algorithm in AlgorithmKind::ALL {
-            let cluster = Cluster::with_latency(db, TrackerKind::BitArray, latency.clone());
-            let (reference, mut session) = match block_len {
-                None => (
-                    algorithm
-                        .create()
-                        .run_on(&mut ClusterSources::new(&cluster), &query),
-                    runtime.connect(),
-                ),
-                Some(len) => (
-                    algorithm
-                        .create()
-                        .run_on(&mut ClusterSources::batched(&cluster, len), &query),
-                    AsyncClusterSources::batched(&runtime, len),
-                ),
-            };
-            let reference = reference.unwrap();
+            let reference = match block_len {
+                None => algorithm.create().run(db, &query),
+                Some(len) => algorithm
+                    .create()
+                    .run_on(&mut Sources::in_memory(db).batched(len), &query),
+            }
+            .unwrap();
+            let mut serial = Serial(runtime.connect_with(options()));
+            algorithm.create().run_on(&mut serial, &query).unwrap();
+            let mut session = runtime.connect_with(options());
             let result = algorithm.create().run_on(&mut session, &query).unwrap();
             let case = format!("{algorithm:?} k={k} block_len={block_len:?}");
 
             assert!(
                 result.scores_match(&reference, 1e-9),
-                "{case}: answers diverge over the async runtime"
+                "{case}: answers diverge over the runtime"
             );
             assert_eq!(result.item_ids(), reference.item_ids(), "{case}");
             assert_eq!(
                 result.stats().accesses,
                 reference.stats().accesses,
-                "{case}: access counters diverge over the async runtime"
+                "{case}: access counters diverge over the runtime"
             );
             assert_eq!(
                 session.network(),
-                cluster.network(),
-                "{case}: network accounting diverges over the async runtime"
+                serial.0.network(),
+                "{case}: requests in flight changed the network accounting"
             );
             assert_eq!(
                 session.accesses_served(),
-                cluster.accesses_served(),
+                serial.0.accesses_served(),
                 "{case}"
             );
             assert_eq!(session.fault_stats(), FaultStats::default(), "{case}");
@@ -740,9 +763,6 @@ fn statistics_are_identical_over_every_backend() {
             "paged",
             &mut paged.sources(CacheCapacity::Pages(1)).unwrap(),
         );
-        let cluster = Cluster::new(db);
-        check("cluster", &mut ClusterSources::new(&cluster));
-        assert_eq!(cluster.network().messages, 0);
         let runtime = ClusterRuntime::spawn(db);
         let mut session = runtime.connect();
         check("runtime session", &mut session);
@@ -789,7 +809,7 @@ fn sparse_item_ids_are_bit_identical_across_backends() {
     let sharded = ShardedDatabase::new(&db, 3);
     let dir = ScratchDir::new("cross-backend-sparse-ids");
     let paged = PagedDatabase::create(dir.path(), &db, PageLayout::with_page_size(256)).unwrap();
-    let cluster = Cluster::new(&db);
+    let runtime = ClusterRuntime::spawn(&db);
     for kind in PROTOCOLS {
         for k in [1, 10] {
             let query = TopKQuery::top(k);
@@ -806,7 +826,7 @@ fn sparse_item_ids_are_bit_identical_across_backends() {
                     "paged",
                     &mut paged.sources(CacheCapacity::Pages(2)).unwrap(),
                 ),
-                ("cluster", &mut ClusterSources::new(&cluster)),
+                ("cluster", &mut runtime.connect()),
             ];
             for (label, sources) in backends {
                 let result = kind.create().run_on(sources, &query).unwrap();
@@ -1045,9 +1065,8 @@ fn assert_script_agrees(db: &Database, backends: &mut [(String, Box<dyn SourceSe
 /// positions after every step — in memory under every tracker, through
 /// the trait's default block path, sharded at 1, 3 and n shards on 1-
 /// and 4-thread pools, paged at 64 B and 4 KiB pages under a 1-page and
-/// an unbounded cache, at list owners through `ClusterSources`, and
-/// sharded and at owner threads (`ClusterRuntime`) under the B+tree and
-/// naive-set trackers.
+/// an unbounded cache, at owner threads (`ClusterRuntime`) under every
+/// tracker, and sharded under the B+tree and naive-set trackers.
 /// Sharded at 1, 3 and n shards over a database mutated through
 /// `ShardedDatabase` (score updates, one insert, one delete), the replies
 /// equal the in-memory source's over the same mutated `Database`.
@@ -1081,9 +1100,7 @@ fn one_access_script_gives_identical_replies_on_every_backend() {
             )
         })
         .collect();
-    let cluster = Cluster::new(&db);
-    let other_trackers = [TrackerKind::BPlusTree, TrackerKind::NaiveSet];
-    let runtimes = other_trackers.map(|kind| {
+    let runtimes = TrackerKind::ALL.map(|kind| {
         let runtime = ClusterRuntime::with_latency(&db, kind, LatencyModel::zero(db.num_lists()));
         (kind, runtime)
     });
@@ -1094,13 +1111,15 @@ fn one_access_script_gives_identical_replies_on_every_backend() {
         backends.push((format!("in memory ({kind:?})"), Box::new(sources)));
     }
     for (kind, runtime) in &runtimes {
-        let sharded = ShardedDatabase::new(&db, 3);
-        let sources = sharded.sources_with_tracker(&pools[1], *kind);
-        backends.push((format!("3 shards, 4 threads ({kind:?})"), Box::new(sources)));
         backends.push((
             format!("owner threads ({kind:?})"),
             Box::new(runtime.connect()),
         ));
+    }
+    for kind in [TrackerKind::BPlusTree, TrackerKind::NaiveSet] {
+        let sharded = ShardedDatabase::new(&db, 3);
+        let sources = sharded.sources_with_tracker(&pools[1], kind);
+        backends.push((format!("3 shards, 4 threads ({kind:?})"), Box::new(sources)));
     }
     let default_path = db
         .lists()
@@ -1123,10 +1142,6 @@ fn one_access_script_gives_identical_replies_on_every_backend() {
             backends.push((label, Box::new(paged.sources(capacity).unwrap())));
         }
     }
-    backends.push((
-        "list owners".into(),
-        Box::new(ClusterSources::new(&cluster)),
-    ));
     assert_script_agrees(&db, &mut backends);
 
     for shards in [1, 3, n] {

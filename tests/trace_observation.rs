@@ -261,3 +261,39 @@ fn faulted_runs_export_byte_identical_json() {
     assert_eq!(first.count_kind("degraded_serve"), 1);
     topk_trace::verify_json(&json).expect("export matches the committed schema");
 }
+
+/// The `session_open` events recorded while `open` runs, as owner counts.
+fn session_opens(open: impl FnOnce()) -> Vec<u64> {
+    use bpa_topk::trace::TraceEvent;
+
+    let session = TraceSession::begin();
+    open();
+    let trace = session.finish();
+    trace
+        .events
+        .iter()
+        .filter_map(|record| match record.event {
+            TraceEvent::SessionOpen { owners } => Some(owners),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Every way to open a runtime session records exactly one
+/// `session_open`, carrying the number of owners the session reaches: a
+/// repeated dead list is one list, not two.
+#[test]
+fn every_runtime_session_records_one_session_open() {
+    use bpa_topk::distributed::{AsyncClusterSources, SessionOptions};
+
+    let runtime = ClusterRuntime::spawn(&figure1_database());
+    assert_eq!(session_opens(|| drop(runtime.connect())), [3]);
+    let with_options = || drop(runtime.connect_with(SessionOptions::default()));
+    assert_eq!(session_opens(with_options), [3]);
+    let batched = || drop(AsyncClusterSources::batched(&runtime, 4));
+    assert_eq!(session_opens(batched), [3]);
+    assert_eq!(
+        session_opens(|| drop(runtime.connect_surviving(&[2, 2]))),
+        [2]
+    );
+}
