@@ -3,6 +3,7 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use topk_lists::source::{ListSource, Sources};
 use topk_lists::tracked::ListStore;
@@ -10,6 +11,7 @@ use topk_lists::Database;
 
 use crate::cache::CacheCapacity;
 use crate::error::StorageError;
+use crate::io::FileIo;
 use crate::layout::PageLayout;
 use crate::source::{PagedSource, PagedStore};
 use crate::writer::write_list;
@@ -23,9 +25,16 @@ const LIST_EXTENSION: &str = "topk";
 /// [`Sources`] per call — independent file
 /// handles, cold caches — so `plan_and_run_on`, `QueryBatch` factories
 /// and the `.batched(block_len)` decorator compose unchanged over disk.
+///
+/// Each list's item-index fences (the first item id of every
+/// item-index page, which pick the one page a random access reads) are
+/// built once, when the database is opened, and shared by every
+/// `sources()` call: opening sources reads no fences. The list files
+/// must therefore not be rewritten while the database is open.
 #[derive(Debug, Clone)]
 pub struct PagedDatabase {
     files: Vec<PathBuf>,
+    fences: Vec<Arc<[u64]>>,
     num_items: usize,
 }
 
@@ -70,9 +79,12 @@ impl PagedDatabase {
             )));
         }
         let mut num_items = None;
+        let mut fences = Vec::with_capacity(files.len());
         for path in &files {
-            // A full open validates header, length and page index.
+            // A full open validates header, length, page index and the
+            // item index's fences.
             let store = PagedStore::open(path, CacheCapacity::Unbounded)?;
+            fences.push(Arc::clone(store.fences()));
             match num_items {
                 None => num_items = Some(store.len()),
                 Some(n) if n != store.len() => {
@@ -87,6 +99,7 @@ impl PagedDatabase {
         }
         Ok(PagedDatabase {
             files,
+            fences,
             // lint:allow(fail-stop) -- files.is_empty() returned Err above, so the loop ran at least once
             num_items: num_items.expect("at least one list"),
         })
@@ -108,11 +121,13 @@ impl PagedDatabase {
     }
 
     /// Opens one [`PagedSource`] per list with the default bit-array
-    /// trackers, each with its own page cache of `capacity`.
+    /// trackers, each with its own page cache of `capacity` and the
+    /// list's fences from [`PagedDatabase::open`].
     pub fn sources(&self, capacity: CacheCapacity) -> Result<Sources<'static>, StorageError> {
         let mut sources: Vec<Box<dyn ListSource>> = Vec::with_capacity(self.files.len());
-        for path in &self.files {
-            let store = PagedStore::open(path, capacity)?;
+        for (path, fences) in self.files.iter().zip(&self.fences) {
+            let io = Box::new(FileIo::open(path)?);
+            let store = PagedStore::from_io(io, capacity, Some(Arc::clone(fences)))?;
             sources.push(Box::new(PagedSource::new(store)));
         }
         Ok(Sources::new(sources))

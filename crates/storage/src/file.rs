@@ -1,5 +1,7 @@
 //! Reading paged list files: open-time validation and cached page reads.
 
+use std::sync::Arc;
+
 use topk_lists::{ItemId, Position, PositionedScore, Score};
 
 use crate::cache::PageCache;
@@ -7,13 +9,17 @@ use crate::error::StorageError;
 use crate::io::PageIo;
 use crate::layout::{Geometry, Header, ENTRY_LEN, HEADER_LEN, RECORD_LEN, TAIL_LEN};
 
-/// One open paged list file: validated header + geometry, with all
-/// post-open reads going through a caller-supplied [`PageCache`].
+/// One open paged list file: validated header + geometry and the item
+/// index's fences, with all post-open reads going through a
+/// caller-supplied [`PageCache`].
 #[derive(Debug)]
 pub(crate) struct PagedListFile {
     io: Box<dyn PageIo>,
     geometry: Geometry,
     tail_score: Score,
+    /// The first item id of every item-index page, strictly increasing:
+    /// the in-memory first level of the item index.
+    fences: Arc<[u64]>,
 }
 
 fn le_u64(bytes: &[u8]) -> u64 {
@@ -29,6 +35,29 @@ fn le_score(bytes: &[u8], what: &str) -> Result<Score, StorageError> {
     Ok(Score::from_f64(value))
 }
 
+/// Reads the item index's fences: one 8-byte positioned read of the
+/// first item id on every item-index page. The fences must be strictly
+/// increasing, or the index is not sorted by item id across pages.
+fn read_fences(io: &mut dyn PageIo, geometry: &Geometry) -> Result<Arc<[u64]>, StorageError> {
+    let mut fences = Vec::with_capacity(geometry.record_pages);
+    let mut id = [0u8; 8];
+    for p in 0..geometry.record_pages {
+        let page = geometry.record_page(p).0;
+        io.read_exact_at(page * geometry.page_size as u64, &mut id)
+            .map_err(|e| StorageError::io("item-index fence read", e))?;
+        let first = u64::from_le_bytes(id);
+        if let Some(&previous) = fences.last() {
+            if first <= previous {
+                return Err(StorageError::corrupt(format!(
+                    "item index out of id order: item-index page {p} starts at item {first} after {previous}"
+                )));
+            }
+        }
+        fences.push(first);
+    }
+    Ok(fences.into())
+}
+
 impl PagedListFile {
     /// Opens and validates a file image: header (magic, version,
     /// checksum), exact file length, section offsets, and the page
@@ -36,7 +65,15 @@ impl PagedListFile {
     /// the header's tail score). Corruption and IO failures at open are
     /// ordinary `Err`s — the fail-stop unwind only covers reads *during*
     /// a query.
-    pub fn open(mut io: Box<dyn PageIo>) -> Result<PagedListFile, StorageError> {
+    ///
+    /// `fences: None` reads and checks the item index's fences (see
+    /// [`read_fences`]). `Some` reuses the fences of an earlier open of
+    /// the same file, so a reopen reads nothing more than the header and
+    /// the page index; only their count is checked against the geometry.
+    pub fn open(
+        mut io: Box<dyn PageIo>,
+        fences: Option<Arc<[u64]>>,
+    ) -> Result<PagedListFile, StorageError> {
         let mut header_bytes = [0u8; HEADER_LEN];
         io.read_exact_at(0, &mut header_bytes)
             .map_err(|e| StorageError::io("header read", e))?;
@@ -100,11 +137,29 @@ impl PagedListFile {
             )));
         }
 
+        let fences = match fences {
+            None => read_fences(io.as_mut(), &geometry)?,
+            Some(fences) if fences.len() == geometry.record_pages => fences,
+            Some(fences) => {
+                return Err(StorageError::corrupt(format!(
+                    "{} shared fences for {} item-index pages",
+                    fences.len(),
+                    geometry.record_pages
+                )));
+            }
+        };
+
         Ok(PagedListFile {
             io,
             geometry,
             tail_score: last_tail,
+            fences,
         })
+    }
+
+    /// The item index's fences, to share with later opens of this file.
+    pub fn fences(&self) -> &Arc<[u64]> {
+        &self.fences
     }
 
     pub fn len(&self) -> usize {
@@ -129,47 +184,53 @@ impl PagedListFile {
         Ok((item, score))
     }
 
-    /// Item-index record `i`: `(item id, position, score)`.
-    fn record(
+    /// Random access: the in-memory fences pick the one item-index page
+    /// that can hold `item`, and the lookup reads that page once and
+    /// binary-searches its records in place. An id below the first fence
+    /// reads nothing. `Ok(None)` means the item is genuinely absent. The
+    /// cost model prices the access at `cr = log₂ n`, the paper's
+    /// indexed lookup, independently of this one physical page.
+    pub fn lookup(
         &mut self,
-        i: usize,
+        item: ItemId,
         cache: &mut PageCache,
-    ) -> Result<(u64, Position, Score), StorageError> {
-        let (page, offset) = self.geometry.record_slot(i);
+    ) -> Result<Option<PositionedScore>, StorageError> {
+        // Item-index pages whose first id is at most `item`; the last of
+        // them is the only one that can hold it.
+        let candidates = self.fences.partition_point(|&first| first <= item.0);
+        if candidates == 0 {
+            return Ok(None);
+        }
+        let (page, records) = self.geometry.record_page(candidates - 1);
         let bytes = cache.page(page, self.io.as_mut(), self.geometry.page_size)?;
-        let slot = &bytes[offset..offset + RECORD_LEN];
-        let item = le_u64(&slot[..8]);
+        let (mut lo, mut hi) = (0usize, records);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let slot = &bytes[mid * RECORD_LEN..(mid + 1) * RECORD_LEN];
+            match le_u64(&slot[..8]).cmp(&item.0) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return self.record_value(item, slot).map(Some),
+            }
+        }
+        Ok(None)
+    }
+
+    /// The position and score of `item`'s item-index record `slot`.
+    fn record_value(&self, item: ItemId, slot: &[u8]) -> Result<PositionedScore, StorageError> {
         let raw_position = le_u64(&slot[8..16]);
         let position = usize::try_from(raw_position)
             .ok()
             .and_then(Position::new)
             .filter(|p| p.get() <= self.geometry.entry_count)
             .ok_or_else(|| {
-                StorageError::corrupt(format!("record {i} has invalid position {raw_position}"))
+                StorageError::corrupt(format!(
+                    "item {} has invalid position {raw_position}",
+                    item.0
+                ))
             })?;
         let score = le_score(&slot[16..], "record score")?;
-        Ok((item, position, score))
-    }
-
-    /// Random access: binary search over the item index — `O(log n)`
-    /// page reads, the indexed lookup the paper's `cr = log n` cost
-    /// models. `Ok(None)` means the item is genuinely absent.
-    pub fn lookup(
-        &mut self,
-        item: ItemId,
-        cache: &mut PageCache,
-    ) -> Result<Option<PositionedScore>, StorageError> {
-        let (mut lo, mut hi) = (0usize, self.geometry.entry_count);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let (found, position, score) = self.record(mid, cache)?;
-            match found.cmp(&item.0) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Ok(Some(PositionedScore { position, score })),
-            }
-        }
-        Ok(None)
+        Ok(PositionedScore { position, score })
     }
 }
 
@@ -195,7 +256,7 @@ mod tests {
 
     fn open(page_size: usize) -> PagedListFile {
         let image = encode_list(&list(), PageLayout::with_page_size(page_size));
-        PagedListFile::open(Box::new(MemIo::new(image))).unwrap()
+        PagedListFile::open(Box::new(MemIo::new(image)), None).unwrap()
     }
 
     #[test]
@@ -217,10 +278,62 @@ mod tests {
     }
 
     #[test]
+    fn a_lookup_reads_the_one_page_its_fences_pick() {
+        // Dense ids 1..=12 and sparse ids 10i + 3, in the same score order.
+        let sparse = SortedList::from_unsorted(
+            list()
+                .iter()
+                .map(|e| (ItemId(e.item.0 * 10 + 3), e.score.value()))
+                .collect(),
+        )
+        .unwrap();
+        for reference in [list(), sparse] {
+            for page_size in [64, 4096] {
+                let image = encode_list(&reference, PageLayout::with_page_size(page_size));
+                let mut file = PagedListFile::open(Box::new(MemIo::new(image)), None).unwrap();
+                let fences = Arc::clone(file.fences());
+                let geometry = Geometry::new(page_size, reference.len());
+                assert_eq!(fences.len(), geometry.record_pages);
+
+                let mut cache = PageCache::new(CacheCapacity::Unbounded);
+                let mut probe = |file: &mut PagedListFile, item: u64| {
+                    let before = cache.counters();
+                    let found = file.lookup(ItemId(item), &mut cache).unwrap();
+                    let after = cache.counters();
+                    let lookups = after.hits + after.misses - before.hits - before.misses;
+                    (found, lookups)
+                };
+                for entry in reference.iter() {
+                    let (found, lookups) = probe(&mut file, entry.item.0);
+                    assert_eq!(found, reference.lookup(entry.item));
+                    assert_eq!(lookups, 1, "item {} at {page_size} B", entry.item.0);
+                }
+
+                // Absent ids: below the first fence (no page read), in the
+                // gap before each later fence, and above the last fence.
+                assert_eq!(probe(&mut file, fences[0] - 1), (None, 0));
+                let gaps = fences[1..].iter().map(|&first| first - 1);
+                for absent in gaps.filter(|&id| reference.lookup(ItemId(id)).is_none()) {
+                    assert_eq!(probe(&mut file, absent), (None, 1), "gap id {absent}");
+                }
+                assert_eq!(probe(&mut file, u64::MAX), (None, 1));
+            }
+        }
+    }
+
+    #[test]
+    fn shared_fences_must_match_the_geometry() {
+        let image = encode_list(&list(), PageLayout::with_page_size(64));
+        let fences: Arc<[u64]> = Arc::from(vec![1u64, 3]);
+        let err = PagedListFile::open(Box::new(MemIo::new(image)), Some(fences)).unwrap_err();
+        assert!(matches!(err, StorageError::Corrupt { detail } if detail.contains("fences")));
+    }
+
+    #[test]
     fn truncated_files_are_rejected_at_open() {
         let mut image = encode_list(&list(), PageLayout::with_page_size(64));
         image.truncate(image.len() - 64);
-        let err = PagedListFile::open(Box::new(MemIo::new(image))).unwrap_err();
+        let err = PagedListFile::open(Box::new(MemIo::new(image)), None).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt { detail } if detail.contains("bytes")));
     }
 
@@ -234,8 +347,21 @@ mod tests {
         let (page, offset) = geometry.tail_slot(0);
         let at = page as usize * 64 + offset;
         image[at..at + 8].copy_from_slice(&(-1e9f64).to_bits().to_le_bytes());
-        let err = PagedListFile::open(Box::new(MemIo::new(image))).unwrap_err();
+        let err = PagedListFile::open(Box::new(MemIo::new(image)), None).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt { detail } if detail.contains("increase")));
+    }
+
+    #[test]
+    fn item_index_out_of_id_order_across_pages_is_rejected_at_open() {
+        let mut image = encode_list(&list(), PageLayout::with_page_size(64));
+        let geometry = Geometry::new(64, 12);
+        // Swap the first two item-index pages: each page stays sorted,
+        // but the fences now run 3, 1, 5, …
+        let first = geometry.record_page(0).0 as usize * 64;
+        let (head, tail) = image.split_at_mut(first + 64);
+        head[first..].swap_with_slice(&mut tail[..64]);
+        let err = PagedListFile::open(Box::new(MemIo::new(image)), None).unwrap_err();
+        assert!(matches!(err, StorageError::Corrupt { detail } if detail.contains("id order")));
     }
 
     #[test]
@@ -246,7 +372,7 @@ mod tests {
         let mut header = Header::decode(&image[..HEADER_LEN].try_into().unwrap()).unwrap();
         header.tail_score += 1.0;
         image[..HEADER_LEN].copy_from_slice(&header.encode());
-        let err = PagedListFile::open(Box::new(MemIo::new(image))).unwrap_err();
+        let err = PagedListFile::open(Box::new(MemIo::new(image)), None).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt { detail } if detail.contains("tail score")));
     }
 }

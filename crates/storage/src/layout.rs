@@ -13,10 +13,13 @@
 //! Within every section, values never straddle a page boundary: a page
 //! holds `⌊page_size / width⌋` values and the remainder is zero padding.
 //! Sorted access to position `p` is therefore one page read at a
-//! computable offset; random access binary-searches the item index
-//! (`O(log n)` page reads — the indexed lookup the paper's `cr = log n`
-//! cost assumes); and the page index gives every data page's tail score
-//! without touching the data section.
+//! computable offset, and the page index gives every data page's tail
+//! score without touching the data section. The item index is the leaf
+//! level of a two-level index: an open file keeps the first item id of
+//! every item-index page (its *fences*) in memory, the fences pick the
+//! one page that can hold an item, and random access reads that page
+//! alone. The cost model's `cr = log₂ n` (the paper's indexed lookup)
+//! is a logical price and does not change with the physical layout.
 
 use crate::error::StorageError;
 
@@ -156,6 +159,18 @@ impl Geometry {
         (
             self.item_index_first_page() + (i / self.records_per_page) as u64,
             (i % self.records_per_page) * RECORD_LEN,
+        )
+    }
+
+    /// `(page, record count)` of item-index page `p` (0-based within the
+    /// item-index section); only the last page can hold fewer than
+    /// `records_per_page` records.
+    pub fn record_page(&self, p: usize) -> (u64, usize) {
+        debug_assert!(p < self.record_pages);
+        let first = p * self.records_per_page;
+        (
+            self.item_index_first_page() + p as u64,
+            self.records_per_page.min(self.entry_count - first),
         )
     }
 }
@@ -320,6 +335,10 @@ mod tests {
         assert_eq!(g.data_slot(5), (2, 16), "second page, second entry");
         assert_eq!(g.tail_slot(2), (4, 16));
         assert_eq!(g.record_slot(3), (6, 24), "two records per page");
+        assert_eq!(g.record_page(1), (6, 2));
+        assert_eq!(g.record_page(4), (9, 2));
+        let g = Geometry::new(64, 9);
+        assert_eq!(g.record_page(4), (9, 1), "the last page is partial");
     }
 
     #[test]

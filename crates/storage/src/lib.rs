@@ -7,8 +7,12 @@
 //! * [`layout`]/`writer` — the on-disk format: fixed-size pages of
 //!   little-endian `(item, score)` entries in descending score order,
 //!   a checksummed header with entry count and tail score, a page index
-//!   of per-page tail scores, and an item index for `O(log n)` random
-//!   access (the indexed lookup the paper's `cr = log n` cost assumes).
+//!   of per-page tail scores, and an item index sorted by item id. An
+//!   open file keeps the first item id of every item-index page (its
+//!   fences) in memory; the fences pick the one page that can hold an
+//!   item, and a random access reads that page alone. The cost model's
+//!   `cr = log₂ n`, the paper's indexed lookup, is a logical price and
+//!   is unchanged.
 //! * [`PagedSource`] — a `ListSource` over one such file: the access
 //!   core of `topk_lists::tracked` over a [`PagedStore`], which reads
 //!   pages through a deterministic LRU cache ([`CacheCapacity`]). Logical

@@ -10,6 +10,7 @@
 //! and are priced by `topk_core::CostModel::total_cost`.
 
 use std::path::Path;
+use std::sync::Arc;
 
 use topk_lists::source::{CacheCounters, SourceError};
 use topk_lists::tracked::{ListStore, TrackedSource};
@@ -39,22 +40,31 @@ pub struct PagedStore {
 }
 
 impl PagedStore {
-    /// Opens a paged list file with the given cache capacity.
+    /// Opens a paged list file with the given cache capacity, reading
+    /// the item index's fences (one small read per item-index page).
     pub fn open(path: &Path, capacity: CacheCapacity) -> Result<PagedStore, StorageError> {
-        Self::from_io(Box::new(FileIo::open(path)?), capacity)
+        Self::from_io(Box::new(FileIo::open(path)?), capacity, None)
     }
 
     /// Builds a store over any [`PageIo`] — the seam the fault tests
-    /// inject failing doubles through.
+    /// inject failing doubles through. `fences` are the item-index
+    /// fences of an earlier open of the same file, or `None` to read
+    /// them.
     pub(crate) fn from_io(
         io: Box<dyn PageIo>,
         capacity: CacheCapacity,
+        fences: Option<Arc<[u64]>>,
     ) -> Result<PagedStore, StorageError> {
         Ok(PagedStore {
-            file: PagedListFile::open(io)?,
+            file: PagedListFile::open(io, fences)?,
             cache: PageCache::new(capacity),
             last_error: None,
         })
+    }
+
+    /// The item index's fences, shared by later opens of the same file.
+    pub(crate) fn fences(&self) -> &Arc<[u64]> {
+        self.file.fences()
     }
 
     /// The IO or corruption failure that aborted the current query, if
@@ -139,7 +149,7 @@ mod tests {
 
     fn paged(page_size: usize, capacity: CacheCapacity) -> PagedSource {
         let image = encode_list(&list(), PageLayout::with_page_size(page_size));
-        PagedSource::new(PagedStore::from_io(Box::new(MemIo::new(image)), capacity).unwrap())
+        PagedSource::new(PagedStore::from_io(Box::new(MemIo::new(image)), capacity, None).unwrap())
     }
 
     #[test]

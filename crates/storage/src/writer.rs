@@ -44,8 +44,9 @@ pub(crate) fn encode_list(list: &SortedList, layout: PageLayout) -> Vec<u8> {
         bytes[at..at + TAIL_LEN].copy_from_slice(&tail.value().to_bits().to_le_bytes());
     }
 
-    // Item index: (item, position, score) records sorted by item id, the
-    // binary-search substrate of random access.
+    // Item index: (item, position, score) records sorted by item id. A
+    // reader keeps each page's first id in memory (its fences) and reads
+    // one page per random access.
     let mut records: Vec<(u64, u64, u64)> = list
         .iter()
         .map(|e| (e.item.0, e.position.get() as u64, e.score.value().to_bits()))
