@@ -51,7 +51,8 @@ pub struct BenchReport {
     pub scale: String,
     /// Named metric values, in emission order.
     pub metrics: Vec<(String, f64)>,
-    /// Per-kind event counts of the run's trace, sorted by kind.
+    /// Per-kind event counts of the run's trace, sorted by kind, plus
+    /// `dropped_events` when the trace was truncated.
     /// Empty ⇒ the run was untraced and no `"trace"` section is
     /// emitted. Informational only: [`BenchReport::compare`] never
     /// looks at it, so baselines stay valid whether or not a bench
@@ -74,11 +75,16 @@ impl BenchReport {
     /// event kind that occurred, sorted by kind name. Event counts are
     /// deterministic (unlike the trace's wall clock under a
     /// [`WallClock`](crate::clock::WallClock)), so the summary is safe
-    /// to publish next to the gated metrics.
+    /// to publish next to the gated metrics. When a lane hit
+    /// [`topk_trace::LANE_EVENT_CAP`], a `dropped_events` entry says how
+    /// many events the tally is missing.
     pub fn attach_trace_summary(&mut self, trace: &topk_trace::Trace) {
         let mut tally: std::collections::BTreeMap<&str, u64> = std::collections::BTreeMap::new();
         for record in &trace.events {
             *tally.entry(record.event.kind()).or_insert(0) += 1;
+        }
+        if trace.dropped_events > 0 {
+            tally.insert("dropped_events", trace.dropped_events);
         }
         self.trace = tally
             .into_iter()
@@ -368,6 +374,29 @@ mod tests {
         assert!(BenchReport::compare(&traced, &sample()).is_empty());
         // Untraced reports keep the pre-trace shape byte-for-byte.
         assert!(!sample().to_json().contains("trace"));
+    }
+
+    #[test]
+    fn truncated_trace_summary_says_so_and_is_ignored_by_compare() {
+        let session = topk_trace::TraceSession::begin();
+        let overflow = 3;
+        for round in 0..(topk_trace::LANE_EVENT_CAP + overflow) as u64 {
+            topk_trace::record(topk_trace::TraceEvent::RoundBegin { round });
+        }
+        let mut traced = sample();
+        traced.attach_trace_summary(&session.finish());
+        assert_eq!(
+            traced.trace,
+            vec![
+                ("dropped_events".to_string(), overflow as u64),
+                ("round".to_string(), topk_trace::LANE_EVENT_CAP as u64),
+            ]
+        );
+        let json = traced.to_json();
+        assert!(json.contains("\"dropped_events\": 3"));
+        assert_eq!(BenchReport::parse(&json).unwrap(), traced);
+        assert!(BenchReport::compare(&sample(), &traced).is_empty());
+        assert!(BenchReport::compare(&traced, &sample()).is_empty());
     }
 
     #[test]

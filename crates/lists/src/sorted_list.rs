@@ -242,21 +242,23 @@ impl SortedList {
     }
 
     /// The 0-based index a fresh `(item, score)` entry sorts to: after all
-    /// strictly greater scores, then (within the tie run, which is short in
-    /// practice) after equal scores with smaller item ids. With
-    /// `without = Some(i)` the index is into the list with entry `i`
-    /// taken out (where an updated entry lands).
+    /// strictly greater scores, then after equal scores with smaller item
+    /// ids. With `without = Some(i)` the index is into the list with entry
+    /// `i` taken out (where an updated entry lands).
+    ///
+    /// One binary search over the composite key (score descending, item id
+    /// ascending), so a tie run costs O(log n) however long it is; integer
+    /// scores such as counts make runs of hundreds. The key is monotone
+    /// over lists in [`SortedList::from_unsorted`] tie order, which every
+    /// mutation keeps. A [`SortedList::from_sorted`] list may hold ties in
+    /// any id order; the entry still lands inside its tie run.
     fn insertion_index(&self, item: ItemId, score: Score, without: Option<usize>) -> usize {
-        let skip = without.unwrap_or(usize::MAX);
-        let greater = self.entries.partition_point(|&(_, s)| s > score);
-        let mut at = greater - usize::from(skip < greater);
-        loop {
-            let full = if at < skip { at } else { at + 1 };
-            match self.entries.get(full) {
-                Some(&(other, s)) if s == score && other < item => at += 1,
-                _ => return at,
-            }
-        }
+        let before = self
+            .entries
+            .partition_point(|&(other, s)| s > score || (s == score && other < item));
+        // The skipped entry precedes the new key exactly when it lies
+        // before the partition point.
+        before - usize::from(without.is_some_and(|skip| skip < before))
     }
 
     /// Debug-only check that the in-place index repair matches a rebuild
@@ -526,6 +528,59 @@ mod tests {
         let a: Vec<_> = incremental.items().collect();
         let b: Vec<_> = rebuilt.items().collect();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn long_tie_runs_place_like_from_unsorted() {
+        // Three tie runs of 1 000 equal scores each, on even ids so that
+        // odd ids can be inserted into the middle of a run.
+        let mut pairs: std::collections::BTreeMap<u64, f64> =
+            (0..3_000u64).map(|i| (2 * i, (i % 3) as f64)).collect();
+        let mut l =
+            SortedList::from_unsorted(pairs.iter().map(|(&i, &s)| (ItemId(i), s)).collect())
+                .unwrap();
+        let check = |l: &SortedList, pairs: &std::collections::BTreeMap<u64, f64>, item: u64| {
+            let rebuilt =
+                SortedList::from_unsorted(pairs.iter().map(|(&i, &s)| (ItemId(i), s)).collect())
+                    .unwrap();
+            assert!(
+                l.iter().eq(rebuilt.iter()),
+                "entries after touching item {item}"
+            );
+            for &i in pairs.keys() {
+                assert_eq!(l.lookup(ItemId(i)), rebuilt.lookup(ItemId(i)), "item {i}");
+            }
+            rebuilt.position_of(ItemId(item)).unwrap()
+        };
+        // (item, new score): up across runs, down across runs, to the same
+        // score, and to the run's end points (smallest and largest ids).
+        let updates = [
+            (3_000, 2.0),
+            (3_000, 0.0),
+            (3_002, 1.0),
+            (3_002, 1.0),
+            (0, 2.0),
+            (5_998, 0.0),
+            (5_998, 2.0),
+            (2, 0.0),
+            (1_500, 1.0),
+        ];
+        for (item, score) in updates {
+            let update = l.update_score(ItemId(item), score).unwrap();
+            pairs.insert(item, score);
+            assert_eq!(update.new_position, check(&l, &pairs, item));
+        }
+        for (item, score) in [
+            (3_001, 1.0),
+            (1, 0.0),
+            (5_999, 2.0),
+            (6_001, 1.0),
+            (2_999, 2.0),
+        ] {
+            let delta = l.insert(ItemId(item), score).unwrap();
+            pairs.insert(item, score);
+            assert_eq!(delta.position, check(&l, &pairs, item));
+        }
     }
 
     #[test]

@@ -32,7 +32,10 @@
 //! tracker is held by value and defaults to the paper's bit array
 //! ([`BitArrayTracker`], §5.2.1);
 //! [`TrackerKind::source`](crate::tracker::TrackerKind::source) is the one
-//! place a tracker kind chosen at run time becomes a tracker type.
+//! place a tracker kind chosen at run time becomes a tracker type. The bit
+//! array allocates its words on the first tracked access, so opening or
+//! resetting a source costs no tracker memory until something is marked:
+//! TA, BPA and a cache-hit standing serve never pay for it.
 //!
 //! ```
 //! use topk_lists::prelude::*;

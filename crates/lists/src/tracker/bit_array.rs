@@ -1,4 +1,8 @@
 //! Bit-array best-position tracking (Section 5.2.1).
+//!
+//! The words are allocated on the first mark, not when the tracker is
+//! created or reset: TA, BPA and a cache-hit standing serve never mark,
+//! so opening or resetting their sources allocates and zeroes nothing.
 
 use crate::item::Position;
 use crate::tracker::PositionTracker;
@@ -12,10 +16,12 @@ use crate::tracker::PositionTracker;
 /// ```
 ///
 /// The total advance work over a whole query is O(n); the space is `n` bits
-/// plus one word.
+/// plus one word, allocated by the first mark.
 #[derive(Debug, Clone)]
 pub struct BitArrayTracker {
-    /// Packed bits; bit `p - 1` corresponds to position `p`.
+    /// Packed bits; bit `p - 1` corresponds to position `p`. Empty until
+    /// the first mark after construction or a reset, which allocates
+    /// `n.div_ceil(64)` zeroed words (reusing the capacity a reset kept).
     words: Vec<u64>,
     /// List size `n`.
     n: usize,
@@ -41,12 +47,25 @@ impl BitArrayTracker {
         *word |= mask;
         newly
     }
+
+    /// Allocates the zeroed words before the first mark. Only called
+    /// while `words` is empty and `n > 0`.
+    #[cold]
+    #[inline(never)]
+    fn allocate(&mut self) {
+        let len = self.n.div_ceil(64);
+        if self.words.capacity() == 0 {
+            self.words = vec![0; len];
+        } else {
+            self.words.resize(len, 0);
+        }
+    }
 }
 
 impl PositionTracker for BitArrayTracker {
     fn new(n: usize) -> Self {
         BitArrayTracker {
-            words: vec![0u64; n.div_ceil(64)],
+            words: Vec::new(),
             n,
             bp: 0,
             seen: 0,
@@ -60,6 +79,9 @@ impl PositionTracker for BitArrayTracker {
             "position {p} out of range for list of {} items",
             self.n
         );
+        if self.words.is_empty() {
+            self.allocate();
+        }
         let newly = self.set_bit(p);
         if newly {
             self.seen += 1;
@@ -81,6 +103,9 @@ impl PositionTracker for BitArrayTracker {
             "position {hi} out of range for list of {} items",
             self.n
         );
+        if self.words.is_empty() {
+            self.allocate();
+        }
         // Bulk word-wise marking: one OR per 64 positions instead of one
         // call per position, and a single best-position advance at the end.
         let (first_bit, last_bit) = (lo - 1, hi - 1);
@@ -108,7 +133,7 @@ impl PositionTracker for BitArrayTracker {
 
     fn is_seen(&self, position: Position) -> bool {
         let p = position.get();
-        p <= self.n && self.bit(p)
+        p <= self.n && !self.words.is_empty() && self.bit(p)
     }
 
     fn seen_count(&self) -> usize {
@@ -121,7 +146,6 @@ impl PositionTracker for BitArrayTracker {
 
     fn clear_resize(&mut self, capacity: usize) {
         self.words.clear();
-        self.words.resize(capacity.div_ceil(64), 0);
         self.n = capacity;
         self.bp = 0;
         self.seen = 0;
@@ -182,6 +206,67 @@ mod tests {
         assert!(t.mark_seen(Position::new(2).unwrap()));
         assert!(!t.mark_seen(Position::new(2).unwrap()));
         assert_eq!(t.seen_count(), 1);
+    }
+
+    fn assert_unmarked(t: &BitArrayTracker, n: usize) {
+        assert_eq!(t.best_position(), None);
+        assert_eq!(t.first_unseen(), Position::FIRST);
+        assert_eq!(t.seen_count(), 0);
+        assert_eq!(t.capacity(), n);
+        for p in 1..=n {
+            assert!(!t.is_seen(Position::new(p).unwrap()), "position {p}");
+        }
+    }
+
+    #[test]
+    fn unallocated_words_read_as_unseen_after_new_and_after_reset() {
+        let n = 200;
+        let fresh = BitArrayTracker::new(n);
+        assert!(fresh.words.is_empty(), "new allocates nothing");
+        assert_unmarked(&fresh, n);
+
+        let mut used = BitArrayTracker::new(n);
+        used.mark_range_seen(Position::FIRST, Position::new(130).unwrap());
+        used.mark_seen(Position::new(190).unwrap());
+        used.clear_resize(n);
+        assert!(used.words.is_empty(), "a reset zeroes nothing");
+        assert!(used.words.capacity() > 0, "a reset keeps the capacity");
+        assert_unmarked(&used, n);
+
+        // Marking after the reset behaves exactly like a fresh tracker,
+        // one position at a time and in bulk.
+        let mut reference = BitArrayTracker::new(n);
+        for p in [3, 1, 2, 64, 65, 200] {
+            let position = Position::new(p).unwrap();
+            assert_eq!(used.mark_seen(position), reference.mark_seen(position));
+            assert_eq!(used.best_position(), reference.best_position());
+        }
+        used.clear_resize(n);
+        let mut reference = BitArrayTracker::new(n);
+        let (from, to) = (Position::new(2).unwrap(), Position::new(129).unwrap());
+        used.mark_range_seen(from, to);
+        reference.mark_range_seen(from, to);
+        used.mark_seen(Position::FIRST);
+        reference.mark_seen(Position::FIRST);
+        assert_eq!(used.best_position(), Position::new(129));
+        assert_eq!(used.best_position(), reference.best_position());
+        assert_eq!(used.seen_count(), reference.seen_count());
+        assert_eq!(used.words, reference.words);
+        for p in 1..=n {
+            let position = Position::new(p).unwrap();
+            assert_eq!(used.is_seen(position), reference.is_seen(position), "{p}");
+        }
+    }
+
+    #[test]
+    fn a_reset_to_a_larger_capacity_marks_its_whole_range() {
+        let mut t = BitArrayTracker::new(10);
+        t.mark_seen(Position::FIRST);
+        t.clear_resize(300);
+        assert_unmarked(&t, 300);
+        t.mark_seen(Position::new(300).unwrap());
+        assert!(t.is_seen(Position::new(300).unwrap()));
+        assert_eq!(t.best_position(), None);
     }
 
     #[test]

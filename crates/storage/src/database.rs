@@ -3,14 +3,13 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use topk_lists::source::{ListSource, Sources};
-use topk_lists::tracked::ListStore;
 use topk_lists::Database;
 
 use crate::cache::CacheCapacity;
 use crate::error::StorageError;
+use crate::file::{ListMeta, PagedListFile};
 use crate::io::FileIo;
 use crate::layout::PageLayout;
 use crate::source::{PagedSource, PagedStore};
@@ -22,19 +21,22 @@ const LIST_EXTENSION: &str = "topk";
 /// A database whose `m` lists live as paged files in one directory.
 ///
 /// [`PagedDatabase::sources`] hands out a fresh
-/// [`Sources`] per call — independent file
-/// handles, cold caches — so `plan_and_run_on`, `QueryBatch` factories
-/// and the `.batched(block_len)` decorator compose unchanged over disk.
+/// [`Sources`] per call — independent file handles, cold caches — so
+/// `plan_and_run_on`, `QueryBatch` factories and the
+/// `.batched(block_len)` decorator compose unchanged over disk.
 ///
-/// Each list's item-index fences (the first item id of every
-/// item-index page, which pick the one page a random access reads) are
-/// built once, when the database is opened, and shared by every
-/// `sources()` call: opening sources reads no fences. The list files
-/// must therefore not be rewritten while the database is open.
+/// Each list file is validated once, when the database is opened. The
+/// database keeps what the validation established: the geometry, the
+/// tail score and the item-index fences (the first item id of every
+/// item-index page, which pick the one page a random access reads).
+/// Every `sources()` call shares that state, so opening sources opens
+/// each file and reads nothing. The list files must therefore not be
+/// rewritten while the database is open.
 #[derive(Debug, Clone)]
 pub struct PagedDatabase {
     files: Vec<PathBuf>,
-    fences: Vec<Arc<[u64]>>,
+    /// Each list's validated state, in list order.
+    metas: Vec<ListMeta>,
     num_items: usize,
 }
 
@@ -79,27 +81,27 @@ impl PagedDatabase {
             )));
         }
         let mut num_items = None;
-        let mut fences = Vec::with_capacity(files.len());
+        let mut metas = Vec::with_capacity(files.len());
         for path in &files {
             // A full open validates header, length, page index and the
             // item index's fences.
-            let store = PagedStore::open(path, CacheCapacity::Unbounded)?;
-            fences.push(Arc::clone(store.fences()));
+            let file = PagedListFile::open(Box::new(FileIo::open(path)?))?;
             match num_items {
-                None => num_items = Some(store.len()),
-                Some(n) if n != store.len() => {
+                None => num_items = Some(file.len()),
+                Some(n) if n != file.len() => {
                     return Err(StorageError::corrupt(format!(
                         "lists disagree on n: {} has {}, expected {n}",
                         path.display(),
-                        store.len()
+                        file.len()
                     )));
                 }
                 Some(_) => {}
             }
+            metas.push(file.meta().clone());
         }
         Ok(PagedDatabase {
             files,
-            fences,
+            metas,
             // lint:allow(fail-stop) -- files.is_empty() returned Err above, so the loop ran at least once
             num_items: num_items.expect("at least one list"),
         })
@@ -121,13 +123,20 @@ impl PagedDatabase {
     }
 
     /// Opens one [`PagedSource`] per list with the default bit-array
-    /// trackers, each with its own page cache of `capacity` and the
-    /// list's fences from [`PagedDatabase::open`].
+    /// trackers, each with its own file handle and page cache of
+    /// `capacity`, over the state validated by [`PagedDatabase::open`]:
+    /// one `open` per list and no read.
+    ///
+    /// Each call opens its own handles, although one shared handle per
+    /// list would save those opens: queries run concurrently on a pool,
+    /// and concurrent positioned reads of one shared open file contend
+    /// on it in the kernel, which measured slower than the opens (see
+    /// EXPERIMENTS.md, "Standing path: tie placement and lazy trackers").
     pub fn sources(&self, capacity: CacheCapacity) -> Result<Sources<'static>, StorageError> {
         let mut sources: Vec<Box<dyn ListSource>> = Vec::with_capacity(self.files.len());
-        for (path, fences) in self.files.iter().zip(&self.fences) {
+        for (path, meta) in self.files.iter().zip(&self.metas) {
             let io = Box::new(FileIo::open(path)?);
-            let store = PagedStore::from_io(io, capacity, Some(Arc::clone(fences)))?;
+            let store = PagedStore::with_meta(io, meta.clone(), capacity);
             sources.push(Box::new(PagedSource::new(store)));
         }
         Ok(Sources::new(sources))
@@ -170,6 +179,40 @@ mod tests {
             .unwrap();
         assert_eq!(entry.score.value(), 9.0, "list 0 tops out at item 1");
         assert!(sources.total_cache_counters().misses > 0);
+    }
+
+    #[test]
+    fn sources_reuse_the_state_validated_at_open() {
+        let scratch = ScratchDir::new("paged-db-kept");
+        let db = database();
+        let paged =
+            PagedDatabase::create(scratch.path(), &db, PageLayout::with_page_size(64)).unwrap();
+        // Zero every header in place: sources() reads no header, page
+        // index or fences, so the lists still serve from the state
+        // PagedDatabase::open validated.
+        for path in paged.list_paths() {
+            let mut bytes = fs::read(path).unwrap();
+            bytes[..crate::layout::HEADER_LEN].fill(0);
+            fs::write(path, bytes).unwrap();
+        }
+        assert!(PagedDatabase::open(scratch.path()).is_err());
+        for _ in 0..2 {
+            let mut sources = paged.sources(CacheCapacity::Pages(1)).unwrap();
+            for (i, list) in db.lists().enumerate() {
+                let source = sources.source(i);
+                assert_eq!(source.tail_score(), list.last_entry().score);
+                for entry in list.iter() {
+                    let read = source.sorted_access(entry.position, true).unwrap();
+                    assert_eq!((read.item, read.score), (entry.item, entry.score));
+                    let found = source.random_access(entry.item, true, false).unwrap();
+                    assert_eq!(found.position, Some(entry.position));
+                }
+                assert_eq!(
+                    source.best_position(),
+                    topk_lists::Position::new(list.len())
+                );
+            }
+        }
     }
 
     #[test]

@@ -152,7 +152,7 @@ fn faulty_sources(
                 plan: plan.clone(),
             }),
         };
-        let store = PagedStore::from_io(io, capacity, None)?;
+        let store = PagedStore::from_io(io, capacity)?;
         sources.push(Box::new(PagedSource::new(store)));
     }
     Ok(Sources::new(sources))
@@ -290,7 +290,6 @@ fn failures_are_latched_on_the_source_and_cleared_by_reset() {
             plan: plan.clone(),
         }),
         CacheCapacity::Pages(1),
-        None,
     )
     .unwrap();
     let mut source = PagedSource::new(store);

@@ -9,17 +9,25 @@ use crate::error::StorageError;
 use crate::io::PageIo;
 use crate::layout::{Geometry, Header, ENTRY_LEN, HEADER_LEN, RECORD_LEN, TAIL_LEN};
 
-/// One open paged list file: validated header + geometry and the item
-/// index's fences, with all post-open reads going through a
-/// caller-supplied [`PageCache`].
-#[derive(Debug)]
-pub(crate) struct PagedListFile {
-    io: Box<dyn PageIo>,
+/// What [`PagedListFile::open`] validated about a file and keeps in
+/// memory: its geometry, its tail score and the item index's fences.
+/// Immutable while the file is, so later readers of the same file share
+/// it instead of validating again.
+#[derive(Debug, Clone)]
+pub(crate) struct ListMeta {
     geometry: Geometry,
     tail_score: Score,
     /// The first item id of every item-index page, strictly increasing:
     /// the in-memory first level of the item index.
     fences: Arc<[u64]>,
+}
+
+/// One open paged list file: its validated [`ListMeta`], with all
+/// post-open reads going through a caller-supplied [`PageCache`].
+#[derive(Debug)]
+pub(crate) struct PagedListFile {
+    io: Box<dyn PageIo>,
+    meta: ListMeta,
 }
 
 fn le_u64(bytes: &[u8]) -> u64 {
@@ -64,16 +72,9 @@ impl PagedListFile {
     /// index's tail scores (present, non-increasing, and consistent with
     /// the header's tail score). Corruption and IO failures at open are
     /// ordinary `Err`s — the fail-stop unwind only covers reads *during*
-    /// a query.
-    ///
-    /// `fences: None` reads and checks the item index's fences (see
-    /// [`read_fences`]). `Some` reuses the fences of an earlier open of
-    /// the same file, so a reopen reads nothing more than the header and
-    /// the page index; only their count is checked against the geometry.
-    pub fn open(
-        mut io: Box<dyn PageIo>,
-        fences: Option<Arc<[u64]>>,
-    ) -> Result<PagedListFile, StorageError> {
+    /// a query. The item index's fences are read and checked too (see
+    /// [`read_fences`]).
+    pub fn open(mut io: Box<dyn PageIo>) -> Result<PagedListFile, StorageError> {
         let mut header_bytes = [0u8; HEADER_LEN];
         io.read_exact_at(0, &mut header_bytes)
             .map_err(|e| StorageError::io("header read", e))?;
@@ -137,37 +138,33 @@ impl PagedListFile {
             )));
         }
 
-        let fences = match fences {
-            None => read_fences(io.as_mut(), &geometry)?,
-            Some(fences) if fences.len() == geometry.record_pages => fences,
-            Some(fences) => {
-                return Err(StorageError::corrupt(format!(
-                    "{} shared fences for {} item-index pages",
-                    fences.len(),
-                    geometry.record_pages
-                )));
-            }
-        };
-
-        Ok(PagedListFile {
-            io,
+        let fences = read_fences(io.as_mut(), &geometry)?;
+        let meta = ListMeta {
             geometry,
             tail_score: last_tail,
             fences,
-        })
+        };
+        Ok(PagedListFile { io, meta })
     }
 
-    /// The item index's fences, to share with later opens of this file.
-    pub fn fences(&self) -> &Arc<[u64]> {
-        &self.fences
+    /// Serves the file behind `io` with the state an earlier
+    /// [`PagedListFile::open`] of the same file validated, reading
+    /// nothing.
+    pub fn with_meta(io: Box<dyn PageIo>, meta: ListMeta) -> PagedListFile {
+        PagedListFile { io, meta }
+    }
+
+    /// The validated state, to share with later readers of this file.
+    pub fn meta(&self) -> &ListMeta {
+        &self.meta
     }
 
     pub fn len(&self) -> usize {
-        self.geometry.entry_count
+        self.meta.geometry.entry_count
     }
 
     pub fn tail_score(&self) -> Score {
-        self.tail_score
+        self.meta.tail_score
     }
 
     /// The data entry at 0-based index `idx` (`idx < len()`).
@@ -176,8 +173,9 @@ impl PagedListFile {
         idx: usize,
         cache: &mut PageCache,
     ) -> Result<(ItemId, Score), StorageError> {
-        let (page, offset) = self.geometry.data_slot(idx);
-        let bytes = cache.page(page, self.io.as_mut(), self.geometry.page_size)?;
+        let geometry = &self.meta.geometry;
+        let (page, offset) = geometry.data_slot(idx);
+        let bytes = cache.page(page, self.io.as_mut(), geometry.page_size)?;
         let slot = &bytes[offset..offset + ENTRY_LEN];
         let item = ItemId(le_u64(&slot[..8]));
         let score = le_score(&slot[8..], "entry score")?;
@@ -197,12 +195,13 @@ impl PagedListFile {
     ) -> Result<Option<PositionedScore>, StorageError> {
         // Item-index pages whose first id is at most `item`; the last of
         // them is the only one that can hold it.
-        let candidates = self.fences.partition_point(|&first| first <= item.0);
+        let candidates = self.meta.fences.partition_point(|&first| first <= item.0);
         if candidates == 0 {
             return Ok(None);
         }
-        let (page, records) = self.geometry.record_page(candidates - 1);
-        let bytes = cache.page(page, self.io.as_mut(), self.geometry.page_size)?;
+        let geometry = &self.meta.geometry;
+        let (page, records) = geometry.record_page(candidates - 1);
+        let bytes = cache.page(page, self.io.as_mut(), geometry.page_size)?;
         let (mut lo, mut hi) = (0usize, records);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
@@ -222,7 +221,7 @@ impl PagedListFile {
         let position = usize::try_from(raw_position)
             .ok()
             .and_then(Position::new)
-            .filter(|p| p.get() <= self.geometry.entry_count)
+            .filter(|p| p.get() <= self.meta.geometry.entry_count)
             .ok_or_else(|| {
                 StorageError::corrupt(format!(
                     "item {} has invalid position {raw_position}",
@@ -256,7 +255,7 @@ mod tests {
 
     fn open(page_size: usize) -> PagedListFile {
         let image = encode_list(&list(), PageLayout::with_page_size(page_size));
-        PagedListFile::open(Box::new(MemIo::new(image)), None).unwrap()
+        PagedListFile::open(Box::new(MemIo::new(image))).unwrap()
     }
 
     #[test]
@@ -290,8 +289,8 @@ mod tests {
         for reference in [list(), sparse] {
             for page_size in [64, 4096] {
                 let image = encode_list(&reference, PageLayout::with_page_size(page_size));
-                let mut file = PagedListFile::open(Box::new(MemIo::new(image)), None).unwrap();
-                let fences = Arc::clone(file.fences());
+                let mut file = PagedListFile::open(Box::new(MemIo::new(image))).unwrap();
+                let fences = Arc::clone(&file.meta().fences);
                 let geometry = Geometry::new(page_size, reference.len());
                 assert_eq!(fences.len(), geometry.record_pages);
 
@@ -322,18 +321,48 @@ mod tests {
     }
 
     #[test]
-    fn shared_fences_must_match_the_geometry() {
+    fn a_reader_of_validated_state_reads_only_on_access() {
         let image = encode_list(&list(), PageLayout::with_page_size(64));
-        let fences: Arc<[u64]> = Arc::from(vec![1u64, 3]);
-        let err = PagedListFile::open(Box::new(MemIo::new(image)), Some(fences)).unwrap_err();
-        assert!(matches!(err, StorageError::Corrupt { detail } if detail.contains("fences")));
+        let meta = PagedListFile::open(Box::new(MemIo::new(image.clone())))
+            .unwrap()
+            .meta()
+            .clone();
+        // Over an empty image every read fails, yet the validated state
+        // answers the catalog questions; only an access reads.
+        let mut blind = PagedListFile::with_meta(Box::new(MemIo::new(Vec::new())), meta.clone());
+        let mut cache = PageCache::new(CacheCapacity::Unbounded);
+        assert_eq!(blind.len(), 12);
+        assert_eq!(blind.tail_score(), list().last_entry().score);
+        assert!(matches!(
+            blind.entry(0, &mut cache),
+            Err(StorageError::Io { .. })
+        ));
+        // Over the real image it serves exactly what a full open does.
+        let mut shared = PagedListFile::with_meta(Box::new(MemIo::new(image)), meta);
+        let mut full = open(64);
+        let (mut a, mut b) = (
+            PageCache::new(CacheCapacity::Unbounded),
+            PageCache::new(CacheCapacity::Unbounded),
+        );
+        for entry in list().iter() {
+            let i = entry.position.index();
+            assert_eq!(
+                shared.entry(i, &mut a).unwrap(),
+                full.entry(i, &mut b).unwrap()
+            );
+            assert_eq!(
+                shared.lookup(entry.item, &mut a).unwrap(),
+                full.lookup(entry.item, &mut b).unwrap()
+            );
+        }
+        assert_eq!(a.counters(), b.counters());
     }
 
     #[test]
     fn truncated_files_are_rejected_at_open() {
         let mut image = encode_list(&list(), PageLayout::with_page_size(64));
         image.truncate(image.len() - 64);
-        let err = PagedListFile::open(Box::new(MemIo::new(image)), None).unwrap_err();
+        let err = PagedListFile::open(Box::new(MemIo::new(image))).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt { detail } if detail.contains("bytes")));
     }
 
@@ -347,7 +376,7 @@ mod tests {
         let (page, offset) = geometry.tail_slot(0);
         let at = page as usize * 64 + offset;
         image[at..at + 8].copy_from_slice(&(-1e9f64).to_bits().to_le_bytes());
-        let err = PagedListFile::open(Box::new(MemIo::new(image)), None).unwrap_err();
+        let err = PagedListFile::open(Box::new(MemIo::new(image))).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt { detail } if detail.contains("increase")));
     }
 
@@ -360,7 +389,7 @@ mod tests {
         let first = geometry.record_page(0).0 as usize * 64;
         let (head, tail) = image.split_at_mut(first + 64);
         head[first..].swap_with_slice(&mut tail[..64]);
-        let err = PagedListFile::open(Box::new(MemIo::new(image)), None).unwrap_err();
+        let err = PagedListFile::open(Box::new(MemIo::new(image))).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt { detail } if detail.contains("id order")));
     }
 
@@ -372,7 +401,7 @@ mod tests {
         let mut header = Header::decode(&image[..HEADER_LEN].try_into().unwrap()).unwrap();
         header.tail_score += 1.0;
         image[..HEADER_LEN].copy_from_slice(&header.encode());
-        let err = PagedListFile::open(Box::new(MemIo::new(image)), None).unwrap_err();
+        let err = PagedListFile::open(Box::new(MemIo::new(image))).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt { detail } if detail.contains("tail score")));
     }
 }

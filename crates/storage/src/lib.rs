@@ -21,7 +21,9 @@
 //!   `topk_core::CostModel::total_cost` prices as a fourth access class.
 //! * [`PagedDatabase`] — writes/opens a directory of list files and
 //!   hands out `Sources`, so `plan_and_run_on`, `QueryBatch` and the
-//!   `.batched(block_len)` decorator compose unchanged over disk.
+//!   `.batched(block_len)` decorator compose unchanged over disk. Each
+//!   file is validated once, by the database; handing out sources
+//!   opens each file and reads nothing.
 //!
 //! IO failures follow the fail-stop contract of
 //! `topk_lists::source::SourceError`: a failed page read latches a typed

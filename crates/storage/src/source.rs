@@ -10,7 +10,6 @@
 //! and are priced by `topk_core::CostModel::total_cost`.
 
 use std::path::Path;
-use std::sync::Arc;
 
 use topk_lists::source::{CacheCounters, SourceError};
 use topk_lists::tracked::{ListStore, TrackedSource};
@@ -18,7 +17,7 @@ use topk_lists::{ItemId, Position, PositionedScore, Score};
 
 use crate::cache::{CacheCapacity, PageCache};
 use crate::error::StorageError;
-use crate::file::PagedListFile;
+use crate::file::{ListMeta, PagedListFile};
 use crate::io::{FileIo, PageIo};
 
 /// One paged list file served through the access core.
@@ -40,31 +39,34 @@ pub struct PagedStore {
 }
 
 impl PagedStore {
-    /// Opens a paged list file with the given cache capacity, reading
-    /// the item index's fences (one small read per item-index page).
+    /// Opens and fully validates a paged list file with the given cache
+    /// capacity, reading the item index's fences (one small read per
+    /// item-index page).
     pub fn open(path: &Path, capacity: CacheCapacity) -> Result<PagedStore, StorageError> {
-        Self::from_io(Box::new(FileIo::open(path)?), capacity, None)
+        Self::from_io(Box::new(FileIo::open(path)?), capacity)
     }
 
-    /// Builds a store over any [`PageIo`] — the seam the fault tests
-    /// inject failing doubles through. `fences` are the item-index
-    /// fences of an earlier open of the same file, or `None` to read
-    /// them.
+    /// Builds and fully validates a store over any [`PageIo`] — the seam
+    /// the fault tests inject failing doubles through.
     pub(crate) fn from_io(
         io: Box<dyn PageIo>,
         capacity: CacheCapacity,
-        fences: Option<Arc<[u64]>>,
     ) -> Result<PagedStore, StorageError> {
-        Ok(PagedStore {
-            file: PagedListFile::open(io, fences)?,
-            cache: PageCache::new(capacity),
-            last_error: None,
-        })
+        Ok(Self::from_file(PagedListFile::open(io)?, capacity))
     }
 
-    /// The item index's fences, shared by later opens of the same file.
-    pub(crate) fn fences(&self) -> &Arc<[u64]> {
-        self.file.fences()
+    /// Serves a file another open already validated: builds the store
+    /// with a cold cache and no system call.
+    pub(crate) fn with_meta(io: Box<dyn PageIo>, meta: ListMeta, capacity: CacheCapacity) -> Self {
+        Self::from_file(PagedListFile::with_meta(io, meta), capacity)
+    }
+
+    fn from_file(file: PagedListFile, capacity: CacheCapacity) -> PagedStore {
+        PagedStore {
+            file,
+            cache: PageCache::new(capacity),
+            last_error: None,
+        }
     }
 
     /// The IO or corruption failure that aborted the current query, if
@@ -149,7 +151,7 @@ mod tests {
 
     fn paged(page_size: usize, capacity: CacheCapacity) -> PagedSource {
         let image = encode_list(&list(), PageLayout::with_page_size(page_size));
-        PagedSource::new(PagedStore::from_io(Box::new(MemIo::new(image)), capacity, None).unwrap())
+        PagedSource::new(PagedStore::from_io(Box::new(MemIo::new(image)), capacity).unwrap())
     }
 
     #[test]
