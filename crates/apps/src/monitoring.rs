@@ -12,7 +12,6 @@
 //! top-k caches equal to a from-scratch recomputation.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use topk_core::batch::QueryBatch;
 use topk_core::planner::{plan_and_run, Plan};
@@ -21,9 +20,7 @@ use topk_core::{
     run_on_degraded, AlgorithmKind, DatabaseStats, ScoreInterval, Sum, TopKError, TopKQuery,
 };
 use topk_distributed::{ClusterRuntime, LatencyModel, NetworkStats};
-use topk_lists::sharded::ShardedDatabase;
-use topk_lists::SourceErrorKind;
-use topk_lists::{Database, ItemId, Score, SortedList, TrackerKind};
+use topk_lists::{Database, ItemId, Score, SortedList, SourceErrorKind, Sources, TrackerKind};
 use topk_pool::ThreadPool;
 
 use crate::interner::KeyInterner;
@@ -45,27 +42,14 @@ pub struct MonitoringSystem {
     standing: Option<StandingState>,
 }
 
-/// The long-lived serving state behind standing queries: one sharded
-/// database of the counts read on the shared pool (mutated in place as
-/// updates arrive, and sampled for planner statistics), and the
-/// registered queries with their cached answers.
+/// The long-lived serving state behind standing queries: one database of
+/// the counts (mutated in place as updates arrive, and sampled for planner
+/// statistics), and the registered queries with their cached answers.
 #[derive(Debug, Clone)]
 struct StandingState {
-    sharded: ShardedDatabase,
-    pool: Arc<ThreadPool>,
+    database: Database,
     stats: DatabaseStats,
     queries: Vec<StandingQuery>,
-}
-
-impl StandingState {
-    /// Re-samples statistics from the live sharded lists when they no
-    /// longer match the live epochs.
-    fn ensure_stats_fresh(&mut self) -> Result<(), TopKError> {
-        if self.stats.staleness(&self.sharded.epochs()).is_some() {
-            self.stats = DatabaseStats::collect_on(&mut self.sharded.sources(&self.pool))?;
-        }
-        Ok(())
-    }
 }
 
 /// How the registered standing queries classified one ingested update —
@@ -184,13 +168,13 @@ impl MonitoringSystem {
     }
 
     /// Answers many top-k-URLs queries **concurrently** on a shared
-    /// work-stealing pool: the per-location lists are sharded once
-    /// (`shards_per_list` contiguous position ranges each, scanned in
-    /// parallel), statistics are sampled once, and every `k` of `ks`
-    /// becomes one query of a `QueryBatch` with the cost-based planner
-    /// choosing its algorithm. This is the serving shape of a monitoring
-    /// dashboard: one widget per `k` (or per standing query), all
-    /// refreshed against one physical copy of the counts.
+    /// work-stealing pool: the per-location lists are built once,
+    /// statistics are sampled once, and every `k` of `ks` becomes one
+    /// query of a `QueryBatch` (one pool job, over its own in-memory view)
+    /// with the cost-based planner choosing its algorithm. This is the
+    /// serving shape of a monitoring dashboard: one widget per `k` (or per
+    /// standing query), all refreshed against one physical copy of the
+    /// counts.
     ///
     /// Results come back in `ks` order with their plans; answers and
     /// access counts are identical to issuing each query alone, whatever
@@ -198,14 +182,12 @@ impl MonitoringSystem {
     pub fn top_k_urls_batch(
         &self,
         ks: &[usize],
-        shards_per_list: usize,
         pool: &ThreadPool,
     ) -> Result<Vec<(AppResult<String>, Plan)>, AppError> {
         let db = self.database()?;
-        let sharded = ShardedDatabase::new(&db, shards_per_list);
         let stats = DatabaseStats::collect(&db);
         let batch: QueryBatch = ks.iter().map(|&k| TopKQuery::new(k, Sum)).collect();
-        let outcomes = batch.run_planned(pool, &stats, || sharded.sources(pool))?;
+        let outcomes = batch.run_planned(pool, &stats, || Sources::in_memory(&db))?;
         Ok(outcomes
             .into_iter()
             .map(|(plan, result)| {
@@ -215,10 +197,9 @@ impl MonitoringSystem {
             .collect())
     }
 
-    /// Deploys the current counts as a **live, updatable** sharded
-    /// database on the shared pool and starts serving standing queries
-    /// from it. Unlike the snapshot entry points
-    /// ([`top_k_urls`](MonitoringSystem::top_k_urls) and friends, which
+    /// Deploys the current counts as a **live, updatable** database and
+    /// starts serving standing queries from it. Unlike the snapshot entry
+    /// points ([`top_k_urls`](MonitoringSystem::top_k_urls) and friends, which
     /// rebuild the lists per call), this copy is mutated in place by
     /// every subsequent [`ingest_update`](MonitoringSystem::ingest_update)
     /// / [`record`](MonitoringSystem::record), and registered queries
@@ -228,17 +209,11 @@ impl MonitoringSystem {
     ///
     /// Calling it again redeploys from the current counts and drops any
     /// registered queries.
-    pub fn enable_standing_queries(
-        &mut self,
-        shards_per_list: usize,
-        pool: Arc<ThreadPool>,
-    ) -> Result<(), AppError> {
-        let db = self.database()?;
-        let sharded = ShardedDatabase::new(&db, shards_per_list);
-        let stats = DatabaseStats::collect(&db);
+    pub fn enable_standing_queries(&mut self) -> Result<(), AppError> {
+        let database = self.database()?;
+        let stats = DatabaseStats::collect(&database);
         self.standing = Some(StandingState {
-            sharded,
-            pool,
+            database,
             stats,
             queries: Vec::new(),
         });
@@ -258,16 +233,15 @@ impl MonitoringSystem {
     /// a cache hit.
     pub fn register_standing_query(&mut self, k: usize) -> Result<usize, AppError> {
         let state = self.standing.as_mut().ok_or(AppError::StandingDisabled)?;
-        state.ensure_stats_fresh()?;
+        state.stats.ensure_fresh(&state.database);
         let mut query = StandingQuery::new(TopKQuery::new(k, Sum));
-        let mut sources = state.sharded.sources(&state.pool);
-        query.refresh(&mut sources, &state.stats)?;
+        query.refresh(&mut Sources::in_memory(&state.database), &state.stats)?;
         state.queries.push(query);
         Ok(state.queries.len() - 1)
     }
 
     /// Records `hits` accesses to `url` at a location and pushes the
-    /// mutation through the live sharded lists and every registered
+    /// mutation through the live lists and every registered
     /// standing query. A never-seen URL becomes an insert (frequency 0 at
     /// the other locations); a known one becomes a score update in the
     /// location's list. The report says how many queries absorbed the
@@ -295,23 +269,23 @@ impl MonitoringSystem {
         };
         let item = ItemId(id.0);
         // Every interned URL is deployed, so only a freshly interned one is
-        // missing from the sharded lists.
+        // missing from the live lists.
         let event = if id.0 as usize == known_urls {
             let scores: Vec<f64> = (0..self.locations.len())
                 .map(|l| if l == location { new_total } else { 0.0 })
                 .collect();
             state
-                .sharded
+                .database
                 .insert_item(item, &scores)
                 .expect("counts are finite and the URL id is new");
             UpdateEvent::Insert {
                 item,
                 scores: scores.iter().map(|&s| Score::from_f64(s)).collect(),
-                epochs: state.sharded.epochs(),
+                epochs: state.database.epochs(),
             }
         } else {
             let update = state
-                .sharded
+                .database
                 .update_score(location, item, new_total)
                 .expect("counts are finite and the URL is present");
             UpdateEvent::Score {
@@ -333,20 +307,19 @@ impl MonitoringSystem {
     /// The current answer of a registered standing query: straight from
     /// its cache when the absorbed updates left it provably valid (zero
     /// list accesses), via a fresh planner-chosen execution on the live
-    /// sharded lists otherwise.
+    /// lists otherwise.
     pub fn standing_answer(&mut self, handle: usize) -> Result<AppResult<String>, AppError> {
         let (result, algorithm) = {
             let state = self.standing.as_mut().ok_or(AppError::StandingDisabled)?;
-            let epochs = state.sharded.epochs();
             let needs_refresh = state
                 .queries
                 .get(handle)
                 .ok_or(AppError::UnknownHandle(handle))?
-                .needs_refresh(&epochs);
+                .needs_refresh(&state.database.epochs());
             if needs_refresh {
-                state.ensure_stats_fresh()?;
+                state.stats.ensure_fresh(&state.database);
             }
-            let mut sources = state.sharded.sources(&state.pool);
+            let mut sources = Sources::in_memory(&state.database);
             let query = &mut state.queries[handle];
             let result = query.serve(&mut sources, &state.stats)?.clone();
             let algorithm = query.algorithm().expect("the query was just served");
@@ -681,7 +654,7 @@ mod tests {
         let sys = system();
         let pool = ThreadPool::new(2);
         let ks = [1usize, 2, 3];
-        let batched = sys.top_k_urls_batch(&ks, 2, &pool).unwrap();
+        let batched = sys.top_k_urls_batch(&ks, &pool).unwrap();
         assert_eq!(batched.len(), ks.len());
         for (k, (result, plan)) in ks.iter().zip(&batched) {
             let (alone, alone_plan) = sys.top_k_urls_planned(*k).unwrap();
@@ -692,7 +665,7 @@ mod tests {
         }
         let empty = MonitoringSystem::new();
         assert!(matches!(
-            empty.top_k_urls_batch(&ks, 2, &pool),
+            empty.top_k_urls_batch(&ks, &pool),
             Err(AppError::Empty)
         ));
     }
@@ -803,8 +776,7 @@ mod tests {
     #[test]
     fn standing_queries_absorb_updates_and_serve_cached_answers() {
         let mut sys = system();
-        let pool = Arc::new(ThreadPool::new(2));
-        sys.enable_standing_queries(2, pool).unwrap();
+        sys.enable_standing_queries().unwrap();
         let handle = sys.register_standing_query(2).unwrap();
 
         // The eager refresh at registration makes the first read a hit.
@@ -845,8 +817,7 @@ mod tests {
     #[test]
     fn new_urls_enter_the_standing_state_as_inserts() {
         let mut sys = system();
-        let pool = Arc::new(ThreadPool::new(2));
-        sys.enable_standing_queries(3, pool).unwrap();
+        sys.enable_standing_queries().unwrap();
         let handle = sys.register_standing_query(2).unwrap();
 
         // A never-seen URL with a tiny count absorbs as an insert...
@@ -875,8 +846,7 @@ mod tests {
     #[test]
     fn standing_prefix_reads_come_from_the_cache() {
         let mut sys = system();
-        sys.enable_standing_queries(2, Arc::new(ThreadPool::new(1)))
-            .unwrap();
+        sys.enable_standing_queries().unwrap();
         let handle = sys.register_standing_query(3).unwrap();
 
         let top1 = sys.standing_prefix(handle, 1).unwrap().unwrap();
@@ -915,8 +885,7 @@ mod tests {
         ));
         let empty = MonitoringSystem::new();
         assert!(matches!(
-            MonitoringSystem::clone(&empty)
-                .enable_standing_queries(2, Arc::new(ThreadPool::new(1))),
+            MonitoringSystem::clone(&empty).enable_standing_queries(),
             Err(AppError::Empty)
         ));
     }
@@ -925,8 +894,7 @@ mod tests {
     #[should_panic(expected = "before enabling standing queries")]
     fn adding_a_location_after_enabling_standing_queries_panics() {
         let mut sys = system();
-        sys.enable_standing_queries(2, Arc::new(ThreadPool::new(1)))
-            .unwrap();
+        sys.enable_standing_queries().unwrap();
         sys.add_location("lyon");
     }
 

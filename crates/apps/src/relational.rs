@@ -10,8 +10,7 @@
 use topk_core::batch::QueryBatch;
 use topk_core::planner::{plan_and_run, Plan};
 use topk_core::{AlgorithmKind, DatabaseStats, Sum, TopKQuery, WeightedSum};
-use topk_lists::sharded::ShardedDatabase;
-use topk_lists::{Database, ItemId, SortedList};
+use topk_lists::{Database, ItemId, SortedList, Sources};
 use topk_pool::ThreadPool;
 
 use crate::{AppError, AppResult, RankedAnswer};
@@ -150,25 +149,23 @@ impl Table {
     }
 
     /// Answers many sum rankings over the same attributes **concurrently**
-    /// on a shared work-stealing pool: the attribute lists are sorted and
-    /// sharded once (`shards_per_list` contiguous position ranges each),
-    /// statistics are sampled once, and each `k` of `ks` becomes one query
-    /// of a `QueryBatch` with the cost-based planner choosing its
-    /// algorithm. Results come back in `ks` order with their plans;
-    /// answers and access counts are identical to issuing each query
-    /// alone, whatever the pool's thread count.
+    /// on a shared work-stealing pool: the attribute lists are sorted
+    /// once, statistics are sampled once, and each `k` of `ks` becomes one
+    /// query of a `QueryBatch` (one pool job, over its own in-memory view)
+    /// with the cost-based planner choosing its algorithm. Results come
+    /// back in `ks` order with their plans; answers and access counts are
+    /// identical to issuing each query alone, whatever the pool's thread
+    /// count.
     pub fn top_k_by_sum_batch(
         &self,
         attributes: &[&str],
         ks: &[usize],
-        shards_per_list: usize,
         pool: &ThreadPool,
     ) -> Result<Vec<(AppResult<usize>, Plan)>, AppError> {
         let db = self.database_for(attributes)?;
-        let sharded = ShardedDatabase::new(&db, shards_per_list);
         let stats = DatabaseStats::collect(&db);
         let batch: QueryBatch = ks.iter().map(|&k| TopKQuery::new(k, Sum)).collect();
-        let outcomes = batch.run_planned(pool, &stats, || sharded.sources(pool))?;
+        let outcomes = batch.run_planned(pool, &stats, || Sources::in_memory(&db))?;
         Ok(outcomes
             .into_iter()
             .map(|(plan, result)| {
@@ -318,7 +315,7 @@ mod tests {
         let attributes = ["cheapness", "rating", "proximity"];
         let pool = ThreadPool::new(2);
         let ks = [1usize, 2, 4];
-        let batched = t.top_k_by_sum_batch(&attributes, &ks, 2, &pool).unwrap();
+        let batched = t.top_k_by_sum_batch(&attributes, &ks, &pool).unwrap();
         assert_eq!(batched.len(), ks.len());
         for (k, (result, plan)) in ks.iter().zip(&batched) {
             let (alone, alone_plan) = t.top_k_by_sum_planned(&attributes, *k).unwrap();
@@ -327,7 +324,7 @@ mod tests {
             assert_eq!(plan.choice(), alone_plan.choice(), "k = {k}");
         }
         assert!(matches!(
-            t.top_k_by_sum_batch(&["nope"], &ks, 2, &pool),
+            t.top_k_by_sum_batch(&["nope"], &ks, &pool),
             Err(AppError::UnknownKey(_))
         ));
     }

@@ -1,6 +1,6 @@
-//! End-to-end tracing smoke check: one planner-driven query over a
-//! merged paged + sharded backend, exported through every observability
-//! surface.
+//! End-to-end tracing smoke check: a batch of planner-driven queries,
+//! one pool job each, over merged paged + in-memory lists, exported
+//! through every observability surface.
 //!
 //! ```sh
 //! cargo run -p topk-bench --bin trace_smoke                      # human tree + metrics
@@ -9,40 +9,37 @@
 //! cargo run -p topk-bench --bin trace_smoke -- --verify-json F   # verify a previous --json export
 //! ```
 //!
-//! The query is fully deterministic (arithmetic scores, logical trace
-//! clock), so `--json` is **byte-identical across runs and machines**.
-//! `--verify-json FILE` re-runs the query and checks that `FILE` (a) is
+//! The queries are fully deterministic (arithmetic scores, logical trace
+//! clock, job lanes assigned on the dispatching thread), so `--json` is
+//! **byte-identical across runs and machines**.
+//! `--verify-json FILE` re-runs the batch and checks that `FILE` (a) is
 //! structurally valid under the committed schema
 //! (`topk_trace::verify_json`, see `crates/trace/SCHEMA.md`) and (b)
 //! matches the fresh export byte for byte — CI runs the `--json` /
 //! `--verify-json` pair so any schema or determinism drift fails the
 //! build. Every mode also self-checks that the trace contains the span
 //! kinds the stack is supposed to produce (plan, round, block access,
-//! cache activity, pool jobs) and exits non-zero when one is missing.
+//! cache activity, one pool job per query) and exits non-zero when one
+//! is missing.
 
 use std::process::ExitCode;
 
-use topk_core::planner::plan_and_run_on;
+use topk_core::batch::QueryBatch;
 use topk_core::{DatabaseStats, Sum, TopKQuery};
-use topk_lists::sharded::ShardedDatabase;
-use topk_lists::source::SourceSet;
 use topk_lists::{Database, Sources};
 use topk_pool::ThreadPool;
 use topk_storage::{CacheCapacity, PageLayout, PagedDatabase, ScratchDir};
 use topk_trace::{MetricsRegistry, Trace, TraceSession};
 
 /// Lists in the combined database; the first half is paged, the second
-/// half sharded.
+/// half in memory.
 const NUM_LISTS: usize = 4;
 /// Items per list.
 const NUM_ITEMS: u64 = 512;
-/// Shards per sharded list — small enough that one prefetched block
-/// spans several shards, forcing a pool fan-out per block.
-const SHARDS_PER_LIST: usize = 16;
 /// Physical block length of the batching decorator.
 const BLOCK_LEN: usize = 64;
-/// Answer size.
-const K: usize = 10;
+/// Answer sizes of the batch's queries: one pool job each.
+const KS: [usize; 2] = [10, 5];
 
 /// Deterministic local score of `item` in `list` — arithmetic only, so
 /// every run on every machine builds the same database.
@@ -60,56 +57,62 @@ fn lists(range: std::ops::Range<usize>) -> Vec<Vec<(u64, f64)>> {
         .collect()
 }
 
-/// Runs the traced query once and returns the trace, the filled metrics
-/// registry, and the answer's item ids (for the determinism report).
+/// Runs the traced batch once and returns the trace, the filled metrics
+/// registry, and each query's answer item ids (for the determinism
+/// report).
 fn run_traced(
     pool: &ThreadPool,
     scratch: &ScratchDir,
-) -> Result<(Trace, MetricsRegistry, Vec<u64>), String> {
+) -> Result<(Trace, MetricsRegistry, Vec<Vec<u64>>), String> {
     let paged_half = Database::from_unsorted_lists(lists(0..NUM_LISTS / 2))
         .map_err(|e| format!("database: {e}"))?;
-    let sharded_half = Database::from_unsorted_lists(lists(NUM_LISTS / 2..NUM_LISTS))
+    let memory_half = Database::from_unsorted_lists(lists(NUM_LISTS / 2..NUM_LISTS))
         .map_err(|e| format!("database: {e}"))?;
 
     let paged = PagedDatabase::create(scratch.path(), &paged_half, PageLayout::with_page_size(256))
         .map_err(|e| format!("paging the database: {e}"))?;
-    let sharded = ShardedDatabase::new(&sharded_half, SHARDS_PER_LIST);
+    let open = || {
+        paged
+            .sources(CacheCapacity::Pages(4))
+            .map(|sources| sources.merge(Sources::in_memory(&memory_half)))
+            .map_err(|e| format!("opening paged sources: {e}"))
+    };
 
-    // Planner statistics come from a second source set over the same
-    // backends, on its own pool so the traced pool counts the query alone.
-    let stats_pool = ThreadPool::new(1);
-    let mut stats_sources = paged
-        .sources(CacheCapacity::Pages(4))
-        .map_err(|e| format!("opening paged sources: {e}"))?
-        .merge(sharded.sources(&stats_pool));
-    let stats =
-        DatabaseStats::collect_on(&mut stats_sources).map_err(|e| format!("statistics: {e}"))?;
-    let query = TopKQuery::new(K, Sum);
-
-    let paged_sources: Sources<'_> = paged
-        .sources(CacheCapacity::Pages(4))
-        .map_err(|e| format!("opening paged sources: {e}"))?;
-    let mut sources = paged_sources
-        .merge(sharded.sources(pool))
-        .traced()
-        .batched(BLOCK_LEN);
+    // Planner statistics come from one more view over the same backends,
+    // outside the pool, so the pool counts the batch's jobs alone.
+    let stats = DatabaseStats::collect_on(&mut open()?).map_err(|e| format!("statistics: {e}"))?;
+    let batch: QueryBatch = KS.iter().map(|&k| TopKQuery::new(k, Sum)).collect();
 
     let session = TraceSession::begin();
-    let (_plan, result) =
-        plan_and_run_on(&mut sources, &stats, &query).map_err(|e| format!("query: {e}"))?;
+    let outcomes = batch.run_planned(pool, &stats, || {
+        open()
+            .expect("the paged files opened for the statistics")
+            .traced()
+            .batched(BLOCK_LEN)
+    });
     let trace = session.finish();
+    let outcomes = outcomes.map_err(|e| format!("query: {e}"))?;
 
     let mut registry = MetricsRegistry::new();
-    registry.absorb(result.stats());
-    registry.absorb(&sources.total_counters());
-    registry.absorb(&sources.total_cache_counters());
+    for (_plan, result) in &outcomes {
+        registry.absorb(result.stats());
+        registry.absorb(&result.stats().accesses);
+    }
+    // Each query's sources live and die inside its pool job, so the cache
+    // totals are read off the trace's cache events.
+    registry.counter_add("cache.hits", trace.count_kind("cache_hit"));
+    registry.counter_add("cache.misses", trace.count_kind("cache_miss"));
     registry.absorb(pool);
 
-    let answer = result.items().iter().map(|r| r.item.0).collect();
-    Ok((trace, registry, answer))
+    let answers = outcomes
+        .iter()
+        .map(|(_plan, result)| result.items().iter().map(|r| r.item.0).collect())
+        .collect();
+    Ok((trace, registry, answers))
 }
 
-/// The span kinds one planner-driven query over this stack must yield.
+/// The span kinds a batch of planner-driven queries over this stack must
+/// yield.
 const REQUIRED_KINDS: &[&str] = &[
     "query_begin",
     "plan",
@@ -129,6 +132,13 @@ fn self_check(trace: &Trace, json: &str) -> Result<(), String> {
             return Err(format!("trace is missing required span kind {kind:?}"));
         }
     }
+    let jobs = trace.count_kind("pool_job_begin");
+    if jobs != KS.len() as u64 {
+        return Err(format!(
+            "trace has {jobs} pool jobs, expected one per query ({})",
+            KS.len()
+        ));
+    }
     topk_trace::verify_json(json).map_err(|e| format!("own export fails verification: {e}"))
 }
 
@@ -138,7 +148,7 @@ fn main() -> ExitCode {
 
     let pool = ThreadPool::new(3);
     let scratch = ScratchDir::new("trace-smoke");
-    let (trace, registry, answer) = match run_traced(&pool, &scratch) {
+    let (trace, registry, answers) = match run_traced(&pool, &scratch) {
         Ok(run) => run,
         Err(err) => {
             eprintln!("trace_smoke: {err}");
@@ -182,7 +192,9 @@ fn main() -> ExitCode {
         "" => {
             print!("{}", trace.render_tree());
             println!();
-            println!("answer items: {answer:?}");
+            for (k, answer) in KS.iter().zip(&answers) {
+                println!("top-{k} answer items: {answer:?}");
+            }
             println!("event summary: {}", trace.summarize());
             println!("counters:");
             for (name, value) in registry.counters() {

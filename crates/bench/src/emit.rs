@@ -23,7 +23,7 @@
 //!
 //! ```json
 //! {
-//!   "target": "shard_scaling",
+//!   "target": "batch_scaling",
 //!   "scale": "smoke",
 //!   "metrics": {
 //!     "gate_modelled_speedup": 2.61,
@@ -295,7 +295,7 @@ mod tests {
     use super::*;
 
     fn sample() -> BenchReport {
-        let mut report = BenchReport::new("shard_scaling", "smoke");
+        let mut report = BenchReport::new("batch_scaling", "smoke");
         report.push("gate_modelled_speedup", 2.615);
         report.push("pool_tasks", 1184.0);
         report.push("total_accesses", 48_216.0);
@@ -308,7 +308,7 @@ mod tests {
         let parsed = BenchReport::parse(&report.to_json()).unwrap();
         assert_eq!(parsed, report);
         assert_eq!(parsed.get("pool_tasks"), Some(1184.0));
-        assert_eq!(report.file_name(), "BENCH_shard_scaling.json");
+        assert_eq!(report.file_name(), "BENCH_batch_scaling.json");
     }
 
     #[test]
@@ -401,9 +401,9 @@ mod tests {
 
     #[test]
     fn trend_reports_write_their_own_file_prefix() {
-        let mut trend = TrendReport::new("shard_scaling", "smoke");
+        let mut trend = TrendReport::new("batch_scaling", "smoke");
         trend.push("wall_nanos", 123_456_789);
-        assert_eq!(trend.file_name(), "TREND_shard_scaling.json");
+        assert_eq!(trend.file_name(), "TREND_batch_scaling.json");
         let json = trend.to_json();
         assert!(json.contains("\"wall_nanos\""));
         assert!(json.contains("123456789"));

@@ -1,4 +1,4 @@
-//! Batched top-k execution: many queries, one shard pool.
+//! Batched top-k execution: many queries, one pool.
 //!
 //! The ROADMAP's serving scenario is heavy multi-query traffic: a
 //! monitoring front-end with standing queries, a relational endpoint
@@ -8,22 +8,19 @@
 //! cost-based [`planner`](crate::planner) choosing an algorithm per query
 //! (via [`plan_and_run_on`]) or with one caller-fixed algorithm.
 //!
-//! Each query runs against its own [`SourceSet`] view (opened by the
-//! caller-supplied factory), so queries never share trackers or counters;
-//! over the sharded backend
-//! ([`ShardedDatabase`](topk_lists::sharded::ShardedDatabase)) the views
-//! are cheap `Arc` clones of the database's one copy of each list, and a
-//! query's shard-parallel block scans fan out onto the *same* pool its
-//! siblings run on — the pool's helping `scope_run` makes that nesting
-//! deadlock-free. Results return in query order with per-query plans and
-//! [`RunStats`](crate::stats::RunStats), independent of the pool's thread
-//! count.
+//! Each query is one pool job and runs against its own [`SourceSet`]
+//! view (opened by the caller-supplied factory), so queries never share
+//! trackers or counters; over the in-memory backend
+//! ([`Sources::in_memory`](topk_lists::Sources::in_memory)) every view
+//! borrows the database's one copy of each list. Parallelism is per query:
+//! a query's own accesses run on its job's thread. Results return in query
+//! order with per-query plans and [`RunStats`](crate::stats::RunStats),
+//! independent of the pool's thread count.
 //!
 //! ```
 //! use topk_core::batch::QueryBatch;
 //! use topk_core::{DatabaseStats, TopKQuery};
-//! use topk_lists::sharded::ShardedDatabase;
-//! use topk_lists::Database;
+//! use topk_lists::{Database, Sources};
 //! use topk_pool::ThreadPool;
 //!
 //! let db = Database::from_unsorted_lists(vec![
@@ -32,14 +29,13 @@
 //! ])
 //! .unwrap();
 //!
-//! // One pool + one sharded view of the data serve the whole batch.
+//! // One pool + one copy of the data serve the whole batch.
 //! let pool = ThreadPool::new(2);
-//! let sharded = ShardedDatabase::new(&db, 2);
 //! let stats = DatabaseStats::collect(&db);
 //!
 //! let batch = QueryBatch::with_queries((1..=4).map(TopKQuery::top).collect());
 //! let outcomes = batch
-//!     .run_planned(&pool, &stats, || sharded.sources(&pool))
+//!     .run_planned(&pool, &stats, || Sources::in_memory(&db))
 //!     .unwrap();
 //! assert_eq!(outcomes.len(), 4);
 //! // Query i asked for the top-(i+1): answers come back in query order.
@@ -62,7 +58,7 @@ use crate::stats::DatabaseStats;
 ///
 /// The batch itself is just the queries; the execution methods take the
 /// pool and a per-query [`SourceSet`] factory, so one batch value can be
-/// replayed against different backends (in-memory, sharded, batched).
+/// replayed against different backends (in-memory, paged, batched).
 #[derive(Debug, Clone, Default)]
 pub struct QueryBatch {
     queries: Vec<TopKQuery>,
@@ -181,7 +177,6 @@ mod tests {
     use super::*;
     use crate::examples_paper::{figure1_database, figure2_database};
     use crate::planner::plan_and_run;
-    use topk_lists::sharded::ShardedDatabase;
     use topk_lists::source::Sources;
 
     #[test]
@@ -189,13 +184,12 @@ mod tests {
         let db = figure1_database();
         let stats = DatabaseStats::collect(&db);
         let pool = ThreadPool::new(4);
-        let sharded = ShardedDatabase::new(&db, 3);
 
         let batch: QueryBatch = (1..=6).map(TopKQuery::top).collect();
         assert_eq!(batch.len(), 6);
         assert!(!batch.is_empty());
         let outcomes = batch
-            .run_planned(&pool, &stats, || sharded.sources(&pool))
+            .run_planned(&pool, &stats, || Sources::in_memory(&db))
             .unwrap();
 
         assert_eq!(outcomes.len(), 6);
@@ -216,18 +210,23 @@ mod tests {
     fn fixed_algorithm_batches_run_over_any_backend() {
         let db = figure2_database();
         let pool = ThreadPool::new(2);
-        let sharded = ShardedDatabase::new(&db, 4);
 
         let batch: QueryBatch = (1..=5).map(TopKQuery::top).collect();
-        let over_sharded = batch
-            .run_with(&pool, AlgorithmKind::Bpa2, || sharded.sources(&pool))
-            .unwrap();
         let over_memory = batch
             .run_with(&pool, AlgorithmKind::Bpa2, || Sources::in_memory(&db))
             .unwrap();
-        for (s, m) in over_sharded.iter().zip(&over_memory) {
-            assert!(s.scores_match(m, 1e-9));
-            assert_eq!(s.stats().accesses, m.stats().accesses);
+        let over_batched = batch
+            .run_with(&pool, AlgorithmKind::Bpa2, || {
+                Sources::in_memory(&db).batched(2)
+            })
+            .unwrap();
+        assert_eq!(over_memory.len(), 5);
+        for ((query, m), b) in batch.queries().iter().zip(&over_memory).zip(&over_batched) {
+            let alone = AlgorithmKind::Bpa2.create().run(&db, query).unwrap();
+            assert!(m.scores_match(&alone, 1e-9));
+            assert_eq!(m.stats().accesses, alone.stats().accesses);
+            assert!(b.scores_match(&alone, 1e-9));
+            assert_eq!(b.stats().accesses, alone.stats().accesses);
         }
     }
 
@@ -237,9 +236,8 @@ mod tests {
         let stats = DatabaseStats::collect(&db);
         let reference: Vec<(AlgorithmKind, Vec<u64>)> = {
             let pool = ThreadPool::new(1);
-            let sharded = ShardedDatabase::new(&db, 4);
             QueryBatch::with_queries((1..=8).map(TopKQuery::top).collect())
-                .run_planned(&pool, &stats, || sharded.sources(&pool))
+                .run_planned(&pool, &stats, || Sources::in_memory(&db))
                 .unwrap()
                 .into_iter()
                 .map(|(plan, result)| {
@@ -252,10 +250,9 @@ mod tests {
         };
         for threads in [2, 8] {
             let pool = ThreadPool::new(threads);
-            let sharded = ShardedDatabase::new(&db, 4);
             let got: Vec<(AlgorithmKind, Vec<u64>)> =
                 QueryBatch::with_queries((1..=8).map(TopKQuery::top).collect())
-                    .run_planned(&pool, &stats, || sharded.sources(&pool))
+                    .run_planned(&pool, &stats, || Sources::in_memory(&db))
                     .unwrap()
                     .into_iter()
                     .map(|(plan, result)| {

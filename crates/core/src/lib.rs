@@ -16,9 +16,8 @@
 //!   ([`stats::DatabaseStats`]) feeding a [`planner::Planner`] that picks
 //!   among Naive/TA/BPA/BPA2 per query ([`planner::plan_and_run`]);
 //! * batched execution: a [`batch::QueryBatch`] runs many queries
-//!   concurrently on a shared `topk_pool::ThreadPool` — planner-selected
-//!   algorithm per query — against any backend, including the sharded
-//!   one (`topk_lists::sharded`);
+//!   concurrently on a shared `topk_pool::ThreadPool`, one pool job per
+//!   query with a planner-selected algorithm, against any backend;
 //! * the worked example databases of the paper's figures
 //!   ([`examples_paper`]), used by tests and benches.
 //!

@@ -93,7 +93,7 @@ const DEFAULT_STATS_SEED: u64 = 0x5EED_57A7;
 
 /// Summary statistics of a database, collected by a cheap sampling pass
 /// through the same [`SourceSet`] access model queries use, so any backend
-/// (in-memory, sharded, paged, cluster) can be planned over without an
+/// (in-memory, paged, cluster) can be planned over without an
 /// in-memory copy.
 ///
 /// These are the per-database inputs of the cost-based

@@ -14,22 +14,15 @@
 //!
 //! * all seven algorithms on the live in-memory database return the
 //!   answer a `NaiveScan` computes on a freshly rebuilt database;
-//! * the same holds on the live sharded backend (the database's own
-//!   mutation path, read in shard ranges derived from the new length,
-//!   pool-scanned);
 //! * a [`StandingQuery`] fed the mutation events serves answers that are
 //!   **bit-identical** to the rebuilt truth — whether it absorbed the
-//!   updates or refreshed;
-//! * a sharded database and its in-memory twin report identical receipts
-//!   (same positions, same epochs).
+//!   updates or refreshed.
 
 use proptest::prelude::*;
 use topk_core::standing::{StandingQuery, UpdateEvent};
 use topk_core::{AlgorithmKind, DatabaseStats, NaiveScan, TopKAlgorithm, TopKQuery};
 use topk_datagen::{DatabaseKind, DatabaseSpec};
-use topk_lists::sharded::ShardedDatabase;
-use topk_lists::{Database, ItemId, Score};
-use topk_pool::ThreadPool;
+use topk_lists::{Database, ItemId, Score, Sources};
 
 /// A database with the same logical contents, built from scratch — the
 /// ground truth any incrementally-maintained structure must match.
@@ -66,17 +59,14 @@ proptest! {
             _ => DatabaseKind::Correlated { alpha: 0.3 },
         };
         let mut db = DatabaseSpec::new(kind, m, n).generate(seed);
-        let mut sharded = ShardedDatabase::new(&db, 3);
-        let pool = ThreadPool::new(2);
         let k = 3usize;
         let query = TopKQuery::top(k);
         let mut standing = StandingQuery::new(query.clone());
         let mut next_item = 1_000_000u64;
 
         for (op, item_sel, list_sel, raw_score) in ops {
-            // One mutation, applied to the live in-memory database and
-            // the live sharded copy in lockstep, and announced to the
-            // standing query.
+            // One mutation, applied to the live database and announced to
+            // the standing query.
             let list = list_sel % m;
             match op {
                 // Score updates twice as often as the structural ops.
@@ -84,8 +74,6 @@ proptest! {
                     let items: Vec<ItemId> = db.items().collect();
                     let item = items[item_sel % items.len()];
                     let update = db.update_score(list, item, raw_score).unwrap();
-                    let routed = sharded.update_score(list, item, raw_score).unwrap();
-                    prop_assert_eq!(&update, &routed, "mutation receipts must agree");
                     standing.ingest(&UpdateEvent::Score { list, update });
                 }
                 1 => {
@@ -94,7 +82,6 @@ proptest! {
                     let scores: Vec<f64> =
                         (0..m).map(|j| raw_score + j as f64).collect();
                     db.insert_item(item, &scores).unwrap();
-                    sharded.insert_item(item, &scores).unwrap();
                     standing.ingest(&UpdateEvent::Insert {
                         item,
                         scores: scores.iter().map(|&s| Score::from_f64(s)).collect(),
@@ -106,7 +93,6 @@ proptest! {
                         let items: Vec<ItemId> = db.items().collect();
                         let item = items[item_sel % items.len()];
                         db.delete_item(item).unwrap();
-                        sharded.delete_item(item).unwrap();
                         standing.ingest(&UpdateEvent::Delete {
                             item,
                             epochs: db.epochs(),
@@ -114,7 +100,6 @@ proptest! {
                     }
                 }
             }
-            prop_assert_eq!(db.epochs(), sharded.epochs());
 
             // Query point: the truth is a naive scan over a database
             // rebuilt from scratch from the current logical contents.
@@ -129,22 +114,12 @@ proptest! {
                     "{algorithm:?} on the live in-memory database"
                 );
                 prop_assert!(live.scores_match(&truth, 1e-9), "{algorithm:?} scores");
-
-                let mut sources = sharded.sources(&pool);
-                let routed = algorithm.create().run_on(&mut sources, &query).unwrap();
-                prop_assert_eq!(
-                    routed.item_ids(),
-                    truth.item_ids(),
-                    "{algorithm:?} on the live sharded backend"
-                );
-                prop_assert!(routed.scores_match(&truth, 1e-9), "{algorithm:?} scores");
             }
 
             // The standing query — absorbed or refreshed — must serve the
             // rebuilt truth bit for bit.
             let stats = DatabaseStats::collect(&db);
-            let mut sources = sharded.sources(&pool);
-            let served = standing.serve(&mut sources, &stats).unwrap();
+            let served = standing.serve(&mut Sources::in_memory(&db), &stats).unwrap();
             prop_assert_eq!(served.item_ids(), truth.item_ids());
             prop_assert_eq!(served.scores(), truth.scores(), "bit-identical scores");
         }

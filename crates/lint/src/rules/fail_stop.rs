@@ -18,7 +18,7 @@ use crate::rules::{under_any, Finding, Rule};
 use crate::source::SourceFile;
 
 /// Modules bound to the fail-stop contract: the access core every
-/// backend's reads run through, the sharded and paged stores, and the
+/// backend's reads run through, the sharded shim, the paged stores, and the
 /// distributed owner, source and runtime layers.
 const SCOPE: &[&str] = &[
     "crates/lists/src/tracked.rs",

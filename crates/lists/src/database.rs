@@ -26,8 +26,8 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// fails in another list).
 ///
 /// The lists are shared copy-on-write: cloning a database, or opening a
-/// sharded view over it, copies no entries, and a mutation copies a list
-/// only while another holder still shares it (`Arc::make_mut`).
+/// view over its shared lists, copies no entries, and a mutation copies a
+/// list only while another holder still shares it (`Arc::make_mut`).
 #[derive(Debug, Clone)]
 pub struct Database {
     lists: Vec<Arc<SortedList>>,
@@ -119,8 +119,8 @@ impl Database {
         self.lists.iter().map(Arc::as_ref)
     }
 
-    /// The shared handles of the lists, in order: what a sharded view
-    /// reads without copying the entries.
+    /// The shared handles of the lists, in order: what a view that must
+    /// outlive the next mutation reads without copying the entries.
     pub(crate) fn shared_lists(&self) -> &[Arc<SortedList>] {
         &self.lists
     }

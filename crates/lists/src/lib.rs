@@ -19,21 +19,23 @@
 //!   [`Sources::in_memory`] is the in-process backend.
 //! * [`tracked`] — the access core: [`TrackedSource`] implements the
 //!   counting, tracking and piggyback rules of [`ListSource`] once, over
-//!   any [`ListStore`] (in memory, sharded, paged, list owner).
+//!   any [`ListStore`] (in memory, paged, list owner).
 //! * [`tracker`] — the *best position* bookkeeping of Section 5.2 of the
 //!   paper: a [`tracker::PositionTracker`] trait with the bit-array
 //!   (§5.2.1), B+tree (§5.2.2) and naive-set strategies.
 //! * [`bptree`] — the order-configurable B+tree with linked leaves used by
 //!   the B+tree tracker.
 //!
-//! * [`sharded`] — the range-partitioned read path: each shared sorted
-//!   list read in contiguous position ranges derived from its length,
-//!   whose block reads run in parallel on a shared `topk_pool::ThreadPool`
-//!   ([`ShardedDatabase`]/[`ShardedSource`]).
+//! * [`sharded`] — [`ShardedDatabase`], the retired sharded backend's
+//!   name, kept as a thin shim over [`Database`] because the end-to-end
+//!   benchmark compiles against it.
 //!
-//! The crate's only dependency is the std-only `topk-pool` work-stealing
-//! pool, and it is deliberately free of any algorithm logic; the
-//! algorithms live in `topk-core`.
+//! The crate depends on two std-only workspace crates: `topk-trace`, for
+//! the [`traced`] decorator's events and the counters' metrics, and
+//! `topk-pool`, whose `ThreadPool` only the [`ShardedDatabase`] shim
+//! still names. It is
+//! deliberately free of any algorithm logic; the algorithms live in
+//! `topk-core`.
 //!
 //! # Example
 //!
@@ -69,7 +71,7 @@ pub use database::Database;
 pub use error::ListError;
 pub use item::{ItemId, Position, Score};
 pub use item_index::{ItemHasher, ItemMap};
-pub use sharded::{ShardedDatabase, ShardedSource, ShardedStore};
+pub use sharded::ShardedDatabase;
 pub use sorted_list::{ListDelta, ListEntry, PositionedScore, ScoreUpdate, SortedList};
 pub use source::{
     BatchingSource, CacheCounters, InMemorySource, ListSource, SourceEntry, SourceError,
@@ -86,7 +88,6 @@ pub mod prelude {
     pub use crate::database::Database;
     pub use crate::error::ListError;
     pub use crate::item::{ItemId, Position, Score};
-    pub use crate::sharded::{ShardedDatabase, ShardedSource, ShardedStore};
     pub use crate::sorted_list::{ListDelta, ListEntry, PositionedScore, ScoreUpdate, SortedList};
     pub use crate::source::{
         BatchingSource, CacheCounters, InMemorySource, ListSource, SourceEntry, SourceError,

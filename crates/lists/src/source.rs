@@ -4,7 +4,7 @@
 //! modes (sorted, random, direct — Section 2 and Section 5.1) plus the
 //! per-list *best position* bookkeeping of Section 5.2. Nothing in the
 //! algorithms requires the lists to be in memory: the same driver loop
-//! works against a local array, a remote list owner, or a shard. This
+//! works against a local array, a remote list owner, or a paged file. This
 //! module captures exactly that contract:
 //!
 //! * [`ListSource`] — one list reachable through the three access modes,
@@ -19,12 +19,12 @@
 //! * [`InMemorySource`] / [`Sources::in_memory`] — the in-process backend
 //!   over borrowed [`SortedList`](crate::SortedList)s. It is the access core
 //!   ([`TrackedSource`](crate::tracked::TrackedSource)) over an in-memory
-//!   store; the sharded, paged and list-owner backends are the same core
-//!   over their own stores.
+//!   store; the paged and list-owner backends are the same core over
+//!   their own stores.
 //! * [`BatchingSource`] — a decorator that serves sorted accesses from a
-//!   prefetched block ([`ListSource::sorted_block`]), the groundwork for
-//!   sharded and asynchronous backends where accesses are coalesced into
-//!   fewer round trips.
+//!   prefetched block ([`ListSource::sorted_block`]), so backends that
+//!   read a block in one exchange (paged, asynchronous) serve sequential
+//!   scans in fewer round trips.
 //!
 //! Algorithms live in `topk-core` and receive `&mut dyn SourceSet`; the
 //! distributed backend (`AsyncClusterSources`, a `ClusterRuntime`
@@ -270,7 +270,7 @@ pub trait ListSource: std::fmt::Debug {
     ///
     /// The default implementation loops over [`ListSource::sorted_access`];
     /// backends that can serve a block in one exchange (one network
-    /// message, one shard scan) override it. [`BatchingSource`] turns
+    /// message, one slice walk) override it. [`BatchingSource`] turns
     /// per-position scans into calls of this method.
     fn sorted_block(&mut self, start: Position, len: usize, track: bool) -> Vec<SourceEntry> {
         let end = self
@@ -449,8 +449,7 @@ pub trait SourceSet {
 /// cost one backend exchange per `block_len` positions instead of one per
 /// position.
 ///
-/// This is the coalescing groundwork for the sharded and asynchronous
-/// backends on the roadmap. Two consequences worth knowing:
+/// Two consequences worth knowing:
 ///
 /// * **Counters reflect the backend.** Prefetched-but-unread entries are
 ///   counted by the inner source, so access counts can exceed what the
@@ -630,7 +629,7 @@ impl<'a> Sources<'a> {
     }
 
     /// Appends `other`'s lists after this set's, so a query can span
-    /// heterogeneous backends (e.g. some lists paged, some sharded).
+    /// heterogeneous backends (e.g. some lists paged, some in memory).
     /// List indices of `other` shift up by `self.num_lists()`.
     pub fn merge(mut self, other: Sources<'a>) -> Sources<'a> {
         self.sources.extend(other.sources);

@@ -15,8 +15,7 @@
 //! * `sources.traced()` observes the *logical* accesses the algorithm
 //!   issues;
 //! * `sources.traced().batched(b)` puts the batching decorator outside
-//!   the traced layer, so the trace shows the *physical* block accesses
-//!   (and, on the sharded backend, the pool fan-out they trigger).
+//!   the traced layer, so the trace shows the *physical* block accesses.
 
 use crate::access::AccessCounters;
 use crate::item::{ItemId, Position, Score};
@@ -76,9 +75,9 @@ impl ListSource for TracedSource<'_> {
     }
 
     fn sorted_block(&mut self, start: Position, len: usize, track: bool) -> Vec<SourceEntry> {
-        // Forward to the inner implementation (which may be a one-scan
-        // shard fan-out or a one-exchange network read), never to the
-        // trait's default per-position loop.
+        // Forward to the inner implementation (which may be a slice walk
+        // or a one-exchange network read), never to the trait's default
+        // per-position loop.
         let entries = self.inner.sorted_block(start, len, track);
         if topk_trace::active() {
             record(TraceEvent::BlockAccess {

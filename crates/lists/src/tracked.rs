@@ -22,8 +22,6 @@
 //!
 //! * `&SortedList` and `Arc<SortedList>` — in memory ([`InMemorySource`]),
 //!   and the list owners of `topk-distributed`;
-//! * [`ShardedStore`](crate::sharded::ShardedStore) — a shared list read
-//!   in position-range shards whose block reads fan out on a thread pool;
 //! * `topk_storage::PagedStore` — a paged file read through an LRU page
 //!   cache.
 //!

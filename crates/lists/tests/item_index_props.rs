@@ -4,18 +4,14 @@
 //! hash map otherwise, switching when a far id arrives. No generated
 //! database has sparse ids, so these tests are what exercises the hashed
 //! shape and the switch: after every insert, delete and score update, the
-//! list — read directly and through `ShardedSource` at 1 to 4 shards —
+//! list — read directly and through the access core (`TrackedSource`) —
 //! must read exactly like a list rebuilt from scratch over the same
 //! `(item, score)` pairs.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use proptest::prelude::*;
-use topk_lists::{
-    ItemId, ListError, ListSource, Position, ShardedSource, ShardedStore, SortedList,
-};
-use topk_pool::ThreadPool;
+use topk_lists::{ItemId, ListError, ListSource, Position, SortedList, TrackedSource};
 
 /// Dense ids, ids at or above 2^40, and dense ids that later meet far ones.
 const FAMILIES: u32 = 3;
@@ -31,15 +27,10 @@ fn item(family: u32, raw: u64) -> ItemId {
 }
 
 /// Asserts that `list` reads exactly like a list rebuilt from `model`,
-/// directly and through `ShardedSource` at 1 to 4 shards: same entries in
+/// directly and through the access core: same entries in
 /// the same order, and every item (present or not) found at the rebuilt
 /// position with the rebuilt score.
-fn assert_matches_rebuild(
-    model: &BTreeMap<ItemId, f64>,
-    list: &SortedList,
-    pool: &ThreadPool,
-    absent: &[ItemId],
-) {
+fn assert_matches_rebuild(model: &BTreeMap<ItemId, f64>, list: &SortedList, absent: &[ItemId]) {
     let pairs = model.iter().map(|(&item, &score)| (item, score)).collect();
     let rebuilt = SortedList::from_unsorted(pairs).expect("the model is a valid list");
     let expected: Vec<_> = rebuilt.iter().collect();
@@ -51,28 +42,25 @@ fn assert_matches_rebuild(
         assert_eq!(list.lookup(item), None, "{item}");
     }
 
-    let shared = Arc::new(list.clone());
-    for shards in 1..=4 {
-        let mut source = ShardedSource::new(ShardedStore::new(Arc::clone(&shared), shards, pool));
-        let block = source.sorted_block(Position::FIRST, expected.len(), false);
-        let read: Vec<_> = block
-            .iter()
-            .map(|e| (e.position, e.item, e.score))
-            .collect();
-        let want: Vec<_> = expected
-            .iter()
-            .map(|e| (e.position, e.item, e.score))
-            .collect();
-        assert_eq!(read, want, "{shards} shards");
-        for e in &expected {
-            let sorted = source.sorted_access(e.position, false).expect("in bounds");
-            assert_eq!((sorted.item, sorted.score), (e.item, e.score));
-            let random = source.random_access(e.item, true, false).expect("present");
-            assert_eq!((random.position, random.score), (Some(e.position), e.score));
-        }
-        for &item in absent.iter().filter(|item| !model.contains_key(item)) {
-            assert!(source.random_access(item, true, false).is_none(), "{item}");
-        }
+    let mut source = TrackedSource::new(list);
+    let block = source.sorted_block(Position::FIRST, expected.len(), false);
+    let read: Vec<_> = block
+        .iter()
+        .map(|e| (e.position, e.item, e.score))
+        .collect();
+    let want: Vec<_> = expected
+        .iter()
+        .map(|e| (e.position, e.item, e.score))
+        .collect();
+    assert_eq!(read, want);
+    for e in &expected {
+        let sorted = source.sorted_access(e.position, false).expect("in bounds");
+        assert_eq!((sorted.item, sorted.score), (e.item, e.score));
+        let random = source.random_access(e.item, true, false).expect("present");
+        assert_eq!((random.position, random.score), (Some(e.position), e.score));
+    }
+    for &item in absent.iter().filter(|item| !model.contains_key(item)) {
+        assert!(source.random_access(item, true, false).is_none(), "{item}");
     }
 }
 
@@ -81,7 +69,6 @@ fn assert_matches_rebuild(
 /// the score. The list must accept or refuse each operation as the model
 /// predicts, and match a rebuild after every step.
 fn run_sequence(family: u32, initial: &[(u64, u32)], ops: &[(u32, u64, u32)]) {
-    let pool = ThreadPool::new(1);
     let mut model = BTreeMap::new();
     for &(raw, score) in initial {
         model.insert(item(family, raw), f64::from(score));
@@ -117,7 +104,7 @@ fn run_sequence(family: u32, initial: &[(u64, u32)], ops: &[(u32, u64, u32)]) {
                 }
             }
         }
-        assert_matches_rebuild(&model, &list, &pool, &absent);
+        assert_matches_rebuild(&model, &list, &absent);
     }
 }
 
@@ -126,7 +113,7 @@ proptest! {
 
     /// Random insert/delete/update sequences over every id family (small
     /// score range, so tie runs are common) leave the list, read directly
-    /// and sharded, equal to a from-scratch rebuild.
+    /// and through the access core, equal to a from-scratch rebuild.
     #[test]
     fn mutations_match_a_rebuild_on_dense_and_sparse_ids(
         family in 0u32..FAMILIES,
@@ -145,11 +132,10 @@ fn sparse_pairs() -> Vec<(ItemId, f64)> {
 
 #[test]
 fn lists_over_ids_at_or_above_2_pow_40_serve_every_access() {
-    let pool = ThreadPool::new(2);
     let list = SortedList::from_unsorted(sparse_pairs()).unwrap();
     let model: BTreeMap<ItemId, f64> = sparse_pairs().into_iter().collect();
     let absent = [ItemId(0), ItemId((1 << 40) | 1), ItemId(u64::MAX)];
-    assert_matches_rebuild(&model, &list, &pool, &absent);
+    assert_matches_rebuild(&model, &list, &absent);
     assert_eq!(
         SortedList::from_unsorted(vec![(ItemId(1 << 41), 1.0), (ItemId(1 << 41), 2.0)])
             .unwrap_err(),
@@ -159,7 +145,6 @@ fn lists_over_ids_at_or_above_2_pow_40_serve_every_access() {
 
 #[test]
 fn a_far_insert_into_a_dense_list_keeps_every_lookup() {
-    let pool = ThreadPool::new(1);
     let pairs: Vec<(ItemId, f64)> = (0..10u64).map(|i| (ItemId(i), i as f64)).collect();
     let mut model: BTreeMap<ItemId, f64> = pairs.iter().copied().collect();
     let mut list = SortedList::from_unsorted(pairs).unwrap();
@@ -168,18 +153,17 @@ fn a_far_insert_into_a_dense_list_keeps_every_lookup() {
     for (id, score) in [(70u64, 4.5), (1 << 44, 7.5), (71, 0.5)] {
         list.insert(ItemId(id), score).unwrap();
         model.insert(ItemId(id), score);
-        assert_matches_rebuild(&model, &list, &pool, &[ItemId(11)]);
+        assert_matches_rebuild(&model, &list, &[ItemId(11)]);
     }
     list.update_score(ItemId(1 << 44), -1.0).unwrap();
     model.insert(ItemId(1 << 44), -1.0);
-    assert_matches_rebuild(&model, &list, &pool, &[ItemId(11)]);
+    assert_matches_rebuild(&model, &list, &[ItemId(11)]);
     assert_eq!(list.last_entry().item, ItemId(1 << 44));
     assert_eq!(list.position_of(ItemId(1 << 44)), Position::new(13));
 }
 
 #[test]
 fn delete_then_reinsert_of_the_same_id() {
-    let pool = ThreadPool::new(1);
     for family in 0..FAMILIES {
         let pairs: Vec<(ItemId, f64)> = (38..46u64)
             .map(|raw| (item(family, raw), raw as f64))
@@ -190,11 +174,11 @@ fn delete_then_reinsert_of_the_same_id() {
         for score in [100.0, 41.0, -3.0] {
             list.delete(id).unwrap();
             model.remove(&id);
-            assert_matches_rebuild(&model, &list, &pool, &[id]);
+            assert_matches_rebuild(&model, &list, &[id]);
             assert_eq!(list.delete(id).unwrap_err(), ListError::UnknownItem(id));
             list.insert(id, score).unwrap();
             model.insert(id, score);
-            assert_matches_rebuild(&model, &list, &pool, &[]);
+            assert_matches_rebuild(&model, &list, &[]);
         }
     }
 }

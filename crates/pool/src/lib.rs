@@ -1,23 +1,22 @@
-//! A minimal **std-only work-stealing thread pool** for shard-parallel
-//! scans and batched top-k execution.
+//! A minimal **std-only work-stealing thread pool** for batched top-k
+//! execution: one job per query.
 //!
 //! The workspace builds fully offline (see `vendor/README.md`), so the
 //! usual suspects — `rayon`, `crossbeam` — are unavailable. This crate
-//! provides the small slice of their functionality the sharded backend
-//! and the batched query front door actually need, from `std` primitives
-//! only:
+//! provides the small slice of their functionality the batched query
+//! front door (`topk_core::batch::QueryBatch`) actually needs, from `std`
+//! primitives only:
 //!
 //! * [`ThreadPool`] — a fixed set of worker threads, each with its own
 //!   task deque. Workers run their own tasks newest-first (locality) and
 //!   **steal** oldest-first from siblings when idle, so an uneven batch —
-//!   one long shard scan next to many short ones — balances itself.
+//!   one deep query next to many shallow ones — balances itself.
 //! * [`ThreadPool::scope_run`] — structured fork/join: run a batch of
 //!   closures (which may borrow from the caller's stack) and return their
 //!   outputs **in submission order**. The calling thread *helps* execute
 //!   queued tasks while it waits, which makes nested calls from inside a
-//!   worker — a batched query whose shard scans fan out onto the same
-//!   pool — deadlock-free by construction: a waiter is always also an
-//!   executor.
+//!   worker — a job that submits a scope of its own onto the same pool —
+//!   deadlock-free by construction: a waiter is always also an executor.
 //! * [`model`] — a deterministic schedule model (greedy lane assignment)
 //!   mirroring `topk_distributed::LatencyModel`'s role: CI gates on
 //!   modelled makespans, which are reproducible on any machine, while
@@ -160,11 +159,10 @@ struct ScopeSync {
 
 /// A fixed-size work-stealing thread pool.
 ///
-/// One pool is meant to be shared: the sharded storage backend dispatches
-/// per-shard scans onto it, and the batched query front door
-/// (`topk_core::batch::QueryBatch`) dispatches whole queries onto the
-/// *same* pool — nested [`ThreadPool::scope_run`] calls compose because
-/// waiters help execute.
+/// One pool is meant to be shared: the batched query front door
+/// (`topk_core::batch::QueryBatch`) dispatches whole queries onto it,
+/// batch after batch, and nested [`ThreadPool::scope_run`] calls compose
+/// because waiters help execute.
 ///
 /// Dropping the pool joins all worker threads (any in-flight `scope_run`
 /// has returned by then — it joins its own tasks before returning).
@@ -231,10 +229,10 @@ impl ThreadPool {
 
     /// Number of tasks that have been dispatched through the pool's
     /// queues so far (whoever ended up running them — a worker or a
-    /// helping waiter). Inline fast paths (single-job scopes,
-    /// single-shard scans) are not dispatched and therefore not counted,
-    /// which makes this an observable witness that fan-out actually
-    /// happened — the `shard_scaling` bench gates on it.
+    /// helping waiter). A single-job scope runs inline and is not
+    /// dispatched, so it is not counted, which makes this an observable
+    /// witness that fan-out actually happened — the `batch_scaling` bench
+    /// gates on it.
     pub fn tasks_executed(&self) -> usize {
         self.shared.executed.load(Ordering::Relaxed)
     }

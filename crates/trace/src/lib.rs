@@ -1,7 +1,7 @@
 //! **Deterministic query tracing + unified metrics** for the bpa-topk
 //! workspace.
 //!
-//! Six execution layers (algorithms → planner → sources → sharded pool →
+//! Six execution layers (algorithms → planner → sources → query pool →
 //! paged storage → distributed runtime) each carry their own counters;
 //! this crate adds the missing cross-layer view: one query's journey —
 //! plan choice, rounds, sorted/random/block accesses, page-cache

@@ -3,7 +3,7 @@
 //!
 //! # Determinism despite parallelism
 //!
-//! A traced query may fan shard scans out onto a work-stealing pool, and
+//! A traced batch may fan its queries out onto a work-stealing pool, and
 //! which worker runs which job — and in what interleaving — varies run
 //! to run. Events therefore carry a `(lane, seq)` coordinate instead of
 //! an arrival timestamp:
@@ -11,7 +11,7 @@
 //! * lane 0 is the session's originating thread (the algorithm loop);
 //! * each pool *job* gets its own lane derived from `(scope, job index)`,
 //!   both of which are assigned on the **dispatching** thread, where a
-//!   single query's dispatches are serialized;
+//!   single batch's dispatches are serialized;
 //! * `seq` counts events within a lane, on the one thread that owns the
 //!   lane at that moment.
 //!
@@ -53,7 +53,7 @@ pub const LANE_EVENT_CAP: usize = 1 << 16;
 const FLUSH_THRESHOLD: usize = 256;
 
 /// Job indices are packed into the low bits of a lane id; a scope may
-/// dispatch at most `2^20` jobs (far beyond any shard count here).
+/// dispatch at most `2^20` jobs (far beyond any batch size here).
 const JOB_BITS: u32 = 20;
 
 /// Set while a session is live anywhere in the process.

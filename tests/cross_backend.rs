@@ -753,10 +753,10 @@ fn statistics_are_identical_over_every_backend() {
             assert_eq!(sources.total_cache_counters(), CacheCounters::default());
         };
         check("in-memory", &mut Sources::in_memory(db));
-        for shards in [1, 3, 64] {
-            let sharded = ShardedDatabase::new(db, shards);
-            check(&format!("{shards} shards"), &mut sharded.sources(&pool));
-        }
+        check(
+            "sharded shim",
+            &mut ShardedDatabase::new(db, 1).sources(&pool),
+        );
         let dir = ScratchDir::new(&format!("cross-backend-stats-{which}"));
         let paged = PagedDatabase::create(dir.path(), db, PageLayout::with_page_size(64)).unwrap();
         check(
@@ -806,7 +806,7 @@ fn sparse_item_ids_are_bit_identical_across_backends() {
     let db = Database::from_unsorted_lists(lists).unwrap();
 
     let pool = ThreadPool::new(2);
-    let sharded = ShardedDatabase::new(&db, 3);
+    let sharded = ShardedDatabase::new(&db, 1);
     let dir = ScratchDir::new("cross-backend-sparse-ids");
     let paged = PagedDatabase::create(dir.path(), &db, PageLayout::with_page_size(256)).unwrap();
     let runtime = ClusterRuntime::spawn(&db);
@@ -821,7 +821,7 @@ fn sparse_item_ids_are_bit_identical_across_backends() {
             }
             assert_eq!(essence(&reference), expected, "{kind:?} k={k} dense ids");
             let backends: [(&str, &mut dyn SourceSet); 3] = [
-                ("sharded", &mut sharded.sources(&pool)),
+                ("sharded shim", &mut sharded.sources(&pool)),
                 (
                     "paged",
                     &mut paged.sources(CacheCapacity::Pages(2)).unwrap(),
@@ -1063,13 +1063,9 @@ fn assert_script_agrees(db: &Database, backends: &mut [(String, Box<dyn SourceSe
 /// random, direct and block accesses (tracked and untracked, in and out
 /// of bounds) and resets gives identical replies, counters and best
 /// positions after every step — in memory under every tracker, through
-/// the trait's default block path, sharded at 1, 3 and n shards on 1-
-/// and 4-thread pools, paged at 64 B and 4 KiB pages under a 1-page and
-/// an unbounded cache, at owner threads (`ClusterRuntime`) under every
-/// tracker, and sharded under the B+tree and naive-set trackers.
-/// Sharded at 1, 3 and n shards over a database mutated through
-/// `ShardedDatabase` (score updates, one insert, one delete), the replies
-/// equal the in-memory source's over the same mutated `Database`.
+/// the trait's default block path, paged at 64 B and 4 KiB pages under a
+/// 1-page and an unbounded cache, and at owner threads (`ClusterRuntime`)
+/// and through the `ShardedDatabase` shim under every tracker.
 #[test]
 fn one_access_script_gives_identical_replies_on_every_backend() {
     use bpa_topk::lists::ShardedDatabase;
@@ -1079,8 +1075,8 @@ fn one_access_script_gives_identical_replies_on_every_backend() {
         (1..=12u64).map(|i| (i, i as f64)).collect(),
     ])
     .unwrap();
-    let n = db.num_items();
-    let pools = [ThreadPool::new(1), ThreadPool::new(4)];
+    let pool = ThreadPool::new(1);
+    let sharded = ShardedDatabase::new(&db, 1);
     let dirs: Vec<(usize, ScratchDir)> = [64, 4096]
         .into_iter()
         .map(|page_size| {
@@ -1116,10 +1112,9 @@ fn one_access_script_gives_identical_replies_on_every_backend() {
             Box::new(runtime.connect()),
         ));
     }
-    for kind in [TrackerKind::BPlusTree, TrackerKind::NaiveSet] {
-        let sharded = ShardedDatabase::new(&db, 3);
-        let sources = sharded.sources_with_tracker(&pools[1], kind);
-        backends.push((format!("3 shards, 4 threads ({kind:?})"), Box::new(sources)));
+    for kind in TrackerKind::ALL {
+        let sources = sharded.sources_with_tracker(&pool, kind);
+        backends.push((format!("sharded shim ({kind:?})"), Box::new(sources)));
     }
     let default_path = db
         .lists()
@@ -1129,13 +1124,6 @@ fn one_access_script_gives_identical_replies_on_every_backend() {
         "default block path".into(),
         Box::new(Sources::new(default_path)),
     ));
-    for shards in [1, 3, n] {
-        let sharded = ShardedDatabase::new(&db, shards);
-        for pool in &pools {
-            let label = format!("{shards} shards, {} threads", pool.num_threads());
-            backends.push((label, Box::new(sharded.sources(pool))));
-        }
-    }
     for (page_size, paged) in &paged {
         for capacity in [CacheCapacity::Pages(1), CacheCapacity::Unbounded] {
             let label = format!("paged, {page_size} B pages, {capacity:?}");
@@ -1143,21 +1131,4 @@ fn one_access_script_gives_identical_replies_on_every_backend() {
         }
     }
     assert_script_agrees(&db, &mut backends);
-
-    for shards in [1, 3, n] {
-        let mut sharded = ShardedDatabase::new(&db, shards);
-        sharded.update_score(0, ItemId(3), 16.5).unwrap();
-        sharded.update_score(1, ItemId(12), 0.5).unwrap();
-        sharded.update_score(0, ItemId(7), 9.0).unwrap();
-        sharded.insert_item(ItemId(40), &[8.0, 6.5]).unwrap();
-        sharded.delete_item(ItemId(5)).unwrap();
-        let mutated = sharded.database();
-        let mut backends: Vec<(String, Box<dyn SourceSet + '_>)> =
-            vec![("in memory".into(), Box::new(Sources::in_memory(mutated)))];
-        for pool in &pools {
-            let label = format!("mutated, {shards} shards, {} threads", pool.num_threads());
-            backends.push((label, Box::new(sharded.sources(pool))));
-        }
-        assert_script_agrees(mutated, &mut backends);
-    }
 }

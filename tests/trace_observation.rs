@@ -5,14 +5,15 @@
 //! `RunStats` (everything but the wall-clock `elapsed`), the paged
 //! backend's cache counters and the cluster backend's `NetworkStats`
 //! are all compared across every one of the seven algorithms on the
-//! in-memory, sharded, paged and cluster backends.
+//! in-memory (plain and batched), paged and cluster backends.
 //!
 //! The flip side is pinned too: the trace itself is deterministic —
 //! running the same traced workload twice yields byte-identical
-//! `Trace::to_json()` exports, pool fan-out and LRU eviction included.
+//! `Trace::to_json()` exports, pool jobs and LRU eviction included.
 
+use bpa_topk::core::batch::QueryBatch;
 use bpa_topk::distributed::ClusterRuntime;
-use bpa_topk::lists::{ShardedDatabase, Sources};
+use bpa_topk::lists::Sources;
 use bpa_topk::pool::ThreadPool;
 use bpa_topk::prelude::*;
 use bpa_topk::trace::{Trace, TraceSession};
@@ -54,22 +55,20 @@ fn test_databases() -> Vec<(&'static str, Database)> {
     ]
 }
 
-/// In-memory and sharded backends: tracing through the `.traced()`
-/// decorator (and the instrumented `run_on`/pool paths underneath)
-/// changes no answer and no counter, for any algorithm.
+/// In-memory sources, plain and under the batching decorator: tracing
+/// through the `.traced()` decorator (and the instrumented `run_on`
+/// underneath) changes no answer and no counter, for any algorithm.
 #[test]
-fn tracing_leaves_in_memory_and_sharded_runs_bit_identical() {
-    let pool = ThreadPool::new(3);
+fn tracing_leaves_in_memory_and_batched_runs_bit_identical() {
     for (name, db) in test_databases() {
-        let sharded = ShardedDatabase::new(&db, 4);
         let query = TopKQuery::top(5.min(db.num_items()));
         for algorithm in AlgorithmKind::ALL {
             let mut plain = Sources::in_memory(&db);
             let untraced = algorithm.create().run_on(&mut plain, &query).unwrap();
-            let mut plain_sharded = sharded.sources(&pool);
-            let untraced_sharded = algorithm
+            let mut plain_batched = Sources::in_memory(&db).batched(4);
+            let untraced_batched = algorithm
                 .create()
-                .run_on(&mut plain_sharded, &query)
+                .run_on(&mut plain_batched, &query)
                 .unwrap();
 
             let session = TraceSession::begin();
@@ -78,10 +77,10 @@ fn tracing_leaves_in_memory_and_sharded_runs_bit_identical() {
                 .create()
                 .run_on(&mut traced_sources, &query)
                 .unwrap();
-            let mut traced_sharded_sources = sharded.sources(&pool).traced();
-            let traced_sharded = algorithm
+            let mut traced_batched_sources = Sources::in_memory(&db).traced().batched(4);
+            let traced_batched = algorithm
                 .create()
-                .run_on(&mut traced_sharded_sources, &query)
+                .run_on(&mut traced_batched_sources, &query)
                 .unwrap();
             let trace = session.finish();
 
@@ -91,9 +90,9 @@ fn tracing_leaves_in_memory_and_sharded_runs_bit_identical() {
                 "{algorithm:?} on {name}: tracing perturbed the in-memory run"
             );
             assert_eq!(
-                essence(&traced_sharded),
-                essence(&untraced_sharded),
-                "{algorithm:?} on {name}: tracing perturbed the sharded run"
+                essence(&traced_batched),
+                essence(&untraced_batched),
+                "{algorithm:?} on {name}: tracing perturbed the batched run"
             );
             assert!(
                 trace.count_kind("query_begin") == 2 && trace.count_kind("query_end") == 2,
@@ -181,13 +180,12 @@ fn tracing_leaves_cluster_runs_and_network_stats_bit_identical() {
     }
 }
 
-/// One traced multi-backend workload, exercising the planner, the pool
-/// fan-out and the page cache; used twice by the determinism test.
+/// One traced multi-backend workload, exercising the planner, the pool's
+/// query jobs and the page cache; used twice by the determinism test.
 fn traced_workload() -> Trace {
     let pool = ThreadPool::new(3);
     let db = DatabaseSpec::new(DatabaseKind::Uniform, 4, 400).generate(42);
     let stats = DatabaseStats::collect(&db);
-    let sharded = ShardedDatabase::new(&db, 8);
     let dir = ScratchDir::new("trace-determinism");
     let paged = PagedDatabase::create(dir.path(), &db, PageLayout::with_page_size(64)).unwrap();
     let query = TopKQuery::top(5);
@@ -197,10 +195,12 @@ fn traced_workload() -> Trace {
     plan_and_run_on(&mut memory, &stats, &query).unwrap();
     let mut disk = paged.sources(CacheCapacity::Pages(2)).unwrap().traced();
     Bpa2.run_on(&mut disk, &query).unwrap();
-    // A batched scan over sharded sources spans shards, so the pool
-    // fan-out (scope/job lanes) is part of the exported trace.
-    let mut fanned = sharded.sources(&pool).traced().batched(128);
-    NaiveScan.run_on(&mut fanned, &query).unwrap();
+    // A batch of queries runs one pool job per query, so the pool's
+    // scope/job lanes are part of the exported trace.
+    let batch = QueryBatch::with_queries(vec![TopKQuery::top(3), query.clone(), TopKQuery::top(8)]);
+    batch
+        .run_planned(&pool, &stats, || Sources::in_memory(&db).traced())
+        .unwrap();
     session.finish()
 }
 
@@ -213,7 +213,10 @@ fn traced_runs_export_byte_identical_json() {
     let second = traced_workload();
     let first_json = first.to_json();
     assert_eq!(first_json, second.to_json());
-    assert!(first.count_kind("pool_dispatch") > 0, "fan-out was traced");
+    assert!(
+        first.count_kind("pool_dispatch") > 0,
+        "the query jobs were traced"
+    );
     assert!(first.count_kind("cache_miss") > 0, "the cache was traced");
     topk_trace::verify_json(&first_json).expect("export matches the committed schema");
 }
