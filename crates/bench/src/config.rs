@@ -20,8 +20,8 @@ pub enum BenchScale {
     /// Reduced sizes (n = 20 000 by default) for quick local runs. Selected
     /// with `TOPK_BENCH_SCALE=small`.
     Small,
-    /// Tiny sizes (n = 2 000 by default) for CI smoke runs of the
-    /// non-criterion targets (e.g. `planner_validation`). Selected with
+    /// Tiny sizes (n = 2 000 by default) for CI smoke runs of the gated
+    /// targets (e.g. `figures`, `planner_validation`). Selected with
     /// `TOPK_BENCH_SCALE=smoke`.
     Smoke,
 }

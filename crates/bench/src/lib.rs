@@ -1,15 +1,18 @@
 //! Benchmark harness reproducing the evaluation of Akbarinia et al.
 //! (VLDB 2007), Section 6.
 //!
-//! Every figure of the paper has a bench target in `benches/` (see the
-//! per-experiment index in `DESIGN.md`); the targets share this library:
+//! Figures 3-17 of the paper are rows of one table in the `figures` bench
+//! target; it and the other targets in `benches/` share this library:
 //!
 //! * [`config`] — Table 1 defaults (`n = 100 000`, `k = 20`, `m = 8`) and
 //!   the parameter sweeps of each figure, scalable down via the
 //!   `TOPK_BENCH_SCALE=small` environment variable for quick runs;
-//! * [`measure`] — runs a set of algorithms on one generated database and
-//!   collects the paper's three metrics (execution cost, number of
-//!   accesses, response time);
+//! * [`measure`] — runs a set of algorithms on one generated database,
+//!   several passes in rotating order, and collects the paper's three
+//!   metrics (execution cost, number of accesses, median response time)
+//!   plus the stop position and the items scored;
+//! * [`sweeps`] — one sweep over the varied parameter (m, k or n), with
+//!   each axis's own database seeding;
 //! * [`report`] — aligned-table printing and the TA-relative gain factors
 //!   quoted in Section 6.2 ("BPA and BPA2 outperform TA by a factor of
 //!   approximately (m+6)/8 and (m+1)/2");
@@ -31,12 +34,12 @@
 //! use topk_datagen::{DatabaseGenerator, UniformGenerator};
 //!
 //! let database = UniformGenerator::new(4, 500).generate(42);
-//! let runs = measure_database(&database, 10, &AlgorithmKind::EVALUATED);
+//! let runs = measure_database(&database, 10, &AlgorithmKind::EVALUATED).unwrap();
 //!
 //! // EVALUATED order is [Ta, Bpa, Bpa2]; the paper's Lemma 1/Theorem 5
 //! // orderings hold on every database.
 //! assert!(runs[1].execution_cost <= runs[0].execution_cost);
-//! assert!(runs[2].accesses <= runs[1].accesses);
+//! assert!(runs[2].accesses.total() <= runs[1].accesses.total());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -53,9 +56,9 @@ pub mod validation;
 pub use clock::WallClock;
 pub use config::{BenchScale, PAPER_DEFAULT_K, PAPER_DEFAULT_M, PAPER_DEFAULT_N};
 pub use emit::{BenchReport, TrendReport};
-pub use measure::{measure_database, measure_spec, AlgorithmMeasurement, ExperimentPoint};
+pub use measure::{measure_database, AlgorithmMeasurement, ExperimentPoint};
 pub use report::{format_factor, print_header, print_metric_table, MetricKind};
-pub use sweeps::{sweep_k, sweep_m, sweep_n};
+pub use sweeps::{sweep, Axis};
 pub use validation::{
     planner_grid, validate_planner, validate_point, GridPoint, PointOutcome, ValidationReport,
 };

@@ -1,8 +1,12 @@
 //! Running experiments and collecting the paper's three metrics.
 
 use topk_core::{AlgorithmKind, CostModel, TopKQuery};
-use topk_datagen::DatabaseSpec;
-use topk_lists::Database;
+use topk_lists::{AccessCounters, Database};
+
+/// Passes over the algorithms at each experiment point. Each pass starts
+/// one algorithm later than the one before, so no algorithm always pays
+/// the cold start.
+pub const PASSES: usize = 5;
 
 /// The measurements for one algorithm on one experiment point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -12,13 +16,26 @@ pub struct AlgorithmMeasurement {
     /// Execution cost `as·cs + ar·cr` under the paper's cost model
     /// (`cs = 1`, `cr = log₂ n`, direct ≡ random).
     pub execution_cost: f64,
-    /// Total number of accesses to the lists (sorted + random + direct).
-    pub accesses: u64,
-    /// Response time in milliseconds.
+    /// Accesses to the lists by mode; `total()` is the paper's number of
+    /// accesses.
+    pub accesses: AccessCounters,
+    /// Number of distinct items whose overall score was computed.
+    pub items_scored: usize,
+    /// Median response time in milliseconds over the [`PASSES`] runs.
     pub response_ms: f64,
     /// Stopping depth (sorted-scan position, or the final best position for
     /// BPA2).
     pub stop_position: Option<usize>,
+}
+
+impl AlgorithmMeasurement {
+    /// Whether two runs agree on everything but the wall clock.
+    pub fn same_outcome(&self, other: &Self) -> bool {
+        AlgorithmMeasurement {
+            response_ms: other.response_ms,
+            ..*self
+        } == *other
+    }
 }
 
 /// One x-axis point of a figure: the varied parameter value plus one
@@ -38,59 +55,68 @@ impl ExperimentPoint {
     }
 }
 
-/// Runs the given algorithms once each on an already-generated database.
+/// Runs the given algorithms [`PASSES`] times each on an already-generated
+/// database, rotating their order from pass to pass. The deterministic
+/// fields come from the first pass and the response time is the median.
+/// Fails when a later pass's accesses, stop position, items scored or
+/// execution cost differ from the first pass's.
 pub fn measure_database(
     database: &Database,
     k: usize,
     algorithms: &[AlgorithmKind],
-) -> Vec<AlgorithmMeasurement> {
+) -> Result<Vec<AlgorithmMeasurement>, String> {
     let query = TopKQuery::top(k);
     let cost_model = CostModel::paper_default(database.num_items());
-    algorithms
-        .iter()
-        .map(|&algorithm| {
-            let result = algorithm
-                .create()
-                .run(database, &query)
-                .expect("benchmark queries are valid by construction");
-            let stats = result.stats();
-            AlgorithmMeasurement {
-                algorithm,
-                execution_cost: stats.execution_cost(&cost_model),
-                accesses: stats.total_accesses(),
-                response_ms: stats.response_time_ms(),
-                stop_position: stats.stop_position,
+    let run = |algorithm: AlgorithmKind| {
+        let result = algorithm
+            .create()
+            .run(database, &query)
+            .expect("benchmark queries are valid by construction");
+        let stats = result.stats();
+        AlgorithmMeasurement {
+            algorithm,
+            execution_cost: stats.execution_cost(&cost_model),
+            accesses: stats.accesses,
+            items_scored: stats.items_scored,
+            response_ms: stats.response_time_ms(),
+            stop_position: stats.stop_position,
+        }
+    };
+    let mut runs = vec![Vec::new(); algorithms.len()];
+    for pass in 0..PASSES {
+        for offset in 0..algorithms.len() {
+            let i = (pass + offset) % algorithms.len();
+            runs[i].push(run(algorithms[i]));
+        }
+    }
+    runs.into_iter()
+        .map(|mut runs| {
+            let mut measured = runs[0];
+            if let Some(other) = runs.iter().find(|r| !r.same_outcome(&measured)) {
+                return Err(format!("not repeatable: {other:?} after {measured:?}"));
             }
+            runs.sort_by(|a, b| a.response_ms.total_cmp(&b.response_ms));
+            measured.response_ms = runs[PASSES / 2].response_ms;
+            Ok(measured)
         })
         .collect()
-}
-
-/// Generates the database described by `spec` (with the benchmark seed) and
-/// measures the given algorithms on it.
-pub fn measure_spec(
-    spec: &DatabaseSpec,
-    seed: u64,
-    k: usize,
-    algorithms: &[AlgorithmKind],
-) -> Vec<AlgorithmMeasurement> {
-    let database = spec.generate(seed);
-    measure_database(&database, k, algorithms)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use topk_datagen::DatabaseKind;
+    use topk_datagen::{DatabaseKind, DatabaseSpec};
 
     #[test]
     fn measures_every_requested_algorithm() {
         let spec = DatabaseSpec::new(DatabaseKind::Uniform, 3, 500);
-        let points = measure_spec(&spec, 1, 5, &AlgorithmKind::EVALUATED);
+        let points = measure_database(&spec.generate(1), 5, &AlgorithmKind::EVALUATED).unwrap();
         assert_eq!(points.len(), 3);
         assert_eq!(points[0].algorithm, AlgorithmKind::Ta);
         for p in &points {
             assert!(p.execution_cost > 0.0);
-            assert!(p.accesses > 0);
+            assert!(p.accesses.total() > 0);
+            assert!(p.items_scored > 0);
             assert!(p.stop_position.is_some());
         }
     }
@@ -98,7 +124,7 @@ mod tests {
     #[test]
     fn bpa_never_costs_more_than_ta() {
         let spec = DatabaseSpec::new(DatabaseKind::Uniform, 4, 2_000);
-        let points = measure_spec(&spec, 7, 10, &AlgorithmKind::EVALUATED);
+        let points = measure_database(&spec.generate(7), 10, &AlgorithmKind::EVALUATED).unwrap();
         let ta = points
             .iter()
             .find(|p| p.algorithm == AlgorithmKind::Ta)
@@ -112,7 +138,7 @@ mod tests {
             .find(|p| p.algorithm == AlgorithmKind::Bpa2)
             .unwrap();
         assert!(bpa.execution_cost <= ta.execution_cost);
-        assert!(bpa2.accesses <= bpa.accesses);
+        assert!(bpa2.accesses.total() <= bpa.accesses.total());
     }
 
     #[test]
@@ -120,7 +146,8 @@ mod tests {
         let spec = DatabaseSpec::new(DatabaseKind::Correlated { alpha: 0.01 }, 3, 1_000);
         let point = ExperimentPoint {
             x: 3,
-            measurements: measure_spec(&spec, 2, 5, &AlgorithmKind::EVALUATED),
+            measurements: measure_database(&spec.generate(2), 5, &AlgorithmKind::EVALUATED)
+                .unwrap(),
         };
         assert!(point.for_algorithm(AlgorithmKind::Bpa2).is_some());
         assert!(point.for_algorithm(AlgorithmKind::Naive).is_none());

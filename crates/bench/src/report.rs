@@ -12,26 +12,44 @@ pub enum MetricKind {
     ExecutionCost,
     /// Number of accesses (Figures 4 and 7).
     Accesses,
-    /// Response time in milliseconds (Figures 5 and 8).
+    /// Stopping depth (the paper's Lemmas 1-2 and Theorem 7 compare it).
+    StopPosition,
+    /// Distinct items whose overall score was computed.
+    ItemsScored,
+    /// Median response time in milliseconds (Figures 5 and 8).
     ResponseTimeMs,
 }
 
 impl MetricKind {
+    /// Every metric, in the order the figure tables print them.
+    pub const ALL: [MetricKind; 5] = [
+        MetricKind::ExecutionCost,
+        MetricKind::Accesses,
+        MetricKind::StopPosition,
+        MetricKind::ItemsScored,
+        MetricKind::ResponseTimeMs,
+    ];
+
     /// Column-header label.
     pub fn label(self) -> &'static str {
         match self {
             MetricKind::ExecutionCost => "execution cost",
             MetricKind::Accesses => "number of accesses",
+            MetricKind::StopPosition => "stop position",
+            MetricKind::ItemsScored => "items scored",
             MetricKind::ResponseTimeMs => "response time (ms)",
         }
     }
 
     fn value(self, point: &ExperimentPoint, algorithm: AlgorithmKind) -> Option<f64> {
-        point.for_algorithm(algorithm).map(|m| match self {
-            MetricKind::ExecutionCost => m.execution_cost,
-            MetricKind::Accesses => m.accesses as f64,
-            MetricKind::ResponseTimeMs => m.response_ms,
-        })
+        let m = point.for_algorithm(algorithm)?;
+        match self {
+            MetricKind::ExecutionCost => Some(m.execution_cost),
+            MetricKind::Accesses => Some(m.accesses.total() as f64),
+            MetricKind::StopPosition => m.stop_position.map(|p| p as f64),
+            MetricKind::ItemsScored => Some(m.items_scored as f64),
+            MetricKind::ResponseTimeMs => Some(m.response_ms),
+        }
     }
 }
 
@@ -87,6 +105,12 @@ pub fn print_metric_table(
             }
         }
     }
+    // Correlated databases answer in microseconds.
+    let precision = if metric == MetricKind::ResponseTimeMs {
+        3
+    } else {
+        1
+    };
     println!();
     println!("  [{}]", metric.label());
     println!("{header}");
@@ -95,7 +119,7 @@ pub fn print_metric_table(
         let ta_value = metric.value(point, AlgorithmKind::Ta);
         for &a in algorithms {
             match metric.value(point, a) {
-                Some(v) => row.push_str(&format!("{v:>16.1}")),
+                Some(v) => row.push_str(&format!("{v:>16.precision$}")),
                 None => row.push_str(&format!("{:>16}", "-")),
             }
         }
@@ -118,6 +142,7 @@ pub fn print_metric_table(
 mod tests {
     use super::*;
     use crate::measure::AlgorithmMeasurement;
+    use topk_lists::AccessCounters;
 
     fn point(x: usize) -> ExperimentPoint {
         ExperimentPoint {
@@ -126,14 +151,24 @@ mod tests {
                 AlgorithmMeasurement {
                     algorithm: AlgorithmKind::Ta,
                     execution_cost: 100.0,
-                    accesses: 60,
+                    accesses: AccessCounters {
+                        sorted: 12,
+                        random: 48,
+                        direct: 0,
+                    },
+                    items_scored: 12,
                     response_ms: 2.0,
                     stop_position: Some(6),
                 },
                 AlgorithmMeasurement {
                     algorithm: AlgorithmKind::Bpa,
                     execution_cost: 50.0,
-                    accesses: 30,
+                    accesses: AccessCounters {
+                        sorted: 6,
+                        random: 24,
+                        direct: 0,
+                    },
+                    items_scored: 6,
                     response_ms: 1.0,
                     stop_position: Some(3),
                 },
@@ -146,6 +181,7 @@ mod tests {
         assert_eq!(MetricKind::ExecutionCost.label(), "execution cost");
         assert_eq!(MetricKind::Accesses.label(), "number of accesses");
         assert_eq!(MetricKind::ResponseTimeMs.label(), "response time (ms)");
+        assert_eq!(MetricKind::ALL.len(), 5);
     }
 
     #[test]
@@ -173,11 +209,8 @@ mod tests {
             &[AlgorithmKind::Ta, AlgorithmKind::Bpa, AlgorithmKind::Bpa2],
             &[point(2), point(4)],
         );
-        print_metric_table(
-            "m",
-            MetricKind::Accesses,
-            &[AlgorithmKind::Bpa],
-            &[point(2)],
-        );
+        for metric in MetricKind::ALL {
+            print_metric_table("m", metric, &[AlgorithmKind::Bpa], &[point(2)]);
+        }
     }
 }

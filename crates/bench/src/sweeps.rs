@@ -1,69 +1,75 @@
-//! Parameter sweeps shared by the figure-reproduction bench targets.
+//! The parameter sweep behind the `figures` bench target: one of m, k or
+//! n varies, the other two stay fixed.
 
 use topk_core::AlgorithmKind;
-use topk_datagen::{DatabaseKind, DatabaseSpec};
+use topk_datagen::DatabaseSpec;
 
-use crate::config::BENCH_SEED;
-use crate::measure::{measure_spec, ExperimentPoint};
+use crate::config::{BenchScale, BENCH_SEED};
+use crate::measure::{measure_database, ExperimentPoint};
 
-/// Sweeps the number of lists `m` (Figures 3-11): one generated database
-/// per point, fixed `n` and `k`.
-pub fn sweep_m(
-    kind: DatabaseKind,
-    ms: &[usize],
-    n: usize,
-    k: usize,
-    algorithms: &[AlgorithmKind],
-) -> Vec<ExperimentPoint> {
-    ms.iter()
-        .map(|&m| ExperimentPoint {
-            x: m,
-            measurements: measure_spec(
-                &DatabaseSpec::new(kind, m, n),
-                BENCH_SEED ^ m as u64,
-                k,
-                algorithms,
-            ),
-        })
-        .collect()
+/// The parameter a figure varies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Axis {
+    /// The number of lists m (Figures 3-11): one database per point,
+    /// seeded `BENCH_SEED ^ m`.
+    M,
+    /// The number of answers k (Figures 12-14): one database, seeded
+    /// `BENCH_SEED` and shared by every point, as only the query changes.
+    K,
+    /// The number of items n (Figures 15-17): one database per point,
+    /// seeded `BENCH_SEED ^ n.rotate_left(17)`.
+    N,
 }
 
-/// Sweeps `k` (Figures 12-14): the database is generated once and reused
-/// for every point, as only the query changes.
-pub fn sweep_k(
-    kind: DatabaseKind,
-    ks: &[usize],
-    m: usize,
-    n: usize,
-    algorithms: &[AlgorithmKind],
-) -> Vec<ExperimentPoint> {
-    let database = DatabaseSpec::new(kind, m, n).generate(BENCH_SEED);
-    ks.iter()
-        .map(|&k| ExperimentPoint {
-            x: k,
-            measurements: crate::measure::measure_database(&database, k, algorithms),
-        })
-        .collect()
+impl Axis {
+    /// The parameter's name, used as the x-axis label.
+    pub fn label(self) -> &'static str {
+        match self {
+            Axis::M => "m",
+            Axis::K => "k",
+            Axis::N => "n",
+        }
+    }
+
+    /// The values the paper sweeps, at `scale`.
+    pub fn values(self, scale: BenchScale) -> Vec<usize> {
+        match self {
+            Axis::M => scale.m_sweep(),
+            Axis::K => scale.k_sweep(),
+            Axis::N => scale.n_sweep(),
+        }
+    }
 }
 
-/// Sweeps the number of items `n` (Figures 15-17): one generated database
-/// per point, fixed `m` and `k`.
-pub fn sweep_n(
-    kind: DatabaseKind,
-    ns: &[usize],
-    m: usize,
+/// Measures `algorithms` at every value of `axis`; the database family
+/// and the parameters that do not vary come from `base` and `k`. Fails
+/// when a measurement is not repeatable (see [`measure_database`]).
+pub fn sweep(
+    base: DatabaseSpec,
     k: usize,
+    axis: Axis,
+    values: &[usize],
     algorithms: &[AlgorithmKind],
-) -> Vec<ExperimentPoint> {
-    ns.iter()
-        .map(|&n| ExperimentPoint {
-            x: n,
-            measurements: measure_spec(
-                &DatabaseSpec::new(kind, m, n),
-                BENCH_SEED ^ (n as u64).rotate_left(17),
-                k,
-                algorithms,
-            ),
+) -> Result<Vec<ExperimentPoint>, String> {
+    let shared = (axis == Axis::K).then(|| base.generate(BENCH_SEED));
+    values
+        .iter()
+        .map(|&x| {
+            let measurements = match (axis, &shared) {
+                (Axis::K, Some(database)) => measure_database(database, x, algorithms),
+                (Axis::M, _) => {
+                    let spec = DatabaseSpec::new(base.kind, x, base.num_items);
+                    measure_database(&spec.generate(BENCH_SEED ^ x as u64), k, algorithms)
+                }
+                // Axis::N: a k sweep always has its shared database.
+                _ => {
+                    let spec = DatabaseSpec::new(base.kind, base.num_lists, x);
+                    let seed = BENCH_SEED ^ (x as u64).rotate_left(17);
+                    measure_database(&spec.generate(seed), k, algorithms)
+                }
+            }
+            .map_err(|err| format!("{} = {x}: {err}", axis.label()))?;
+            Ok(ExperimentPoint { x, measurements })
         })
         .collect()
 }
@@ -71,12 +77,18 @@ pub fn sweep_n(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use topk_datagen::DatabaseKind;
 
     const ALGOS: [AlgorithmKind; 3] = AlgorithmKind::EVALUATED;
+    const UNIFORM: DatabaseSpec = DatabaseSpec {
+        kind: DatabaseKind::Uniform,
+        num_lists: 3,
+        num_items: 300,
+    };
 
     #[test]
     fn sweep_m_produces_one_point_per_m() {
-        let points = sweep_m(DatabaseKind::Uniform, &[2, 3], 300, 5, &ALGOS);
+        let points = sweep(UNIFORM, 5, Axis::M, &[2, 3], &ALGOS).unwrap();
         assert_eq!(points.len(), 2);
         assert_eq!(points[0].x, 2);
         assert_eq!(points[0].measurements.len(), 3);
@@ -84,23 +96,47 @@ mod tests {
 
     #[test]
     fn sweep_k_reuses_one_database() {
-        let points = sweep_k(
-            DatabaseKind::Correlated { alpha: 0.05 },
-            &[2, 4, 8],
-            3,
-            400,
-            &ALGOS,
-        );
+        let kind = DatabaseKind::Correlated { alpha: 0.05 };
+        let base = DatabaseSpec::new(kind, 3, 400);
+        let points = sweep(base, 5, Axis::K, &[2, 4, 8], &ALGOS).unwrap();
         assert_eq!(points.len(), 3);
         // Larger k can never need fewer accesses on the same database.
         let ta = |p: &ExperimentPoint| p.for_algorithm(AlgorithmKind::Ta).unwrap().accesses;
-        assert!(ta(&points[0]) <= ta(&points[2]));
+        assert!(ta(&points[0]).total() <= ta(&points[2]).total());
     }
 
     #[test]
     fn sweep_n_produces_one_point_per_n() {
-        let points = sweep_n(DatabaseKind::Uniform, &[200, 400], 3, 5, &ALGOS);
+        let points = sweep(UNIFORM, 5, Axis::N, &[200, 400], &ALGOS).unwrap();
         assert_eq!(points.len(), 2);
         assert_eq!(points[1].x, 400);
+    }
+
+    #[test]
+    fn every_axis_keeps_the_seed_of_its_former_sweep() {
+        let n_seed = BENCH_SEED ^ 400u64.rotate_left(17);
+        for (axis, x, spec, seed, k) in [
+            (
+                Axis::M,
+                4,
+                DatabaseSpec::new(UNIFORM.kind, 4, 300),
+                BENCH_SEED ^ 4,
+                5,
+            ),
+            (
+                Axis::N,
+                400,
+                DatabaseSpec::new(UNIFORM.kind, 3, 400),
+                n_seed,
+                5,
+            ),
+            (Axis::K, 10, UNIFORM, BENCH_SEED, 10),
+        ] {
+            let point = &sweep(UNIFORM, 5, axis, &[x], &ALGOS).unwrap()[0];
+            let expected = measure_database(&spec.generate(seed), k, &ALGOS).unwrap();
+            for (got, want) in point.measurements.iter().zip(&expected) {
+                assert!(got.same_outcome(want), "{axis:?}: {got:?} vs {want:?}");
+            }
+        }
     }
 }

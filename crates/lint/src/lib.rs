@@ -8,7 +8,7 @@
 //! contract. See the README's "Static analysis" section for the rule
 //! table and `crates/lint/SCHEMA.md` for the `--json` output schema.
 //!
-//! Like `vendor/`'s stand-ins for rand/proptest/criterion, this crate is
+//! Like `vendor/`'s stand-ins for rand/proptest, this crate is
 //! first-party and std-only because the workspace builds fully offline:
 //! no `syn`, no `proc-macro2` — a hand-rolled, error-tolerant token
 //! lexer ([`lexer`]) is enough for the conservative, token-level rules
