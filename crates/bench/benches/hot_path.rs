@@ -1,10 +1,16 @@
 //! Hot-path gate: wall time and heap allocations per list access of TA,
-//! BPA and BPA2 over in-memory uniform data.
+//! BPA and BPA2 over in-memory uniform data, on both instantiations of
+//! each algorithm body.
 //!
 //! ```sh
 //! cargo bench --bench hot_path                        # paper scale
 //! TOPK_BENCH_SCALE=smoke cargo bench --bench hot_path # CI smoke
 //! ```
+//!
+//! * **typed** — `TopKAlgorithm::run(&db, q)`: the body over the typed
+//!   in-memory set, every access statically dispatched.
+//! * **dyn** — `run_on(&mut Sources::in_memory(&db), q)`: the body over
+//!   `dyn SourceSet`, the path paged, cluster and standing queries take.
 //!
 //! Every query opens its sources and runs to completion on the calling
 //! thread, so a thread-local counter in this binary's global allocator
@@ -18,11 +24,11 @@
 //!   allocations per access (the per-access loops must not allocate;
 //!   what remains is per-query setup and per-chunk growth), or
 //! * the allocation or access count of a query changes between repeats,
-//!   or an answer differs from the naive scan's.
+//!   or an answer differs from the naive scan's,
 //!
-//! `BENCH_hot_path.json` gates the deterministic counts; nanoseconds
-//! per access (quartiles over the repeats) go to the ungated
-//! `TREND_hot_path.json`.
+//! on either path. `BENCH_hot_path.json` gates the deterministic counts
+//! (the dyn path's under `<algo>_dyn_*` keys); nanoseconds per access
+//! (quartiles over the repeats) go to the ungated `TREND_hot_path.json`.
 
 // lint:allow-file(confined-unsafe) -- a #[global_allocator] must implement the unsafe GlobalAlloc trait; every call forwards to System
 
@@ -32,8 +38,9 @@ use std::time::Instant;
 
 use topk_bench::config::BENCH_SEED;
 use topk_bench::{print_header, BenchReport, BenchScale, TrendReport};
-use topk_core::{AlgorithmKind, NaiveScan, TopKAlgorithm, TopKQuery};
+use topk_core::{AlgorithmKind, NaiveScan, TopKAlgorithm, TopKError, TopKQuery, TopKResult};
 use topk_datagen::{DatabaseKind, DatabaseSpec};
+use topk_lists::{Database, Sources};
 
 /// Number of lists (`m`), as in the end-to-end `uniform_eval` workload.
 const NUM_LISTS: usize = 6;
@@ -96,6 +103,46 @@ fn thread_allocations() -> u64 {
     ALLOCATIONS.try_with(Cell::get).unwrap_or(0)
 }
 
+/// The two entry points an algorithm body is instantiated for.
+#[derive(Debug, Clone, Copy)]
+enum Path {
+    /// `run`: the typed in-memory set.
+    Typed,
+    /// `run_on` over `Sources::in_memory`: `dyn SourceSet`.
+    Dyn,
+}
+
+impl Path {
+    const ALL: [Path; 2] = [Path::Typed, Path::Dyn];
+
+    fn label(self) -> &'static str {
+        match self {
+            Path::Typed => "typed",
+            Path::Dyn => "dyn",
+        }
+    }
+
+    /// The report key of `metric` for algorithm `name` on this path.
+    fn key(self, name: &str, metric: &str) -> String {
+        match self {
+            Path::Typed => format!("{name}_{metric}"),
+            Path::Dyn => format!("{name}_dyn_{metric}"),
+        }
+    }
+
+    fn run(
+        self,
+        algorithm: &dyn TopKAlgorithm,
+        db: &Database,
+        query: &TopKQuery,
+    ) -> Result<TopKResult, TopKError> {
+        match self {
+            Path::Typed => algorithm.run(db, query),
+            Path::Dyn => algorithm.run_on(&mut Sources::in_memory(db), query),
+        }
+    }
+}
+
 /// The `q`-quantile of sorted samples (nearest rank).
 fn quantile(sorted: &[f64], q: f64) -> f64 {
     let rank = ((sorted.len() - 1) as f64 * q).round() as usize;
@@ -117,8 +164,9 @@ fn main() {
     println!("uniform database: m = {NUM_LISTS}, n = {n}, k = {k}; {REPEATS} timed runs each");
     println!();
     println!(
-        "{:<8} {:>10} {:>12} {:>14} {:>10} {:>10} {:>10}",
+        "{:<8} {:<6} {:>10} {:>12} {:>14} {:>10} {:>10} {:>10}",
         "algo",
+        "path",
         "accesses",
         "allocs/query",
         "allocs/access",
@@ -133,58 +181,69 @@ fn main() {
     for kind in ALGORITHMS {
         let algorithm = kind.create();
         let name = algorithm.name();
-        algorithm.run(&db, &query).expect("warm-up run");
+        for path in Path::ALL {
+            let label = path.label();
+            path.run(algorithm.as_ref(), &db, &query)
+                .expect("warm-up run");
 
-        let mut counts = Vec::with_capacity(REPEATS);
-        let mut ns_per_access = Vec::with_capacity(REPEATS);
-        for _ in 0..REPEATS {
-            let allocs = thread_allocations();
-            let started = Instant::now();
-            let result = algorithm.run(&db, &query).expect("in-memory run");
-            let elapsed = started.elapsed();
-            let allocs = thread_allocations() - allocs;
-            let accesses = result.stats().total_accesses();
-            if result.scores() != expected.scores() {
-                eprintln!("FAILED: {name} answered differently from the naive scan");
+            let mut counts = Vec::with_capacity(REPEATS);
+            let mut ns_per_access = Vec::with_capacity(REPEATS);
+            for _ in 0..REPEATS {
+                let allocs = thread_allocations();
+                let started = Instant::now();
+                let result = path
+                    .run(algorithm.as_ref(), &db, &query)
+                    .expect("in-memory run");
+                let elapsed = started.elapsed();
+                let allocs = thread_allocations() - allocs;
+                let accesses = result.stats().total_accesses();
+                if result.scores() != expected.scores() {
+                    eprintln!("FAILED: {name} ({label}) answered differently from the naive scan");
+                    failed = true;
+                }
+                counts.push((accesses, allocs));
+                ns_per_access.push(elapsed.as_nanos() as f64 / accesses as f64);
+            }
+            if counts.windows(2).any(|pair| pair[0] != pair[1]) {
+                eprintln!(
+                    "FAILED: {name} ({label}) access or allocation counts vary between runs: \
+                     {counts:?}"
+                );
                 failed = true;
             }
-            counts.push((accesses, allocs));
-            ns_per_access.push(elapsed.as_nanos() as f64 / accesses as f64);
-        }
-        if counts.windows(2).any(|pair| pair[0] != pair[1]) {
-            eprintln!("FAILED: {name} access or allocation counts vary between runs: {counts:?}");
-            failed = true;
-        }
-        let (accesses, allocs) = counts[0];
-        let per_access = allocs as f64 / accesses as f64;
-        if per_access > MAX_ALLOCS_PER_ACCESS {
-            eprintln!(
-                "FAILED: {name} makes {per_access:.4} allocations per access \
-                 (gate: {MAX_ALLOCS_PER_ACCESS})"
+            let (accesses, allocs) = counts[0];
+            let per_access = allocs as f64 / accesses as f64;
+            if per_access > MAX_ALLOCS_PER_ACCESS {
+                eprintln!(
+                    "FAILED: {name} ({label}) makes {per_access:.4} allocations per access \
+                     (gate: {MAX_ALLOCS_PER_ACCESS})"
+                );
+                failed = true;
+            }
+            ns_per_access.sort_by(f64::total_cmp);
+            let [p25, p50, p75] = [0.25, 0.5, 0.75].map(|q| quantile(&ns_per_access, q));
+            println!(
+                "{name:<8} {label:<6} {accesses:>10} {allocs:>12} {per_access:>14.5} \
+                 {p25:>10.1} {p50:>10.1} {p75:>10.1}"
             );
-            failed = true;
-        }
-        ns_per_access.sort_by(f64::total_cmp);
-        let [p25, p50, p75] = [0.25, 0.5, 0.75].map(|q| quantile(&ns_per_access, q));
-        println!(
-            "{name:<8} {accesses:>10} {allocs:>12} {per_access:>14.5} {p25:>10.1} {p50:>10.1} {p75:>10.1}"
-        );
 
-        summary.push(&format!("{name}_accesses_per_query"), accesses as f64);
-        summary.push(&format!("{name}_allocs_per_query"), allocs as f64);
-        summary.push(&format!("{name}_allocs_per_access"), per_access);
-        for (label, value) in [("p25", p25), ("p50", p50), ("p75", p75)] {
-            trend.push(
-                &format!("{name}_ns_per_access_{label}"),
-                value.round() as u64,
-            );
+            summary.push(&path.key(name, "accesses_per_query"), accesses as f64);
+            summary.push(&path.key(name, "allocs_per_query"), allocs as f64);
+            summary.push(&path.key(name, "allocs_per_access"), per_access);
+            for (quartile, value) in [("p25", p25), ("p50", p50), ("p75", p75)] {
+                trend.push(
+                    &path.key(name, &format!("ns_per_access_{quartile}")),
+                    value.round() as u64,
+                );
+            }
         }
     }
 
     println!();
     println!(
         "allocs count every heap allocation of a whole query (opening the sources included) \
-         on the calling thread; ns/acc is wall time per access, quartiles over the runs."
+         on the calling thread; ns/acc is wall time per access, quartiles over the runs; \
+         typed = run(&db), dyn = run_on(Sources::in_memory)."
     );
     summary.emit().expect("writing the bench JSON report");
     trend.emit().expect("writing the trend JSON report");

@@ -1,6 +1,6 @@
 //! The Best Position Algorithm (Section 4).
 
-use topk_lists::source::SourceSet;
+use topk_lists::source::{InMemorySources, SourceSet};
 use topk_lists::{Position, Score};
 
 use crate::algorithms::{collect_stats, TopKAlgorithm};
@@ -30,14 +30,11 @@ use crate::topk_buffer::TopKBuffer;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Bpa;
 
-impl TopKAlgorithm for Bpa {
-    fn name(&self) -> &'static str {
-        "bpa"
-    }
-
-    fn execute(
+impl Bpa {
+    /// The body of both entry points (see the [module docs](super)).
+    fn body<S: SourceSet + ?Sized>(
         &self,
-        sources: &mut dyn SourceSet,
+        sources: &mut S,
         query: &TopKQuery,
     ) -> Result<TopKResult, TopKError> {
         let m = sources.num_lists();
@@ -47,7 +44,7 @@ impl TopKAlgorithm for Bpa {
         // score at a seen position was observed by the access that saw
         // it, so λ can be recomputed without touching the lists again.
         let mut rows: Vec<SeenRow> = (0..m).map(|_| SeenRow::new(n)).collect();
-        let mut buffer = TopKBuffer::new(query.k());
+        let mut buffer = TopKBuffer::new(query.k(), n);
         let mut stop_position = n;
         // Scratch rows reused for the whole query: the local scores of the
         // item being resolved, and the best-position scores λ combines.
@@ -59,8 +56,7 @@ impl TopKAlgorithm for Bpa {
             let position = Position::new(pos).expect("pos >= 1");
             for i in 0..m {
                 let entry = sources
-                    .source(i)
-                    .sorted_access(position, false)
+                    .sorted_access_on(i, position, false)
                     .expect("position within list bounds");
                 rows[i].record(entry.position, entry.score);
 
@@ -74,8 +70,7 @@ impl TopKAlgorithm for Bpa {
                         continue;
                     }
                     let ps = sources
-                        .source(j)
-                        .random_access(entry.item, true, false)
+                        .random_access_on(j, entry.item, true, false)
                         .expect("every item appears in every list");
                     let p = ps.position.expect("position requested");
                     locals[j] = ps.score;
@@ -107,6 +102,28 @@ impl TopKAlgorithm for Bpa {
         let bounds: Option<Vec<Score>> = rows.iter().map(SeenRow::best_score).collect();
         let (ranked, certificate) = buffer.finish(bounds);
         Ok(TopKResult::new(ranked, stats).with_certificate(certificate))
+    }
+}
+
+impl TopKAlgorithm for Bpa {
+    fn name(&self) -> &'static str {
+        "bpa"
+    }
+
+    fn execute(
+        &self,
+        sources: &mut dyn SourceSet,
+        query: &TopKQuery,
+    ) -> Result<TopKResult, TopKError> {
+        self.body(sources, query)
+    }
+
+    fn execute_in_memory(
+        &self,
+        sources: &mut InMemorySources<'_>,
+        query: &TopKQuery,
+    ) -> Result<TopKResult, TopKError> {
+        self.body(sources, query)
     }
 }
 

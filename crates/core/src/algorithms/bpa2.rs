@@ -1,6 +1,6 @@
 //! BPA2 (Section 5).
 
-use topk_lists::source::SourceSet;
+use topk_lists::source::{InMemorySources, SourceSet};
 use topk_lists::Score;
 
 use crate::algorithms::{collect_stats, TopKAlgorithm};
@@ -35,19 +35,16 @@ use crate::topk_buffer::TopKBuffer;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Bpa2;
 
-impl TopKAlgorithm for Bpa2 {
-    fn name(&self) -> &'static str {
-        "bpa2"
-    }
-
-    fn execute(
+impl Bpa2 {
+    /// The body of both entry points (see the [module docs](super)).
+    fn body<S: SourceSet + ?Sized>(
         &self,
-        sources: &mut dyn SourceSet,
+        sources: &mut S,
         query: &TopKQuery,
     ) -> Result<TopKResult, TopKError> {
         let m = sources.num_lists();
 
-        let mut buffer = TopKBuffer::new(query.k());
+        let mut buffer = TopKBuffer::new(query.k(), sources.num_items());
         // The local score at each source's current best position, updated
         // from the piggybacked replies (Section 5.1, step 3).
         let mut best_scores: Vec<Option<Score>> = vec![None; m];
@@ -65,7 +62,7 @@ impl TopKAlgorithm for Bpa2 {
                 // Step 2: direct access to bp_i + 1, the smallest unseen
                 // position of list i (the source recomputes it after the
                 // random accesses performed earlier in this round).
-                let Some(entry) = sources.source(i).direct_access_next() else {
+                let Some(entry) = sources.direct_access_on(i) else {
                     continue; // every position of this list has been seen
                 };
                 any_access = true;
@@ -83,8 +80,7 @@ impl TopKAlgorithm for Bpa2 {
                         continue;
                     }
                     let ps = sources
-                        .source(j)
-                        .random_access(entry.item, false, true)
+                        .random_access_on(j, entry.item, false, true)
                         .expect("every item appears in every list");
                     locals[j] = ps.score;
                     if let Some(best) = ps.best_position_score {
@@ -130,6 +126,28 @@ impl TopKAlgorithm for Bpa2 {
         let bounds: Option<Vec<Score>> = best_scores.iter().copied().collect();
         let (ranked, certificate) = buffer.finish(bounds);
         Ok(TopKResult::new(ranked, stats).with_certificate(certificate))
+    }
+}
+
+impl TopKAlgorithm for Bpa2 {
+    fn name(&self) -> &'static str {
+        "bpa2"
+    }
+
+    fn execute(
+        &self,
+        sources: &mut dyn SourceSet,
+        query: &TopKQuery,
+    ) -> Result<TopKResult, TopKError> {
+        self.body(sources, query)
+    }
+
+    fn execute_in_memory(
+        &self,
+        sources: &mut InMemorySources<'_>,
+        query: &TopKQuery,
+    ) -> Result<TopKResult, TopKError> {
+        self.body(sources, query)
     }
 }
 

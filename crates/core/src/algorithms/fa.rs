@@ -69,7 +69,7 @@ impl TopKAlgorithm for Fa {
         // Phase 2: random access for the missing local scores of every seen
         // item, then keep the k best overall scores.
         sources.begin_round();
-        let mut buffer = TopKBuffer::new(k);
+        let mut buffer = TopKBuffer::new(k, n);
         let items_scored = seen.len();
         // Resolve in item-id order, not hash order: the *sequence* of
         // random accesses must be deterministic so that physical-layer

@@ -17,19 +17,33 @@
 //!
 //! Algorithms are written against the backend-generic [`SourceSet`]
 //! API, not against a concrete storage layout: the same `Bpa2` value
-//! runs over the
-//! in-memory backend ([`TopKAlgorithm::run`], which opens
-//! [`Sources::in_memory`](topk_lists::source::Sources::in_memory)), over
-//! one session of the simulated cluster's message-passing runtime
-//! (`topk_distributed::AsyncClusterSources` — worker threads behind
-//! request/reply channels), or over a batching decorator — with
-//! identical answers, because the paper's algorithms only ever speak
-//! sorted/random/direct access. [`run_all`] and
-//! [`plan_and_run_on`](crate::planner::plan_and_run_on) therefore work
-//! over every backend, the runtime included, with no extra wiring.
+//! runs over the in-memory backend, over one session of the simulated
+//! cluster's message-passing runtime (`topk_distributed::AsyncClusterSources`
+//! — worker threads behind request/reply channels), over paged files, or
+//! under a decorator — with identical answers, because the paper's
+//! algorithms only ever speak sorted/random/direct access. [`run_all`]
+//! and [`plan_and_run_on`](crate::planner::plan_and_run_on) therefore
+//! work over every backend, the runtime included, with no extra wiring.
 //!
-//! Query validation happens once, in the shared entry point
-//! [`TopKAlgorithm::run_on`], so no algorithm can forget it.
+//! TA (TA-CACHED included), BPA and BPA2 write their body once, generic
+//! over the source set, and instantiate it twice:
+//!
+//! * the **`dyn` path**, [`TopKAlgorithm::run_on`] over
+//!   `&mut dyn SourceSet`: every backend and decorator (paged, cluster,
+//!   traced, batched, standing queries). Each access costs the two
+//!   indirect calls of a trait object: the set's per-list method, then
+//!   the source's access method.
+//! * the **typed path**, [`TopKAlgorithm::run`] over a [`Database`]: it
+//!   opens [`InMemorySources`], whose per-list methods call the in-memory
+//!   access core directly, so the whole access inlines into the body.
+//!
+//! Both paths make the same accesses in the same order and return the
+//! same answers, counters and certificates. FA, the naive scan and TPUT
+//! have one `dyn` body, which `run` also uses.
+//!
+//! Query validation, the trace's query events, the conversion of source
+//! failures and the `elapsed` stamp happen once, in one wrapper both
+//! entry points share, so no algorithm can forget them.
 
 mod bpa;
 mod bpa2;
@@ -45,7 +59,7 @@ pub use naive::NaiveScan;
 pub use ta::Ta;
 pub use tput::Tput;
 
-use topk_lists::source::{SourceSet, Sources};
+use topk_lists::source::{InMemorySources, SourceSet, Sources};
 use topk_lists::{Database, TrackerKind};
 
 use crate::error::{catch_source_error, TopKError};
@@ -79,9 +93,25 @@ pub trait TopKAlgorithm {
         query: &TopKQuery,
     ) -> Result<TopKResult, TopKError>;
 
-    /// The shared execution entry point: validates the query against the
-    /// sources, then runs the algorithm. Every backend goes through this
-    /// method, so validation cannot be skipped by an algorithm
+    /// The algorithm body over the typed in-memory set, the one
+    /// [`run`](TopKAlgorithm::run) opens. The default runs
+    /// [`execute`](TopKAlgorithm::execute) on it; TA, BPA and BPA2
+    /// override it with their generic body instantiated at
+    /// [`InMemorySources`], so every access is statically dispatched.
+    /// The same validation contract as `execute` holds.
+    fn execute_in_memory(
+        &self,
+        sources: &mut InMemorySources<'_>,
+        query: &TopKQuery,
+    ) -> Result<TopKResult, TopKError> {
+        self.execute(sources, query)
+    }
+
+    /// The backend-generic entry point (the `dyn` path): validates the
+    /// query against the sources, then runs
+    /// [`execute`](TopKAlgorithm::execute). Every backend other than
+    /// [`run`](TopKAlgorithm::run)'s goes through this method, and both
+    /// share one wrapper, so validation cannot be skipped by an algorithm
     /// implementation.
     ///
     /// This is also where queries meet the fail-stop contract: fallible
@@ -99,40 +129,63 @@ pub trait TopKAlgorithm {
         sources: &mut dyn SourceSet,
         query: &TopKQuery,
     ) -> Result<TopKResult, TopKError> {
-        query.validate_for(sources.num_items())?;
-        if topk_trace::active() {
-            topk_trace::record(topk_trace::TraceEvent::QueryBegin {
-                algorithm: self.name(),
-                k: query.k() as u64,
-                lists: sources.num_lists() as u64,
-            });
-        }
-        // `run_on` is also the single place wall-clock time is read in
-        // the algorithm layer: algorithm bodies report simulated costs
-        // only, and the human-facing `RunStats::elapsed` is stamped here
-        // around the whole execution.
-        // lint:allow(no-wall-clock) -- RunStats::elapsed plumbing: the one sanctioned wall-time read
-        let started = std::time::Instant::now();
-        let out = catch_source_error(|| self.execute(sources, query)).map(|mut r| {
-            // lint:allow(no-wall-clock) -- RunStats::elapsed plumbing: stamps the measurement taken above
-            r.set_elapsed(started.elapsed());
-            r
-        });
-        if topk_trace::active() {
-            topk_trace::record(topk_trace::TraceEvent::QueryEnd {
-                status: if out.is_ok() { "ok" } else { "error" },
-            });
-        }
-        out
+        checked_run(self.name(), sources, query, &mut |sources| {
+            self.execute(sources, query)
+        })
     }
 
-    /// Convenience entry point for the in-memory backend: opens
-    /// [`Sources::in_memory`] over the database and executes through
-    /// [`run_on`](TopKAlgorithm::run_on).
+    /// The in-memory entry point (the typed path): opens
+    /// [`InMemorySources`] over the database and runs
+    /// [`execute_in_memory`](TopKAlgorithm::execute_in_memory) through
+    /// the same wrapper as [`run_on`](TopKAlgorithm::run_on). Answers,
+    /// counters and certificates equal those of `run_on` over
+    /// [`Sources::in_memory`].
     fn run(&self, database: &Database, query: &TopKQuery) -> Result<TopKResult, TopKError> {
-        let mut sources = Sources::in_memory(database);
-        self.run_on(&mut sources, query)
+        let mut sources = InMemorySources::new(database);
+        checked_run(self.name(), &mut sources, query, &mut |sources| {
+            self.execute_in_memory(sources, query)
+        })
     }
+}
+
+/// The wrapper of both entry points: validates the query, brackets the
+/// body with the trace's query events, turns a [`SourceError`] unwind
+/// into [`TopKError::Source`] and stamps `elapsed`. The body is a trait
+/// object, so the wrapper exists once per source-set type rather than
+/// once per algorithm and entry point.
+///
+/// [`SourceError`]: topk_lists::source::SourceError
+fn checked_run<S: SourceSet + ?Sized>(
+    algorithm: &'static str,
+    sources: &mut S,
+    query: &TopKQuery,
+    body: &mut dyn FnMut(&mut S) -> Result<TopKResult, TopKError>,
+) -> Result<TopKResult, TopKError> {
+    query.validate_for(sources.num_items())?;
+    if topk_trace::active() {
+        topk_trace::record(topk_trace::TraceEvent::QueryBegin {
+            algorithm,
+            k: query.k() as u64,
+            lists: sources.num_lists() as u64,
+        });
+    }
+    // This is also the single place wall-clock time is read in the
+    // algorithm layer: algorithm bodies report simulated costs only, and
+    // the human-facing `RunStats::elapsed` is stamped here around the
+    // whole execution.
+    // lint:allow(no-wall-clock) -- RunStats::elapsed plumbing: the one sanctioned wall-time read
+    let started = std::time::Instant::now();
+    let out = catch_source_error(|| body(sources)).map(|mut r| {
+        // lint:allow(no-wall-clock) -- RunStats::elapsed plumbing: stamps the measurement taken above
+        r.set_elapsed(started.elapsed());
+        r
+    });
+    if topk_trace::active() {
+        topk_trace::record(topk_trace::TraceEvent::QueryEnd {
+            status: if out.is_ok() { "ok" } else { "error" },
+        });
+    }
+    out
 }
 
 /// Run-time selection of an algorithm (used by benches and examples).
@@ -200,10 +253,10 @@ impl AlgorithmKind {
 
 /// Collects run statistics from the sources an algorithm executed
 /// against. `elapsed` is left at zero here: algorithm bodies never read
-/// the wall clock — [`TopKAlgorithm::run_on`] stamps the real duration
-/// onto the result after `execute` returns.
-pub(crate) fn collect_stats(
-    sources: &dyn SourceSet,
+/// the wall clock — the entry points stamp the real duration onto the
+/// result after the body returns.
+pub(crate) fn collect_stats<S: SourceSet + ?Sized>(
+    sources: &S,
     stop_position: Option<usize>,
     rounds: u64,
     items_scored: usize,
@@ -384,15 +437,17 @@ mod tests {
 
         let db = figure1_database();
         let mut sources = Sources::in_memory(&db);
-        let err = FailStop
-            .run_on(&mut sources, &TopKQuery::top(1))
-            .unwrap_err();
-        match err {
-            TopKError::Source(source) => {
-                assert_eq!(source.op, "page read");
-                assert!(source.detail.contains("op 3"));
+        let on_dyn = FailStop.run_on(&mut sources, &TopKQuery::top(1));
+        // The typed path shares the wrapper, so it converts the same way.
+        let on_typed = FailStop.run(&db, &TopKQuery::top(1));
+        for err in [on_dyn.unwrap_err(), on_typed.unwrap_err()] {
+            match err {
+                TopKError::Source(source) => {
+                    assert_eq!(source.op, "page read");
+                    assert!(source.detail.contains("op 3"));
+                }
+                other => panic!("expected a Source error, got {other:?}"),
             }
-            other => panic!("expected a Source error, got {other:?}"),
         }
     }
 

@@ -62,7 +62,7 @@ impl TopKAlgorithm for NaiveScan {
         locals.sort_unstable_by_key(|(item, _)| *item);
 
         let items_scored = locals.len();
-        let mut buffer = TopKBuffer::new(query.k());
+        let mut buffer = TopKBuffer::new(query.k(), n);
         for (item, scores) in &locals {
             buffer.offer(*item, query.combine(scores));
         }

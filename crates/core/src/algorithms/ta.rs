@@ -1,6 +1,6 @@
 //! The Threshold Algorithm (Section 3.2).
 
-use topk_lists::source::SourceSet;
+use topk_lists::source::{InMemorySources, SourceSet};
 use topk_lists::{Position, Score};
 
 use crate::algorithms::{collect_stats, TopKAlgorithm};
@@ -55,26 +55,17 @@ impl Ta {
     pub fn is_memoizing(&self) -> bool {
         self.memoize
     }
-}
 
-impl TopKAlgorithm for Ta {
-    fn name(&self) -> &'static str {
-        if self.memoize {
-            "ta-cached"
-        } else {
-            "ta"
-        }
-    }
-
-    fn execute(
+    /// The body of both entry points (see the [module docs](super)).
+    fn body<S: SourceSet + ?Sized>(
         &self,
-        sources: &mut dyn SourceSet,
+        sources: &mut S,
         query: &TopKQuery,
     ) -> Result<TopKResult, TopKError> {
         let m = sources.num_lists();
         let n = sources.num_items();
 
-        let mut buffer = TopKBuffer::new(query.k());
+        let mut buffer = TopKBuffer::new(query.k(), n);
         let mut stop_position = n;
         let mut last_scores = vec![Score::ZERO; m];
         // One scratch row of local scores for the whole query: every
@@ -86,8 +77,7 @@ impl TopKAlgorithm for Ta {
             let position = Position::new(pos).expect("pos >= 1");
             for i in 0..m {
                 let entry = sources
-                    .source(i)
-                    .sorted_access(position, false)
+                    .sorted_access_on(i, position, false)
                     .expect("position within list bounds");
                 last_scores[i] = entry.score;
 
@@ -98,8 +88,7 @@ impl TopKAlgorithm for Ta {
                 sources.prefetch_random(entry.item, i, false, false);
                 for j in (0..m).filter(|&j| j != i) {
                     let ps = sources
-                        .source(j)
-                        .random_access(entry.item, false, false)
+                        .random_access_on(j, entry.item, false, false)
                         .expect("every item appears in every list");
                     locals[j] = ps.score;
                 }
@@ -125,6 +114,32 @@ impl TopKAlgorithm for Ta {
         // the δ stopping rule, recorded for standing queries).
         let (ranked, certificate) = buffer.finish(Some(last_scores));
         Ok(TopKResult::new(ranked, stats).with_certificate(certificate))
+    }
+}
+
+impl TopKAlgorithm for Ta {
+    fn name(&self) -> &'static str {
+        if self.memoize {
+            "ta-cached"
+        } else {
+            "ta"
+        }
+    }
+
+    fn execute(
+        &self,
+        sources: &mut dyn SourceSet,
+        query: &TopKQuery,
+    ) -> Result<TopKResult, TopKError> {
+        self.body(sources, query)
+    }
+
+    fn execute_in_memory(
+        &self,
+        sources: &mut InMemorySources<'_>,
+        query: &TopKQuery,
+    ) -> Result<TopKResult, TopKError> {
+        self.body(sources, query)
     }
 }
 

@@ -180,7 +180,7 @@ impl TopKAlgorithm for Tput {
 
         // Phase 3: prune by upper bound, then resolve the survivors exactly.
         sources.begin_round();
-        let mut buffer = TopKBuffer::new(k);
+        let mut buffer = TopKBuffer::new(k, n);
         let mut items_scored = 0usize;
         // Resolve in item-id order, not hash order: the *sequence* of
         // random accesses must be deterministic so that physical-layer

@@ -1,7 +1,7 @@
 //! Query results: the top-k items with their overall scores plus run
 //! statistics.
 
-use topk_lists::{ItemId, ItemMap, Score};
+use topk_lists::{ItemId, Score};
 
 use crate::stats::RunStats;
 
@@ -32,21 +32,16 @@ pub struct RunCertificate {
     /// or `None` when the algorithm offers no such bound (e.g. TPUT's
     /// phased thresholds do not map onto per-list prefixes).
     pub bounds: Option<Vec<Score>>,
-    /// The overall score of every item the run resolved, keyed by item.
-    /// Its iteration order is hash order: look items up, or sort before
-    /// walking it where order is observable.
-    pub resolved: ItemMap<Score>,
+    /// Every item the run resolved, once each, with its overall score, in
+    /// resolution order (the order the answer buffer was first offered
+    /// each item). A consumer that looks items up builds its own map.
+    pub resolved: Vec<(ItemId, Score)>,
 }
 
 impl RunCertificate {
-    /// Assembles a certificate from the bounds and the resolved map.
-    pub fn new(bounds: Option<Vec<Score>>, resolved: ItemMap<Score>) -> Self {
+    /// Assembles a certificate from the bounds and the resolved items.
+    pub fn new(bounds: Option<Vec<Score>>, resolved: Vec<(ItemId, Score)>) -> Self {
         RunCertificate { bounds, resolved }
-    }
-
-    /// The overall score the run resolved for `item`, if any.
-    pub fn resolved_score(&self, item: ItemId) -> Option<Score> {
-        self.resolved.get(&item).copied()
     }
 }
 
@@ -128,10 +123,11 @@ impl TopKResult {
         &self.stats
     }
 
-    /// Stamps the wall-clock duration measured by
+    /// Stamps the wall-clock duration measured by the wrapper of
+    /// [`run`](crate::algorithms::TopKAlgorithm::run) and
     /// [`run_on`](crate::algorithms::TopKAlgorithm::run_on). Algorithm
-    /// bodies leave `elapsed` at zero; timing lives only at that single
-    /// entry point so the bodies stay free of wall-clock reads.
+    /// bodies leave `elapsed` at zero; timing lives only in that one
+    /// wrapper so the bodies stay free of wall-clock reads.
     pub(crate) fn set_elapsed(&mut self, elapsed: std::time::Duration) {
         self.stats.elapsed = elapsed;
     }
@@ -203,24 +199,17 @@ mod tests {
     }
 
     #[test]
-    fn certificates_attach_and_resolve_by_item() {
+    fn certificates_attach_with_their_resolved_items_in_order() {
         let bare = TopKResult::new(vec![ranked(1, 5.0)], dummy_stats());
         assert!(bare.certificate().is_none());
-        let certificate = RunCertificate::new(
-            Some(vec![Score::from_f64(4.0)]),
-            [
-                (ItemId(9), Score::from_f64(2.0)),
-                (ItemId(1), Score::from_f64(5.0)),
-            ]
-            .into_iter()
-            .collect(),
-        );
+        let resolved = vec![
+            (ItemId(9), Score::from_f64(2.0)),
+            (ItemId(1), Score::from_f64(5.0)),
+        ];
+        let certificate = RunCertificate::new(Some(vec![Score::from_f64(4.0)]), resolved.clone());
         let with = bare.with_certificate(certificate);
         let cert = with.certificate().unwrap();
-        assert_eq!(cert.resolved.len(), 2);
-        assert_eq!(cert.resolved_score(ItemId(1)), Some(Score::from_f64(5.0)));
-        assert_eq!(cert.resolved_score(ItemId(9)), Some(Score::from_f64(2.0)));
-        assert_eq!(cert.resolved_score(ItemId(3)), None);
+        assert_eq!(cert.resolved, resolved);
         assert_eq!(cert.bounds.as_ref().unwrap()[0].value(), 4.0);
     }
 

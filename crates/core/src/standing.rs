@@ -144,8 +144,8 @@ struct CacheEntry {
     /// local scores, when the algorithm proved them.
     bounds: Option<Vec<Score>>,
     /// Upper bounds on the overall scores of items the run resolved
-    /// (exact at refresh time; kept as sound upper bounds as decreases
-    /// are absorbed).
+    /// (exact at refresh time, built from the certificate's resolved
+    /// list; kept as sound upper bounds as decreases are absorbed).
     resolved: ItemMap<Score>,
     /// Exactly-known local scores learned from absorbed events (inserted
     /// items know every coordinate; updated items know the updated ones).
@@ -330,7 +330,9 @@ impl StandingQuery {
             .expect("a validated top-k answer holds k >= 1 items");
         let certificate = result.certificate();
         let bounds = certificate.and_then(|c| c.bounds.clone());
-        let resolved = certificate.map(|c| c.resolved.clone()).unwrap_or_default();
+        let resolved = certificate
+            .map(|c| c.resolved.iter().copied().collect())
+            .unwrap_or_default();
         self.cache = Some(CacheEntry {
             algorithm,
             epochs: sources.epochs(),

@@ -38,10 +38,10 @@ pub struct RunStats {
     pub rounds: u64,
     /// Number of distinct data items whose overall score was computed.
     pub items_scored: usize,
-    /// Wall-clock time of the run. Stamped by `run_on` around the whole
-    /// execution — algorithm bodies never read the clock (enforced by
-    /// topk-lint's `no-wall-clock` rule), so within `execute` this is
-    /// zero.
+    /// Wall-clock time of the run. Stamped by the wrapper `run` and
+    /// `run_on` share, around the whole execution — algorithm bodies
+    /// never read the clock (enforced by topk-lint's `no-wall-clock`
+    /// rule), so within `execute` this is zero.
     pub elapsed: Duration,
 }
 

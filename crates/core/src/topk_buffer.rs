@@ -3,9 +3,14 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use topk_lists::{ItemId, ItemMap, Score};
+use topk_lists::{dense_bound, ItemId, ItemMap, Score};
 
 use crate::result::{RankedItem, RunCertificate};
+
+/// Resolutions the buffer makes room for up front (4 KiB): a threshold
+/// query resolves hundreds of items or more, and this skips the first
+/// doublings of the resolved list without sizing it from `n`.
+const RESERVED_RESOLUTIONS: usize = 256;
 
 /// Maintains "the k seen data items whose overall scores are the highest
 /// among all data items seen so far" (step 1 of TA, BPA and BPA2).
@@ -16,31 +21,49 @@ use crate::result::{RankedItem, RunCertificate};
 /// stopping conditions compare against the thresholds `δ` and `λ`.
 ///
 /// The buffer also remembers every item it was offered with its overall
-/// score — exactly the set a run resolved — and hands that set to the
-/// run's [`RunCertificate`] in [`TopKBuffer::finish`].
+/// score, in the order of first offer — exactly the items a run resolved —
+/// and hands that list to the run's [`RunCertificate`] in
+/// [`TopKBuffer::finish`].
+///
+/// Whether an item was offered is one bit in a seen set over item ids,
+/// allocated once for the `n` items of the query's lists: ids below
+/// [`dense_bound`]`(n)` (the rule under which a list's item index is a
+/// dense array) index the bitset, which is `n / 32` words; any farther id
+/// falls back to a hashed set. A query that resolves most of its items
+/// therefore never rehashes.
 #[derive(Debug, Clone)]
 pub struct TopKBuffer {
     k: usize,
     /// Min-heap of the current top-k, keyed by (score, item id) so that the
     /// eviction order is deterministic under ties.
     heap: BinaryHeap<Reverse<(Score, ItemId)>>,
-    /// Every item ever offered with its overall score: makes repeated
-    /// offers idempotent and feeds the run certificate.
-    offered: ItemMap<Score>,
+    /// `dense_bound(n)`: ids below it live in `seen`, the rest in `far`.
+    bound: u64,
+    /// Bit `id` is set once item `id < bound` has been offered.
+    seen: Vec<u64>,
+    /// Offered ids at or beyond `dense_bound(n)`.
+    far: ItemMap<()>,
+    /// Every item ever offered with its overall score, in order of first
+    /// offer: feeds the run certificate.
+    offered: Vec<(ItemId, Score)>,
 }
 
 impl TopKBuffer {
-    /// Creates a buffer that keeps the `k` best items.
+    /// Creates a buffer that keeps the `k` best of items drawn from lists
+    /// of `n` items.
     ///
     /// # Panics
     ///
     /// Panics if `k` is zero.
-    pub fn new(k: usize) -> Self {
+    pub fn new(k: usize, n: usize) -> Self {
         assert!(k > 0, "k must be at least 1");
         TopKBuffer {
             k,
             heap: BinaryHeap::with_capacity(k + 1),
-            offered: ItemMap::default(),
+            bound: dense_bound(n),
+            seen: vec![0; dense_bound(n).div_ceil(64) as usize],
+            far: ItemMap::default(),
+            offered: Vec::with_capacity(n.min(RESERVED_RESOLUTIONS)),
         }
     }
 
@@ -56,9 +79,10 @@ impl TopKBuffer {
     /// Offering the same item twice (necessarily with the same overall
     /// score, since overall scores are functions of the item) is a no-op.
     pub fn offer(&mut self, item: ItemId, score: Score) -> bool {
-        if self.offered.insert(item, score).is_some() {
+        if !self.mark(item) {
             return false;
         }
+        self.offered.push((item, score));
         self.heap.push(Reverse((score, item)));
         if self.heap.len() > self.k {
             self.heap.pop();
@@ -66,10 +90,28 @@ impl TopKBuffer {
         true
     }
 
+    /// Marks `item` seen; `false` when it already was.
+    #[inline]
+    fn mark(&mut self, item: ItemId) -> bool {
+        if item.0 < self.bound {
+            let word = &mut self.seen[(item.0 / 64) as usize];
+            let bit = 1 << (item.0 % 64);
+            let fresh = *word & bit == 0;
+            *word |= bit;
+            fresh
+        } else {
+            self.far.insert(item, ()).is_none()
+        }
+    }
+
     /// Whether the item has been offered (resolved) before.
     #[inline]
     pub fn was_offered(&self, item: ItemId) -> bool {
-        self.offered.contains_key(&item)
+        if item.0 < self.bound {
+            self.seen[(item.0 / 64) as usize] & (1 << (item.0 % 64)) != 0
+        } else {
+            self.far.contains_key(&item)
+        }
     }
 
     /// Number of items currently buffered (at most `k`).
@@ -110,8 +152,9 @@ impl TopKBuffer {
     }
 
     /// Consumes the buffer and returns the answers together with the
-    /// run's certificate: the given per-list `bounds` and the map of every
-    /// offered item to its overall score, moved in as it is.
+    /// run's certificate: the given per-list `bounds` and every offered
+    /// item with its overall score, in the order the items were first
+    /// offered (moved in, not copied).
     pub fn finish(self, bounds: Option<Vec<Score>>) -> (Vec<RankedItem>, RunCertificate) {
         let certificate = RunCertificate::new(bounds, self.offered);
         (Self::ranked(self.heap), certificate)
@@ -143,7 +186,7 @@ mod tests {
 
     #[test]
     fn keeps_only_the_k_best() {
-        let mut buf = TopKBuffer::new(2);
+        let mut buf = TopKBuffer::new(2, 16);
         buf.offer(ItemId(1), s(10.0));
         buf.offer(ItemId(2), s(30.0));
         buf.offer(ItemId(3), s(20.0));
@@ -155,7 +198,7 @@ mod tests {
 
     #[test]
     fn kth_score_requires_a_full_buffer() {
-        let mut buf = TopKBuffer::new(3);
+        let mut buf = TopKBuffer::new(3, 16);
         buf.offer(ItemId(1), s(5.0));
         buf.offer(ItemId(2), s(9.0));
         assert_eq!(buf.kth_score(), None);
@@ -169,7 +212,7 @@ mod tests {
 
     #[test]
     fn repeated_offers_are_idempotent() {
-        let mut buf = TopKBuffer::new(2);
+        let mut buf = TopKBuffer::new(2, 16);
         assert!(buf.offer(ItemId(7), s(1.0)));
         assert!(!buf.offer(ItemId(7), s(1.0)));
         assert_eq!(buf.len(), 1);
@@ -178,7 +221,7 @@ mod tests {
 
     #[test]
     fn eviction_updates_membership() {
-        let mut buf = TopKBuffer::new(1);
+        let mut buf = TopKBuffer::new(1, 16);
         buf.offer(ItemId(1), s(1.0));
         assert_eq!(buf.kth_score(), Some(s(1.0)));
         buf.offer(ItemId(2), s(2.0));
@@ -194,25 +237,89 @@ mod tests {
 
     #[test]
     fn finish_certifies_every_offered_item() {
-        let mut buf = TopKBuffer::new(1);
+        let mut buf = TopKBuffer::new(1, 16);
         for (id, score) in [(9u64, 3.0), (2, 5.0), (4, 1.0)] {
             buf.offer(ItemId(id), s(score));
         }
         let (ranked, certificate) = buf.finish(Some(vec![s(1.0)]));
         assert_eq!(ranked.len(), 1);
         assert_eq!(ranked[0].item, ItemId(2));
-        assert_eq!(certificate.resolved.len(), 3);
-        assert_eq!(certificate.resolved_score(ItemId(9)), Some(s(3.0)));
-        assert_eq!(certificate.resolved_score(ItemId(4)), Some(s(1.0)));
-        assert_eq!(certificate.resolved_score(ItemId(7)), None);
+        assert_eq!(
+            certificate.resolved,
+            vec![
+                (ItemId(9), s(3.0)),
+                (ItemId(2), s(5.0)),
+                (ItemId(4), s(1.0))
+            ]
+        );
         assert_eq!(certificate.bounds, Some(vec![s(1.0)]));
+    }
+
+    /// Ids on both sides of `dense_bound(n)` and far beyond it, for a few
+    /// `n`: the bitset's last id, the hashed set's first, and one far id.
+    fn boundary_ids(n: usize) -> Vec<u64> {
+        let bound = dense_bound(n);
+        vec![0, 63, 64, bound - 1, bound, bound + 1, 1 << 32, u64::MAX]
+    }
+
+    #[test]
+    fn offers_are_idempotent_on_both_sides_of_the_dense_bound() {
+        for n in [1, 2, 63, 64, 65, 257] {
+            let ids = boundary_ids(n);
+            let mut buf = TopKBuffer::new(3, n);
+            for (rank, &id) in ids.iter().enumerate() {
+                assert!(!buf.was_offered(ItemId(id)), "n = {n}, id {id}");
+                assert!(buf.offer(ItemId(id), s(rank as f64)), "n = {n}, id {id}");
+                assert!(buf.was_offered(ItemId(id)), "n = {n}, id {id}");
+                assert_eq!(buf.offered_count(), rank + 1, "n = {n}, id {id}");
+            }
+            // A repeat offer, with any score, changes nothing.
+            for &id in &ids {
+                assert!(!buf.offer(ItemId(id), s(100.0)), "n = {n}, id {id}");
+            }
+            assert_eq!(buf.offered_count(), ids.len());
+            // Neighbours of the offered ids stay unseen.
+            for id in [1, 62, dense_bound(n) + 2, (1 << 32) + 1] {
+                assert!(!buf.was_offered(ItemId(id)), "n = {n}, id {id}");
+            }
+            let top: Vec<u64> = buf.clone().into_ranked().iter().map(|r| r.item.0).collect();
+            assert_eq!(
+                top,
+                ids[ids.len() - 3..]
+                    .iter()
+                    .rev()
+                    .copied()
+                    .collect::<Vec<_>>()
+            );
+        }
+    }
+
+    #[test]
+    fn finish_lists_resolved_items_in_first_offer_order() {
+        let n = 65;
+        let bound = dense_bound(n);
+        // Interleave bitset and hashed ids, with repeats: the certificate
+        // keeps each item once, where it was first offered.
+        let order = [bound, 5, 1 << 40, bound - 1, 5, bound, 0, bound + 7];
+        let mut buf = TopKBuffer::new(2, n);
+        for (rank, &id) in order.iter().enumerate() {
+            buf.offer(ItemId(id), s(rank as f64));
+        }
+        let (_, certificate) = buf.finish(None);
+        let expected: Vec<(ItemId, Score)> = [(bound, 0.0), (5, 1.0), (1 << 40, 2.0)]
+            .into_iter()
+            .chain([(bound - 1, 3.0), (0, 6.0), (bound + 7, 7.0)])
+            .map(|(id, score)| (ItemId(id), s(score)))
+            .collect();
+        assert_eq!(certificate.resolved, expected);
+        assert_eq!(certificate.bounds, None);
     }
 
     #[test]
     fn tie_eviction_is_deterministic() {
         // With equal scores, the larger item id is evicted first because the
         // heap key is (score, item) and we pop the minimum.
-        let mut buf = TopKBuffer::new(1);
+        let mut buf = TopKBuffer::new(1, 16);
         buf.offer(ItemId(5), s(1.0));
         buf.offer(ItemId(3), s(1.0));
         let ranked = buf.into_ranked();
@@ -224,7 +331,7 @@ mod tests {
     fn paper_example_positions_1_to_3() {
         // Figure 1, k = 3: after position 3 the buffer holds d3, d5, d8 with
         // scores 70, 70, 71 and the lowest of them is 70.
-        let mut buf = TopKBuffer::new(3);
+        let mut buf = TopKBuffer::new(3, 16);
         for (id, score) in [
             (1u64, 65.0),
             (2, 63.0),
@@ -245,7 +352,7 @@ mod tests {
 
     #[test]
     fn is_empty_and_k_accessors() {
-        let buf = TopKBuffer::new(4);
+        let buf = TopKBuffer::new(4, 16);
         assert!(buf.is_empty());
         assert_eq!(buf.k(), 4);
     }
@@ -253,6 +360,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least 1")]
     fn zero_k_panics() {
-        let _ = TopKBuffer::new(0);
+        let _ = TopKBuffer::new(0, 16);
     }
 }

@@ -50,8 +50,8 @@ const SCOPE: &[&str] = &[
     // Statistics collection issues counted accesses, and the paged
     // backend's LRU counters observe their order.
     "crates/core/src/stats.rs",
-    // The answer buffer owns the resolved-item map and moves it, unsorted,
-    // into the run certificate.
+    // The answer buffer keeps far item ids in a hashed set beside its
+    // resolution-ordered list, which it moves into the run certificate.
     "crates/core/src/topk_buffer.rs",
     "crates/lists/src/",
     "crates/storage/src/",

@@ -90,7 +90,10 @@ struct Slot {
 }
 
 /// The largest id (exclusive) the dense shape accepts for `n` items.
-fn dense_bound(n: usize) -> u64 {
+/// Per-query sets keyed by item (the answer buffer's resolved set) use
+/// the same rule to decide which ids a dense array over `0..bound`
+/// holds.
+pub fn dense_bound(n: usize) -> u64 {
     2 * n as u64 + 64
 }
 

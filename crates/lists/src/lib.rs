@@ -70,12 +70,12 @@ pub use bptree::BPlusTree;
 pub use database::Database;
 pub use error::ListError;
 pub use item::{ItemId, Position, Score};
-pub use item_index::{ItemHasher, ItemMap};
+pub use item_index::{dense_bound, ItemHasher, ItemMap};
 pub use sharded::ShardedDatabase;
 pub use sorted_list::{ListDelta, ListEntry, PositionedScore, ScoreUpdate, SortedList};
 pub use source::{
-    BatchingSource, CacheCounters, InMemorySource, ListSource, SourceEntry, SourceError,
-    SourceErrorKind, SourceScore, SourceSet, Sources,
+    BatchingSource, CacheCounters, InMemorySource, InMemorySources, ListSource, SourceEntry,
+    SourceError, SourceErrorKind, SourceScore, SourceSet, Sources,
 };
 pub use tracked::{ListStore, TrackedSource};
 pub use tracker::{

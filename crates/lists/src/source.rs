@@ -15,20 +15,30 @@
 //!   Section 5 communication argument requires.
 //! * [`SourceSet`] — the `m` sources a query executes against, plus round
 //!   demarcation ([`SourceSet::begin_round`]) so backends can account or
-//!   coalesce per originator round.
+//!   coalesce per originator round. Algorithms access list `i` through
+//!   the set's per-list methods ([`SourceSet::sorted_access_on`],
+//!   [`SourceSet::random_access_on`], [`SourceSet::direct_access_on`]),
+//!   which by default forward to [`SourceSet::source`]`(i)`. A set whose
+//!   source type is known overrides them with direct calls, so an
+//!   algorithm body instantiated at that set reaches the access core
+//!   with no indirect call at all.
 //! * [`InMemorySource`] / [`Sources::in_memory`] — the in-process backend
 //!   over borrowed [`SortedList`](crate::SortedList)s. It is the access core
 //!   ([`TrackedSource`](crate::tracked::TrackedSource)) over an in-memory
 //!   store; the paged and list-owner backends are the same core over
-//!   their own stores.
+//!   their own stores. [`InMemorySources`] holds the same sources by
+//!   value and type: the statically dispatched set behind
+//!   `topk_core::TopKAlgorithm::run`.
 //! * [`BatchingSource`] — a decorator that serves sorted accesses from a
 //!   prefetched block ([`ListSource::sorted_block`]), so backends that
 //!   read a block in one exchange (paged, asynchronous) serve sequential
 //!   scans in fewer round trips.
 //!
-//! Algorithms live in `topk-core` and receive `&mut dyn SourceSet`; the
-//! distributed backend (`AsyncClusterSources`, a `ClusterRuntime`
-//! session) lives in `topk-distributed`.
+//! Algorithms live in `topk-core`. Their bodies are generic over the
+//! source set: `run_on` instantiates them at `dyn SourceSet` (every
+//! backend and decorator), `run` at [`InMemorySources`]. The distributed
+//! backend (`AsyncClusterSources`, a `ClusterRuntime` session) lives in
+//! `topk-distributed`.
 //!
 //! ```
 //! use topk_lists::prelude::*;
@@ -372,6 +382,40 @@ pub trait SourceSet {
     /// Panics when `i >= num_lists()`.
     fn source_ref(&self, i: usize) -> &dyn ListSource;
 
+    /// [`ListSource::sorted_access`] on list `i`. The default forwards to
+    /// [`source(i)`](SourceSet::source); a set that knows its source type
+    /// overrides it with a direct call. Named apart from
+    /// [`ListSource`]'s methods, so one type can implement both traits.
+    #[inline]
+    fn sorted_access_on(
+        &mut self,
+        i: usize,
+        position: Position,
+        track: bool,
+    ) -> Option<SourceEntry> {
+        self.source(i).sorted_access(position, track)
+    }
+
+    /// [`ListSource::random_access`] on list `i`; see
+    /// [`sorted_access_on`](SourceSet::sorted_access_on).
+    #[inline]
+    fn random_access_on(
+        &mut self,
+        i: usize,
+        item: ItemId,
+        with_position: bool,
+        track: bool,
+    ) -> Option<SourceScore> {
+        self.source(i).random_access(item, with_position, track)
+    }
+
+    /// [`ListSource::direct_access_next`] on list `i`; see
+    /// [`sorted_access_on`](SourceSet::sorted_access_on).
+    #[inline]
+    fn direct_access_on(&mut self, i: usize) -> Option<SourceEntry> {
+        self.source(i).direct_access_next()
+    }
+
     /// Announces the start of an originator round. Backends use this for
     /// per-round accounting (e.g. `NetworkStats::per_round`) and must
     /// forward it to their sources ([`ListSource::begin_round`]) so
@@ -668,6 +712,76 @@ impl SourceSet for Sources<'_> {
     }
 }
 
+/// The in-memory backend as a typed set: one [`InMemorySource`] per list
+/// of a database, held by value.
+///
+/// It serves exactly what [`Sources::in_memory`] serves (the same access
+/// core with the bit-array tracker), but its per-list access methods call
+/// the sources directly instead of through `dyn ListSource`, so an
+/// algorithm body instantiated at this type inlines the access core.
+/// `topk_core::TopKAlgorithm::run` opens it; everything that needs a
+/// `dyn SourceSet` (decorators, merged sets, other trackers) opens
+/// [`Sources`].
+#[derive(Debug)]
+pub struct InMemorySources<'a> {
+    sources: Vec<InMemorySource<'a>>,
+}
+
+impl<'a> InMemorySources<'a> {
+    /// One bit-array-tracked source per list of `database`.
+    pub fn new(database: &'a Database) -> Self {
+        InMemorySources {
+            sources: database.lists().map(InMemorySource::new).collect(),
+        }
+    }
+}
+
+impl SourceSet for InMemorySources<'_> {
+    fn num_lists(&self) -> usize {
+        self.sources.len()
+    }
+
+    fn source(&mut self, i: usize) -> &mut dyn ListSource {
+        &mut self.sources[i]
+    }
+
+    fn source_ref(&self, i: usize) -> &dyn ListSource {
+        &self.sources[i]
+    }
+
+    #[inline]
+    fn sorted_access_on(
+        &mut self,
+        i: usize,
+        position: Position,
+        track: bool,
+    ) -> Option<SourceEntry> {
+        self.sources[i].sorted_access(position, track)
+    }
+
+    #[inline]
+    fn random_access_on(
+        &mut self,
+        i: usize,
+        item: ItemId,
+        with_position: bool,
+        track: bool,
+    ) -> Option<SourceScore> {
+        self.sources[i].random_access(item, with_position, track)
+    }
+
+    #[inline]
+    fn direct_access_on(&mut self, i: usize) -> Option<SourceEntry> {
+        self.sources[i].direct_access_next()
+    }
+
+    fn reset(&mut self) {
+        for source in &mut self.sources {
+            source.reset();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -707,6 +821,38 @@ mod tests {
         assert_eq!(sources.source_ref(0).counters().sorted, 2);
         assert_eq!(sources.total_counters().of(AccessMode::Sorted), 2);
         assert_eq!(sources.per_list_counters()[1], AccessCounters::default());
+    }
+
+    /// The typed set's direct per-list calls and the boxed set's
+    /// forwarding defaults reach the same sources: same replies, counters
+    /// and best positions.
+    #[test]
+    fn typed_in_memory_set_matches_the_boxed_one() {
+        let db = db();
+        let mut typed = InMemorySources::new(&db);
+        let mut boxed = Sources::in_memory(&db);
+        assert_eq!(typed.num_lists(), boxed.num_lists());
+        assert_eq!(typed.num_items(), boxed.num_items());
+        for i in 0..2 {
+            assert_eq!(
+                typed.sorted_access_on(i, Position::FIRST, true),
+                boxed.sorted_access_on(i, Position::FIRST, true)
+            );
+            assert_eq!(
+                typed.random_access_on(i, ItemId(2), true, true),
+                boxed.random_access_on(i, ItemId(2), true, true)
+            );
+            assert_eq!(typed.direct_access_on(i), boxed.direct_access_on(i));
+            assert_eq!(typed.direct_access_on(i), boxed.direct_access_on(i));
+            assert_eq!(
+                typed.source_ref(i).best_position(),
+                boxed.source_ref(i).best_position()
+            );
+        }
+        assert_eq!(typed.per_list_counters(), boxed.per_list_counters());
+        typed.reset();
+        assert_eq!(typed.total_counters(), AccessCounters::default());
+        assert_eq!(typed.source_ref(0).best_position(), None);
     }
 
     #[test]

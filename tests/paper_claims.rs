@@ -6,6 +6,7 @@
 
 use bpa_topk::core::examples_paper::{figure1_database, figure2_database};
 use bpa_topk::datagen::{DatabaseKind, DatabaseSpec};
+use bpa_topk::lists::ItemMap;
 use bpa_topk::prelude::*;
 
 /// Moderate sizes keep the whole suite fast in debug builds while still
@@ -80,6 +81,7 @@ fn all_algorithms_agree_on_generated_databases() {
                 let naive = NaiveScan.run(&db, &query).unwrap();
                 let overall = &naive.certificate().unwrap().resolved;
                 assert_eq!(overall.len(), db.num_items());
+                let overall: ItemMap<Score> = overall.iter().copied().collect();
                 for kind in AlgorithmKind::ALL {
                     let result = kind.create().run(&db, &query).unwrap();
                     let case = format!("{kind:?} on {:?} seed {seed} k {k}", spec.kind);
@@ -91,16 +93,17 @@ fn all_algorithms_agree_on_generated_databases() {
                         continue;
                     }
                     let certificate = result.certificate().unwrap();
-                    let resolved = certificate.resolved.len();
-                    assert_eq!(resolved, result.stats().items_scored, "{case}");
-                    let mut found = 0;
-                    for (&item, &score) in overall {
-                        if let Some(certified) = certificate.resolved_score(item) {
-                            assert_eq!(certified.value().to_bits(), score.value().to_bits());
-                            found += 1;
-                        }
+                    assert_eq!(
+                        certificate.resolved.len(),
+                        result.stats().items_scored,
+                        "{case}"
+                    );
+                    let mut resolved = ItemMap::default();
+                    for &(item, certified) in &certificate.resolved {
+                        let score = overall[&item];
+                        assert_eq!(certified.value().to_bits(), score.value().to_bits());
+                        assert!(resolved.insert(item, certified).is_none(), "{case}");
                     }
-                    assert_eq!(found, resolved, "{case}");
                     if kind == AlgorithmKind::Ta {
                         continue;
                     }
@@ -108,7 +111,7 @@ fn all_algorithms_agree_on_generated_databases() {
                     for (i, list) in db.lists().enumerate() {
                         let prefix = list
                             .items()
-                            .take_while(|&item| certificate.resolved_score(item).is_some())
+                            .take_while(|item| resolved.contains_key(item))
                             .count();
                         let at_best = list.score_at(Position::from_index(prefix - 1)).unwrap();
                         assert_eq!(
